@@ -405,6 +405,8 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     """
     if not views:
         raise ValueError("need at least one posed view")
+    if not config.q_inits:
+        raise ValueError("need at least one articulation start in q_inits")
     weights = checkpoint.weights
     arch = checkpoint.arch
     frozen = [t for _, t in weights.named_parameters()]
@@ -519,17 +521,30 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
             f"{path.name}: corrupt checkpoint, payload {len(payload)} bytes, "
             f"expected {expected_bytes}")
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise CheckpointError(f"{path.name}: non-finite values in the payload")
 
     rng = np.random.default_rng(0)
     weights = ModelWeights.init(arch, rng)
     by_name = {rec["name"]: rec for rec in header["tensors"]}
+
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        rec = by_name.get(name)
+        if rec is None:
+            raise CheckpointError(f"{path.name}: tensor {name!r} missing from the header")
+        if tuple(rec["shape"]) != shape:
+            raise CheckpointError(
+                f"{path.name}: tensor {name!r} has shape {tuple(rec['shape'])}, expected {shape}")
+        n = int(np.prod(shape))
+        if not 0 <= rec["offset"] <= flat.size - n:
+            raise CheckpointError(f"{path.name}: tensor {name!r} lies outside the payload")
+        return flat[rec["offset"]:rec["offset"] + n].reshape(shape).copy()
+
     for name, t in weights.named_parameters():
-        rec = by_name[name]
-        n = int(np.prod(rec["shape"]))
-        t.data = flat[rec["offset"]:rec["offset"] + n].reshape(rec["shape"]).copy()
-    rec = by_name["codes"]
-    n = int(np.prod(rec["shape"]))
-    codes = flat[rec["offset"]:rec["offset"] + n].reshape(rec["shape"]).copy()
+        t.data = tensor(name, t.data.shape)
+    codes_rec = by_name.get("codes")
+    n_codes = codes_rec["shape"][0] if codes_rec and codes_rec["shape"] else 0  # any count, k_obj wide
+    codes = tensor("codes", (n_codes, arch.k_obj))
     return Checkpoint(weights=weights, codes=codes, arch=arch,
                       train_config=header["train_config"],
                       iteration=header["iteration"],

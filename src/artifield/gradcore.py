@@ -5,6 +5,28 @@ parents and a closure that propagates the output gradient back to them.
 Graphs are rebuilt per minibatch and discarded after ``backward``. All
 arithmetic is float64 and single-threaded per graph, so repeated runs with
 identical inputs are bit-identical.
+
+Two fused ops replace chains of primitive nodes on the hot path:
+
+- ``mlp(x, layers)``: affine layers with tanh between them and an identity
+  output, one node.
+- ``lstm_step``: the gated cell as two nodes, c' = f*c + i*g with parents
+  (x, c, h, w, b) and h' = o*tanh(c') with c' as its only parent.
+
+Their vjps follow a contract that keeps gradients bit-identical to the
+unfused composition of primitive ops:
+
+- Repeat the unfused arithmetic expression for expression, with the same
+  association, e.g. ``(g * gval) * (i * (1 - i))`` for the input gate, and
+  accumulate into shared parents in the same order.
+- Never hand one array object to two parents (``_accum`` adopts the first
+  contribution without copying). Disjoint views of one array are fine.
+- h' hands its o-gate gradient to c': since c' is h''s parent, h''s vjp
+  always runs first in ``backward``, and c''s vjp then runs the single
+  ``dz @ w.T`` / ``xh.T @ dz`` pass over all four gates. Without h' in the
+  graph, the o-gate gradient is zero.
+- Under ``set_finite_checks("all")`` the fused forward checks every
+  pre-activation the unfused chain recorded as a node.
 """
 
 from __future__ import annotations
@@ -154,6 +176,12 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
         out._parents = parents
         out._vjp = vjp
     return out
+
+
+def _check_intermediate(data: np.ndarray, what: str) -> None:
+    """The "all" finite check for a value a fused op keeps inside one node."""
+    if _finite_mode == "all" and not np.all(np.isfinite(data)):
+        raise NonFiniteError(f"non-finite values in {what}")
 
 
 def _accum(t: Tensor, g) -> None:
@@ -490,16 +518,21 @@ def reshape(a, *shape) -> Tensor:
     return _make(y, "reshape", (a,), vjp)
 
 
+def _affine_data(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+            or bd.shape != (wd.shape[1],):
+        raise ShapeMismatchError(
+            f"affine shapes incompatible: {xd.shape} @ {wd.shape} + {bd.shape}")
+    out = xd @ wd
+    out += bd
+    return out
+
+
 def affine(x, w, b) -> Tensor:
     """Fused x @ w + b with x (B, in), w (in, out), b (out,)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
-            or b.data.shape != (wd.shape[1],):
-        raise ShapeMismatchError(
-            f"affine shapes incompatible: {xd.shape} @ {wd.shape} + {b.data.shape}")
-    out_data = xd @ wd
-    out_data += b.data
+    out_data = _affine_data(xd, wd, b.data)
 
     def vjp(g):
         if x.requires_grad:
@@ -510,6 +543,51 @@ def affine(x, w, b) -> Tensor:
             _accum(b, g.sum(axis=0))
 
     return _make(out_data, "affine", (x, w, b), vjp)
+
+
+def mlp(x, layers: Sequence[tuple]) -> Tensor:
+    """Fused MLP over (w, b) layers: tanh after every layer but the last,
+    identity output. One graph node; the vjp repeats the affine and tanh
+    vjps layer by layer, last layer first."""
+    if not layers:
+        raise ShapeMismatchError("mlp needs at least one layer")
+    x = as_tensor(x)
+    params = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    last = len(params) - 1
+    # acts[l] is the input of layer l; the hidden ones are tanh outputs.
+    acts = [x.data]
+    # wants[l]: the unfused output of layer l would have required grad.
+    wants = []
+    for l, (w, b) in enumerate(params):
+        y = _affine_data(acts[-1], w.data, b.data)
+        if l < last:
+            _check_intermediate(y, f"mlp layer {l} pre-activation")
+            y = np.tanh(y)
+            acts.append(y)
+        wants.append((x.requires_grad if l == 0 else wants[-1])
+                     or w.requires_grad or b.requires_grad)
+    weights = [w.data for w, _ in params]
+
+    def vjp(g):
+        for l in range(last, -1, -1):
+            w, b = params[l]
+            a = acts[l]
+            wants_in = x.requires_grad if l == 0 else wants[l - 1]
+            if wants_in:
+                g_in = g @ weights[l].T
+            if w.requires_grad:
+                _accum(w, a.T @ g)
+            if b.requires_grad:
+                _accum(b, g.sum(axis=0))
+            if not wants_in:
+                return
+            if l == 0:
+                _accum(x, g_in)
+            else:
+                g = g_in * (1.0 - a * a)
+
+    parents = (x,) + tuple(t for layer in params for t in layer)
+    return _make(y, "mlp", parents, vjp)
 
 
 def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
@@ -579,9 +657,15 @@ def lstm_zero_state(batch: int, hidden_dim: int) -> tuple[Tensor, Tensor]:
 
 
 def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tuple[Tensor, Tensor], Tensor]:
-    """One gated recurrent update; returns ((h', c'), output) with output = h'."""
+    """One gated recurrent update; returns ((h', c'), output) with output = h'.
+
+    Builds two nodes, c' and h' (see the module docstring); their values and
+    gradients equal those of sigmoid/tanh gates over
+    affine(concat([x, h]), w, b) bit for bit.
+    """
     h, c = state
     x = as_tensor(x)
+    w, b = params.w, params.b
     hd = params.hidden_dim
     if x.data.ndim != 2 or h.data.ndim != 2:
         raise ShapeMismatchError("lstm_step expects (B, I) input and (B, H) state")
@@ -589,14 +673,52 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
         raise ShapeMismatchError(
             f"lstm_step width mismatch: input {x.data.shape}, state {h.data.shape}, "
             f"cell expects input_dim={params.input_dim}, hidden_dim={hd}")
-    z = affine(concat([x, h], axis=1), params.w, params.b)
-    i = sigmoid(narrow(z, 1, 0, hd))
-    f = sigmoid(narrow(z, 1, hd, hd))
-    g = tanh(narrow(z, 1, 2 * hd, hd))
-    o = sigmoid(narrow(z, 1, 3 * hd, hd))
-    c2 = add(mul(f, c), mul(i, g))
-    h2 = mul(o, tanh(c2))
-    return (h2, c2), h2
+    xh = np.concatenate([x.data, h.data], axis=1)
+    wd, cd = w.data, c.data
+    z = _affine_data(xh, wd, b.data)
+    _check_intermediate(z, "lstm_step gate pre-activations")
+    gates = _sigmoid_np(z)
+    gates[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+    i, f, g, o = (gates[:, k * hd:(k + 1) * hd] for k in range(4))
+    c2 = f * cd + i * g
+    tc = np.tanh(c2)
+    z_wants = x.requires_grad or h.requires_grad or w.requires_grad or b.requires_grad
+    handoff: list[np.ndarray] = []  # o-gate pre-activation grad, from h' to c'
+
+    def cell_vjp(dc):
+        go = handoff.pop() if handoff else None
+        if c.requires_grad:
+            _accum(c, dc * f)
+        if not z_wants:
+            return
+        # Zero fill plus += reproduces the unfused narrow vjps' zero padding.
+        dz = np.zeros((xh.shape[0], 4 * hd))
+        dz[:, :hd] += (dc * g) * (i * (1.0 - i))
+        dz[:, hd:2 * hd] += (dc * cd) * (f * (1.0 - f))
+        dz[:, 2 * hd:3 * hd] += (dc * i) * (1.0 - g * g)
+        if go is not None:
+            dz[:, 3 * hd:] += go
+        if x.requires_grad or h.requires_grad:
+            dxh = dz @ wd.T
+            in_dim = x.data.shape[1]
+            if x.requires_grad:
+                _accum(x, dxh[:, :in_dim])
+            if h.requires_grad:
+                _accum(h, dxh[:, in_dim:])
+        if w.requires_grad:
+            _accum(w, xh.T @ dz)
+        if b.requires_grad:
+            _accum(b, dz.sum(axis=0))
+
+    c_node = _make(c2, "lstm_cell", (x, c, h, w, b), cell_vjp)
+
+    def hidden_vjp(dh):
+        if z_wants:
+            handoff.append((dh * tc) * (o * (1.0 - o)))
+        _accum(c_node, (dh * o) * (1.0 - tc * tc))
+
+    h_node = _make(o * tc, "lstm_hidden", (c_node,), hidden_vjp)
+    return (h_node, c_node), h_node
 
 
 # ---------------------------------------------------------------------------

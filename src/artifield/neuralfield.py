@@ -177,21 +177,6 @@ def _flat_field_init(arch: ArchConfig, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor,
-                out_activation: str = "identity") -> Tensor:
-    """tanh-hidden MLP; the output layer is identity or sigmoid."""
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = gc.affine(h, w, b)
-        if i < len(layers) - 1:
-            h = gc.tanh(h)
-    if out_activation == "sigmoid":
-        return gc.sigmoid(h)
-    if out_activation == "identity":
-        return h
-    raise ValueError(f"unknown activation {out_activation!r}")
-
-
 @dataclass
 class RaymarcherWeights:
     """Recurrent step-length predictor: LSTM cell plus softplus step head."""
@@ -266,8 +251,7 @@ def code_features_t(z_art: Tensor | np.ndarray, z_obj: Tensor | np.ndarray) -> T
 
 def hyper_map(hyper: Sequence[tuple[Tensor, Tensor]], feats: Tensor) -> Tensor:
     """Map latent features (1, k) to the flat field weight vector (l,)."""
-    theta = mlp_forward(hyper, feats)
-    return gc.reshape(theta, (-1,))
+    return gc.reshape(gc.mlp(feats, hyper), (-1,))
 
 
 def slice_field_weights(theta: Tensor, arch: ArchConfig) -> list[tuple[Tensor, Tensor]]:
@@ -292,12 +276,8 @@ def slice_field_weights(theta: Tensor, arch: ArchConfig) -> list[tuple[Tensor, T
 
 
 def field_eval_layers(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor | np.ndarray) -> Tensor:
-    h = gc.as_tensor(x)
-    for i, (w, b) in enumerate(layers):
-        h = gc.affine(h, w, b)
-        if i < len(layers) - 1:
-            h = gc.tanh(h)
-    return h
+    """The coordinate field over pre-sliced layers: points (P, 3) -> features (P, n)."""
+    return gc.mlp(x, layers)
 
 
 def field_eval(theta: Tensor, x: Tensor | np.ndarray, arch: ArchConfig) -> Tensor:
@@ -311,19 +291,18 @@ def field_eval(theta: Tensor, x: Tensor | np.ndarray, arch: ArchConfig) -> Tenso
 
 def rgb_head(rgb_layers: Sequence[tuple[Tensor, Tensor]], v: Tensor) -> Tensor:
     """Features (P, n) -> RGB (P, 3) in [0, 1] via a sigmoid output."""
-    return mlp_forward(rgb_layers, v, out_activation="sigmoid")
+    return gc.sigmoid(gc.mlp(v, rgb_layers))
 
 
 def seg_head(seg_layers: Sequence[tuple[Tensor, Tensor]], v: Tensor) -> Tensor:
     """Features (P, n) -> raw class logits (P, C); softmax lives in the loss."""
-    return mlp_forward(seg_layers, v)
+    return gc.mlp(v, seg_layers)
 
 
 def keypoint_head(kp_layers: Sequence[tuple[Tensor, Tensor]], feats: Tensor,
                   arch: ArchConfig) -> Tensor:
     """Latent features (1, k) -> keypoint positions (N_kp, 3)."""
-    out = mlp_forward(kp_layers, feats)
-    return gc.reshape(out, (arch.n_keypoints, 3))
+    return gc.reshape(gc.mlp(feats, kp_layers), (arch.n_keypoints, 3))
 
 
 def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:

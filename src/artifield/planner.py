@@ -252,7 +252,8 @@ def solve(problem: TrajectoryProblem, config: SolveConfig | None = None) -> Robo
             x[1:, axis] = xi
 
         res = (x[cons_steps] - cons_pts) if len(cons_steps) else np.zeros((0, 3))
-        max_res = float(np.max(np.abs(res))) if len(cons_steps) else 0.0
+        # Stop on the per-constraint Euclidean norm that decides success.
+        max_res = float(np.linalg.norm(res, axis=1).max(initial=0.0))
         viol_lo = np.maximum(0.0, problem.bounds_lo - x[1:])
         viol_hi = np.maximum(0.0, x[1:] - problem.bounds_hi)
         max_bound = float(max(viol_lo.max(initial=0.0), viol_hi.max(initial=0.0)))

@@ -2,6 +2,9 @@
 checkpoint round trips (tiny configs throughout)."""
 
 import hashlib
+import json
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +221,12 @@ def test_infer_requires_views(smoke_checkpoint):
         infer_latent(ckpt, [], InferConfig())
 
 
+def test_infer_requires_a_restart(tiny_dataset):
+    views = load_training_set(tiny_dataset)[0].views
+    with pytest.raises(ValueError, match="q_inits"):
+        infer_latent(_dummy_checkpoint(), views, InferConfig(q_inits=()))
+
+
 def test_infer_leaves_weights_bit_identical(smoke_checkpoint):
     manifest, ckpt, _ = smoke_checkpoint
     inst = load_training_set(manifest)[0]
@@ -248,6 +257,31 @@ def test_infer_self_consistency_on_trained_instance(smoke_checkpoint):
     res = infer_latent(ckpt, inst.views,
                        InferConfig(iterations=250, rays_per_view=96, seed=0))
     assert res.final_image_loss <= max(2.0 * own_err, 1e-4)
+
+
+def _graph_nodes(output) -> int:
+    """Nodes backward visits from ``output``."""
+    seen, stack = {id(output)}, [output]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_graph_nodes_per_march_step(tiny_dataset):
+    """A march step is a field query (one fused mlp node), the LSTM cell's two
+    nodes and five for the position and step arithmetic. Un-fusing the field
+    MLP adds 4 nodes a step, un-fusing the cell 12."""
+    sizes = []
+    for n_march in (4, 6):
+        weights = ModelWeights.init(replace(TINY, n_march=n_march), np.random.default_rng(0))
+        batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+        loss, _ = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
+                             lam_latent=1e-3, lam_depth=0.1)
+        sizes.append(_graph_nodes(loss))
+    assert (sizes[1] - sizes[0]) / (2 * len(batch)) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +351,47 @@ def test_checkpoint_rng_state_roundtrip(tmp_path):
     r2 = np.random.default_rng()
     r2.bit_generator.state = cp2.rng_state
     assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
+
+
+def _rewrite_checkpoint(path, edit_header=None, edit_payload=None):
+    """Apply edits to a saved checkpoint's JSON header and float64 payload."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen].decode())
+    payload = np.frombuffer(blob[16 + hlen:], dtype="<f8").copy()
+    if edit_header is not None:
+        edit_header(header)
+    if edit_payload is not None:
+        edit_payload(payload)
+    head = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + payload.tobytes())
+
+
+def _drop_tensor(header, name="rgb.1.b"):
+    header["tensors"] = [r for r in header["tensors"] if r["name"] != name]
+
+
+def _offset_past_end(header, name="codes"):
+    rec = next(r for r in header["tensors"] if r["name"] == name)
+    rec["offset"] = header["total_values"] - 1
+
+
+def _transpose_shape(header, name="raymarcher.step.w"):
+    rec = next(r for r in header["tensors"] if r["name"] == name)
+    rec["shape"] = rec["shape"][::-1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(edit_header=_drop_tensor), "'rgb.1.b' missing"),
+    (dict(edit_header=lambda h: _drop_tensor(h, "codes")), "'codes' missing"),
+    (dict(edit_header=_transpose_shape), "'raymarcher.step.w' has shape"),
+    (dict(edit_header=_offset_past_end), "'codes' lies outside"),
+    (dict(edit_payload=lambda p: p.__setitem__(7, np.nan)), "non-finite"),
+    (dict(edit_payload=lambda p: p.__setitem__(-1, -np.inf)), "non-finite"),
+], ids=["missing-weight", "missing-codes", "shape", "offset", "nan", "inf"])
+def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
+    path = tmp_path / "cp.bin"
+    save_checkpoint(_dummy_checkpoint(), path)
+    _rewrite_checkpoint(path, **edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)

@@ -339,6 +339,159 @@ def test_lstm_determinism():
 
 
 # ---------------------------------------------------------------------------
+# fused ops against the unfused composition of primitive ops
+
+
+def unfused_mlp(x, layers):
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = affine(h, w, b)
+        if i < len(layers) - 1:
+            h = tanh(h)
+    return h
+
+
+def unfused_lstm_step(params, state, x):
+    h, c = state
+    hd = params.hidden_dim
+    z = affine(concat([x, h], axis=1), params.w, params.b)
+    i = sigmoid(narrow(z, 1, 0, hd))
+    f = sigmoid(narrow(z, 1, hd, hd))
+    g = tanh(narrow(z, 1, 2 * hd, hd))
+    o = sigmoid(narrow(z, 1, 3 * hd, hd))
+    c2 = gc.add(mul(f, c), mul(i, g))
+    h2 = mul(o, tanh(c2))
+    return (h2, c2), h2
+
+
+def _mlp_graph(mlp_fn, theta0, x0):
+    """Two chained MLP calls over views of one flat weight vector; the middle
+    (5, 5) layer appears twice per call, so its weights take four
+    contributions whose order shows in the bits."""
+    theta = Tensor(theta0, requires_grad=True)
+    x = Tensor(x0, requires_grad=True)
+    views, off = [], 0
+    for fan_in, fan_out in [(4, 5), (5, 5), (5, 4)]:
+        w = reshape(narrow(theta, 0, off, fan_in * fan_out), (fan_in, fan_out))
+        off += fan_in * fan_out
+        views += [w, narrow(theta, 0, off, fan_out)]
+        off += fan_out
+    w1, b1, w2, b2, w3, b3 = views
+    layers = [(w1, b1), (w2, b2), (w2, b2), (w3, b3)]
+    y1 = mlp_fn(x, layers)
+    y2 = mlp_fn(tanh(y1), layers)
+    loss = tsum(square(y2)) + tsum(mul(y1, 0.3))
+    backward(loss)
+    return [y1.data, y2.data, theta.grad, x.grad] + [v.grad for v in views]
+
+
+def test_mlp_bit_identical_to_unfused_layers():
+    rng = np.random.default_rng(21)
+    theta0 = rng.standard_normal(4 * 5 + 5 + 5 * 5 + 5 + 5 * 4 + 4) * 0.7
+    x0 = rng.standard_normal((6, 4))
+    fused = _mlp_graph(gc.mlp, theta0, x0)
+    reference = _mlp_graph(unfused_mlp, theta0, x0)
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in reference]
+
+
+def _lstm_graph(step_fn, w0, b0, xs0, from_cell_only=False):
+    params = LSTMParams(Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True))
+    xs = [Tensor(x, requires_grad=True) for x in xs0]
+    state = lstm_zero_state(xs0[0].shape[0], b0.size // 4)
+    outs = []
+    for x in xs:
+        state, h = step_fn(params, state, x)
+        outs += [h, state[1]]
+    loss = tsum(square(state[1]))
+    if not from_cell_only:
+        # each h feeds both the next step and the loss
+        for t, h in enumerate(outs[0::2]):
+            loss = loss + tsum(mul(h, float(t + 1)))
+    backward(loss)
+    return [t.data for t in outs] + [params.w.grad, params.b.grad] + [x.grad for x in xs]
+
+
+@pytest.mark.parametrize("from_cell_only", [False, True])
+def test_lstm_step_bit_identical_to_unfused_cell(from_cell_only):
+    """Three unrolled steps; with from_cell_only the last h' is unused, so the
+    last cell gets no o-gate gradient."""
+    rng = np.random.default_rng(8)
+    in_dim, hd, batch = 3, 4, 5
+    w0 = rng.standard_normal((in_dim + hd, 4 * hd)) * 0.6
+    b0 = rng.standard_normal(4 * hd) * 0.3
+    xs0 = [rng.standard_normal((batch, in_dim)) for _ in range(3)]
+    fused = _lstm_graph(lstm_step, w0, b0, xs0, from_cell_only)
+    reference = _lstm_graph(unfused_lstm_step, w0, b0, xs0, from_cell_only)
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in reference]
+
+
+def test_mlp_gradient_vs_finite_differences():
+    rng = np.random.default_rng(13)
+    shapes = [(3, 4), (4, 4), (4, 2)]
+    n_w = sum(i * o + o for i, o in shapes)
+    theta0 = rng.standard_normal(n_w) * 0.8
+    x0 = rng.standard_normal((5, 3))
+
+    def unpack(theta):
+        layers, off = [], 0
+        for i, o in shapes:
+            layers.append((theta[off:off + i * o].reshape(i, o), theta[off + i * o:off + i * o + o]))
+            off += i * o + o
+        return layers, theta[off:].reshape(x0.shape)
+
+    def loss_np(flat):
+        layers, h = unpack(flat)
+        for k, (w, b) in enumerate(layers):
+            h = h @ w + b
+            if k < len(layers) - 1:
+                h = np.tanh(h)
+        return float((h ** 2).sum())
+
+    flat0 = np.concatenate([theta0, x0.ravel()])
+    layers_np, _ = unpack(flat0)
+    layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in layers_np]
+    x = Tensor(x0, requires_grad=True)
+    backward(tsum(square(gc.mlp(x, layers))))
+    analytic = np.concatenate([t.grad.ravel() for layer in layers for t in layer] + [x.grad.ravel()])
+    assert max_rel_err(analytic, finite_diff_grad(loss_np, flat0)) < 1e-4
+
+
+def test_fused_ops_record_no_graph_under_no_grad():
+    rng = np.random.default_rng(2)
+    layers = [(Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+               Tensor(np.zeros(4), requires_grad=True))]
+    params = lstm_init(4, 2, rng)
+    with gc.no_grad():
+        v = gc.mlp(Tensor(rng.standard_normal((2, 3)), requires_grad=True), layers)
+        (h, c), _ = lstm_step(params, lstm_zero_state(2, 2), v)
+    for t in (v, h, c):
+        assert not t.requires_grad
+        assert t._parents == () and t._vjp is None
+
+
+def test_fused_ops_finite_check_sees_inner_overflow():
+    """The overflow sits in a pre-activation; tanh and sigmoid saturate it,
+    so only the "all" check on the pre-activation can report it."""
+    big = 1e200
+    layers = [(Tensor(np.full((2, 2), big), requires_grad=True), Tensor(np.zeros(2))),
+              (Tensor(np.eye(2)), Tensor(np.zeros(2)))]
+    params = LSTMParams(Tensor(np.full((2 + 1, 4), big), requires_grad=True), Tensor(np.zeros(4)))
+    x = Tensor(np.full((1, 2), big))
+    state = lstm_zero_state(1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(gc.mlp(x, layers).data))  # default "risky" mode
+        assert np.all(np.isfinite(lstm_step(params, state, x)[1].data))
+        gc.set_finite_checks("all")
+        try:
+            with pytest.raises(NonFiniteError, match="mlp layer 0"):
+                gc.mlp(x, layers)
+            with pytest.raises(NonFiniteError, match="lstm_step"):
+                lstm_step(params, state, x)
+        finally:
+            gc.set_finite_checks("risky")
+
+
+# ---------------------------------------------------------------------------
 # adam
 
 

@@ -174,6 +174,21 @@ def test_solve_respects_bounds():
     assert np.all(traj.positions >= -2.0 - 1e-4)
 
 
+def test_solve_stops_on_the_norm_it_reports():
+    """Two axes each just under tolerance give a Euclidean residual above
+    it; the solver must keep iterating instead of stopping with success=False."""
+    pin = np.array([12.0, 12.0, 0.0])
+    prob = TrajectoryProblem(horizon=8, start=np.zeros(3),
+                             constraints=[(4, pin), (8, np.zeros(3))],
+                             bounds_lo=np.full(3, -20.0), bounds_hi=np.full(3, 20.0))
+    tol = SolveConfig().tol_constraint
+    early = solve(prob, SolveConfig(max_outer=3))
+    assert np.max(np.abs(early.positions[4] - pin)) < tol < early.max_residual
+    traj = solve(prob)
+    assert traj.success
+    assert traj.max_residual < tol
+
+
 # ---------------------------------------------------------------------------
 # validation
 
