@@ -499,14 +499,25 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path.name}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        prefix, rest = f.read(12), f.read()
+    # A truncated or malformed header shows up as a short read, bad UTF-8 or
+    # JSON, or a missing or mistyped field; each means a corrupt file.
+    try:
+        version, hlen = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path.name}: unsupported version {version}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode())
-        payload = f.read()
+        if hlen > len(rest):
+            raise CheckpointError(f"{path.name}: header runs past the end of the file")
+        header = json.loads(rest[:hlen].decode())
+        arch = ArchConfig.from_dict(header["arch"])
+        by_name = {rec["name"]: (tuple(rec["shape"]), int(rec["offset"]))
+                   for rec in header["tensors"]}
+        expected_bytes = int(header["total_values"]) * 8
+        meta = {key: header[key] for key in ("train_config", "iteration", "rng_state")}
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path.name}: malformed header: {exc!r}") from exc
+    payload = memoryview(rest)[hlen:]
 
-    arch = ArchConfig.from_dict(header["arch"])
     if header.get("arch_hash") != _arch_hash(arch):
         raise CheckpointError(f"{path.name}: architecture hash mismatch (corrupt header)")
     if expected_arch is not None and arch != expected_arch:
@@ -515,7 +526,6 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
         diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
         raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
 
-    expected_bytes = header["total_values"] * 8
     if len(payload) != expected_bytes:
         raise CheckpointError(
             f"{path.name}: corrupt checkpoint, payload {len(payload)} bytes, "
@@ -526,26 +536,22 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
 
     rng = np.random.default_rng(0)
     weights = ModelWeights.init(arch, rng)
-    by_name = {rec["name"]: rec for rec in header["tensors"]}
 
     def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        rec = by_name.get(name)
-        if rec is None:
+        if name not in by_name:
             raise CheckpointError(f"{path.name}: tensor {name!r} missing from the header")
-        if tuple(rec["shape"]) != shape:
+        rec_shape, offset = by_name[name]
+        if rec_shape != shape:
             raise CheckpointError(
-                f"{path.name}: tensor {name!r} has shape {tuple(rec['shape'])}, expected {shape}")
+                f"{path.name}: tensor {name!r} has shape {rec_shape}, expected {shape}")
         n = int(np.prod(shape))
-        if not 0 <= rec["offset"] <= flat.size - n:
+        if not 0 <= offset <= flat.size - n:
             raise CheckpointError(f"{path.name}: tensor {name!r} lies outside the payload")
-        return flat[rec["offset"]:rec["offset"] + n].reshape(shape).copy()
+        return flat[offset:offset + n].reshape(shape).copy()
 
     for name, t in weights.named_parameters():
         t.data = tensor(name, t.data.shape)
-    codes_rec = by_name.get("codes")
-    n_codes = codes_rec["shape"][0] if codes_rec and codes_rec["shape"] else 0  # any count, k_obj wide
+    codes_shape = by_name["codes"][0] if "codes" in by_name else ()
+    n_codes = codes_shape[0] if codes_shape else 0  # any count, k_obj wide
     codes = tensor("codes", (n_codes, arch.k_obj))
-    return Checkpoint(weights=weights, codes=codes, arch=arch,
-                      train_config=header["train_config"],
-                      iteration=header["iteration"],
-                      rng_state=header["rng_state"])
+    return Checkpoint(weights=weights, codes=codes, arch=arch, **meta)

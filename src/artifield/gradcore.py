@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class GraphError(RuntimeError):
 _node_counter = itertools.count()
 _grad_enabled = True
 # "risky": validate only ops that can produce non-finite values from
-# ordinary-magnitude inputs (div, log, sqrt, exp); "all": every op;
+# ordinary-magnitude inputs (div, log, sqrt); "all": every op;
 # "off": nothing. Training loops additionally validate the loss and Adam
 # validates gradients, so divergence is caught either way.
 _finite_mode = "risky"
@@ -254,11 +254,6 @@ def backward(output: Tensor, output_grad=None) -> None:
             node._vjp(node.grad)
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 # ---------------------------------------------------------------------------
 # elementwise and reduction ops
 
@@ -388,17 +383,6 @@ def relu(a) -> Tensor:
             _accum(a, g * (x > 0.0))
 
     return _make(y, "relu", (a,), vjp)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g * y)
-
-    return _make(y, "exp", (a,), vjp, risky=True)
 
 
 def log(a) -> Tensor:

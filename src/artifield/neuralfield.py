@@ -60,12 +60,6 @@ def normalize_articulation_t(z_art: Tensor) -> Tensor:
     return gc.div(z_art, norm)
 
 
-def articulation_q_t(z_art: Tensor) -> Tensor:
-    """Graph version of q = (1 - z_hat.x) / 2 (scalar tensor)."""
-    z_hat = normalize_articulation_t(z_art)
-    return gc.mul(gc.sub(1.0, gc.narrow(z_hat, 0, 0, 1)), 0.5)
-
-
 @dataclass
 class LatentCode:
     """z = [z_art; z_obj] plus the derived normalized articulation."""

@@ -1,18 +1,19 @@
 """Waypoint-constrained trajectory optimization for a point gripper.
 
-A predicted keypoint trajectory turns into an equality-constrained problem:
-free approach steps from the home position, then one constraint per
-trajectory waypoint pinning the gripper to the (moving) handle. The
-objective is the sum of squared second differences (an acceleration
-surrogate), minimized under an augmented-Lagrangian outer loop with a
-damped-Newton inner solve. Box workspace bounds ride along as squared-hinge
-inequality terms with their own multipliers, so equalities and bounds are
-handled by one mechanism.
+A predicted keypoint trajectory turns into a pinned path problem: free
+approach steps from the home position, then one pin per trajectory waypoint
+holding the gripper on the (moving) handle. The objective is the sum of
+squared second differences (an acceleration surrogate) inside a box
+workspace.
 
 The x, y and z coordinates decouple (separable objective, per-axis bounds,
-per-coordinate pins), so the inner solve factors into three small systems.
+per-coordinate pins), so each axis is a strictly convex QP with a
+pentadiagonal Hessian, pinned equalities and box bounds (Nocedal & Wright,
+*Numerical Optimization*, ch. 16). It is solved exactly: the start and the
+pins are held at their targets, the piecewise-linear path through them is a
+feasible starting point, and a primal active set on the box bounds finishes
+with the KKT conditions met.
 """
-
 from __future__ import annotations
 
 import json
@@ -23,6 +24,10 @@ import numpy as np
 
 from .artsim import KeypointTrajectory
 from .worldgen import SceneModel, keypoints_analytic
+
+
+TOL_CONSTRAINT = 1e-4       # meters; every pin residual must be below it
+MAX_ITERATIONS_PER_STEP = 4  # active-set iteration cap per position on an axis
 
 
 class InfeasibleProblemError(ValueError):
@@ -49,9 +54,12 @@ class TrajectoryProblem:
         if bad:
             raise InfeasibleProblemError(
                 f"constraint targets outside workspace bounds at steps {bad}")
-        for s, _ in self.constraints:
+        steps = [s for s, _ in self.constraints]
+        for s in steps:
             if not (0 < s <= self.horizon):
                 raise ValueError(f"constraint step {s} outside horizon {self.horizon}")
+        if len(set(steps)) != len(steps):
+            raise ValueError(f"two constraints pin the same step: {sorted(steps)}")
 
 
 @dataclass
@@ -61,7 +69,7 @@ class RobotTrajectory:
     objective: float
     max_residual: float
     success: bool
-    outer_iterations: int
+    outer_iterations: int          # most active-set iterations over the three axes
     interaction: list[tuple[int, float]]
     task: str
 
@@ -79,16 +87,6 @@ class RobotTrajectory:
     def save(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
-
-
-@dataclass
-class SolveConfig:
-    tol_constraint: float = 1e-4   # meters
-    penalty_init: float = 1.0
-    penalty_growth: float = 10.0
-    max_outer: int = 14
-    max_inner: int = 60
-    tol_grad: float = 1e-12
 
 
 @dataclass
@@ -161,118 +159,72 @@ def build_problem(traj: KeypointTrajectory, task: str, home: np.ndarray,
     return problem
 
 
-def _second_difference_matrix(n_free: int, horizon: int) -> np.ndarray:
-    """Rows: second differences over x_0..x_H with x_0 eliminated (fixed)."""
-    d = np.zeros((horizon - 1, horizon + 1))
-    for t in range(1, horizon):
-        d[t - 1, t - 1] = 1.0
-        d[t - 1, t] = -2.0
-        d[t - 1, t + 1] = 1.0
-    return d
+def _solve_axis(d: np.ndarray, y: np.ndarray, fixed: np.ndarray, lo: float, hi: float
+                ) -> tuple[np.ndarray, int, bool]:
+    """Primal active-set method (Nocedal & Wright, Alg. 16.3) for
+    min |d y|^2 with y[fixed] held and lo <= y <= hi, from a feasible y.
+
+    Returns the minimizer, the iterations taken and whether the KKT
+    conditions were met within MAX_ITERATIONS_PER_STEP * len(y) iterations.
+    """
+    side = np.zeros(y.size)  # working set: -1 held at lo, +1 held at hi
+    max_iter = MAX_ITERATIONS_PER_STEP * y.size
+    for it in range(1, max_iter + 1):
+        # Equality QP over the free steps; lstsq also covers the rank-deficient
+        # case of no pins and no held bound (a free linear ramp).
+        free = ~fixed & (side == 0.0)
+        p = np.zeros_like(y)
+        p[free] = np.linalg.lstsq(d[:, free], -(d @ y), rcond=None)[0]
+        moving = p != 0.0
+        ratio = np.full(y.size, np.inf)
+        ratio[moving] = np.maximum(np.where(p < 0.0, lo - y, hi - y)[moving] / p[moving], 0.0)
+        j = int(np.argmin(ratio))
+        if ratio[j] < 1.0:  # a bound blocks the step: hold it
+            side[j] = np.sign(p[j])
+            y = np.clip(y + ratio[j] * p, lo, hi)
+            y[j] = lo if side[j] < 0.0 else hi
+            continue
+        y = np.clip(y + p, lo, hi)
+        # Multipliers of the held bounds (g >= 0 at lo, g <= 0 at hi at the
+        # optimum); the floor absorbs round-off in g, which scales with |y|.
+        lam = -side * (2.0 * d.T @ (d @ y))
+        j = int(np.argmin(lam))
+        if lam[j] >= -1e-12 * (1.0 + np.abs(y).max()):
+            return y, it, True
+        side[j] = 0.0
+    return y, max_iter, False
 
 
-def solve(problem: TrajectoryProblem, config: SolveConfig | None = None) -> RobotTrajectory:
-    """Augmented-Lagrangian solve; per-axis damped Newton on the inner
-    problems. Success means every constraint residual is below tolerance."""
-    if config is None:
-        config = SolveConfig()
+def solve(problem: TrajectoryProblem) -> RobotTrajectory:
+    """Exact per-axis minimum-acceleration plan. Success means the active-set
+    solve of every axis converged and every pin residual is below
+    TOL_CONSTRAINT."""
     problem.validate()
     h = problem.horizon
-    n = h + 1
-    d_full = _second_difference_matrix(h, h)
-    # eliminate x_0: columns 1..H are variables
-    d_var = d_full[:, 1:]
-    d_fix = d_full[:, 0]
-    q_mat = 2.0 * (d_var.T @ d_var)
+    d = np.diff(np.eye(h + 1), n=2, axis=0)  # second differences over x_0..x_H
+    steps = np.array([0] + [s for s, _ in problem.constraints], dtype=np.int64)
+    targets = np.vstack([problem.start] + [p for _, p in problem.constraints])
+    order = np.argsort(steps)
+    fixed = np.zeros(h + 1, dtype=bool)
+    fixed[steps] = True
 
-    cons_steps = np.array([s for s, _ in problem.constraints], dtype=np.int64)
-    cons_pts = np.stack([p for _, p in problem.constraints]) if problem.constraints \
-        else np.zeros((0, 3))
+    x = np.empty((h + 1, 3))
+    iterations, converged = 0, True
+    for axis in range(3):
+        # Piecewise-linear through the fixed points: feasible, as they lie in
+        # the convex box.
+        y0 = np.interp(np.arange(h + 1), steps[order], targets[order, axis])
+        x[:, axis], it, ok = _solve_axis(d, y0, fixed, problem.bounds_lo[axis],
+                                         problem.bounds_hi[axis])
+        iterations, converged = max(iterations, it), converged and ok
 
-    x = np.tile(problem.start, (n, 1))  # warm start: rest at home
-    lam_eq = np.zeros((len(cons_steps), 3))
-    lam_lo = np.zeros((n - 1, 3))
-    lam_hi = np.zeros((n - 1, 3))
-    mu = config.penalty_init
-
-    def axis_grad_hess(xi, axis):
-        """Gradient and Hessian of the axis-separable augmented Lagrangian."""
-        base = 2.0 * d_var.T @ (d_var @ xi + d_fix * problem.start[axis])
-        grad = base.copy()
-        hess = q_mat.copy()
-        for ci, s in enumerate(cons_steps):
-            r = xi[s - 1] - cons_pts[ci, axis]
-            grad[s - 1] += lam_eq[ci, axis] + mu * r
-            hess[s - 1, s - 1] += mu
-        # PHR terms for lo <= x <= hi
-        g_lo = problem.bounds_lo[axis] - xi          # <= 0 feasible
-        a_lo = lam_lo[:, axis] + mu * g_lo
-        act = a_lo > 0
-        grad[act] -= a_lo[act]
-        hess[act, act] += mu
-        g_hi = xi - problem.bounds_hi[axis]
-        a_hi = lam_hi[:, axis] + mu * g_hi
-        act = a_hi > 0
-        grad[act] += a_hi[act]
-        hess[act, act] += mu
-        return grad, hess
-
-    def al_value(xi, axis):
-        r = d_var @ xi + d_fix * problem.start[axis]
-        val = float(r @ r)
-        for ci, s in enumerate(cons_steps):
-            e = xi[s - 1] - cons_pts[ci, axis]
-            val += lam_eq[ci, axis] * e + 0.5 * mu * e * e
-        for g, lam in ((problem.bounds_lo[axis] - xi, lam_lo[:, axis]),
-                       (xi - problem.bounds_hi[axis], lam_hi[:, axis])):
-            a = np.maximum(0.0, lam + mu * g)
-            val += float(np.sum(a * a - lam * lam)) / (2.0 * mu)
-        return val
-
-    outer = 0
-    for outer in range(1, config.max_outer + 1):
-        for axis in range(3):
-            xi = x[1:, axis].copy()
-            for _ in range(config.max_inner):
-                grad, hess = axis_grad_hess(xi, axis)
-                gnorm = float(np.max(np.abs(grad)))
-                if gnorm < config.tol_grad * max(1.0, mu):
-                    break
-                step = np.linalg.solve(hess + 1e-12 * np.eye(hess.shape[0]), grad)
-                # backtracking on the AL value (hinge terms are only C^1)
-                t, v0 = 1.0, al_value(xi, axis)
-                while t > 1e-8:
-                    xn = xi - t * step
-                    if al_value(xn, axis) <= v0 - 1e-10 * t * float(grad @ step):
-                        xi = xn
-                        break
-                    t *= 0.5
-                else:
-                    break
-            x[1:, axis] = xi
-
-        res = (x[cons_steps] - cons_pts) if len(cons_steps) else np.zeros((0, 3))
-        # Stop on the per-constraint Euclidean norm that decides success.
-        max_res = float(np.linalg.norm(res, axis=1).max(initial=0.0))
-        viol_lo = np.maximum(0.0, problem.bounds_lo - x[1:])
-        viol_hi = np.maximum(0.0, x[1:] - problem.bounds_hi)
-        max_bound = float(max(viol_lo.max(initial=0.0), viol_hi.max(initial=0.0)))
-        if max(max_res, max_bound) < config.tol_constraint:
-            break
-        lam_eq += mu * res
-        lam_lo = np.maximum(0.0, lam_lo + mu * (problem.bounds_lo - x[1:]))
-        lam_hi = np.maximum(0.0, lam_hi + mu * (x[1:] - problem.bounds_hi))
-        mu *= config.penalty_growth
-
-    second = x[:-2] - 2.0 * x[1:-1] + x[2:]
-    objective = float(np.sum(second * second))
-    residual_norms = (np.linalg.norm(x[cons_steps] - cons_pts, axis=1)
-                      if len(cons_steps) else np.zeros(0))
+    objective = float(np.sum((d @ x) ** 2))
+    residual_norms = np.linalg.norm(x[steps[1:]] - targets[1:], axis=1)
     max_residual = float(residual_norms.max(initial=0.0))
     return RobotTrajectory(positions=x, residuals=residual_norms,
                            objective=objective, max_residual=max_residual,
-                           success=max_residual < config.tol_constraint,
-                           outer_iterations=outer,
+                           success=converged and max_residual < TOL_CONSTRAINT,
+                           outer_iterations=iterations,
                            interaction=list(problem.interaction),
                            task=problem.task)
 

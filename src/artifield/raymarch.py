@@ -29,24 +29,7 @@ from .neuralfield import (
     seg_head,
     slice_field_weights,
 )
-from .worldgen import camera_center
-
-
-@dataclass
-class Ray:
-    """One camera ray in the world frame with its march interval."""
-
-    origin: np.ndarray     # (3,)
-    direction: np.ndarray  # (3,) unit
-    d_near: float
-    d_far: float
-
-    def __post_init__(self):
-        n = np.linalg.norm(self.direction)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("ray direction must be unit length")
-        if not (0.0 < self.d_near < self.d_far):
-            raise ValueError("require 0 < d_near < d_far")
+from .worldgen import view_ray_grid
 
 
 @dataclass
@@ -78,35 +61,12 @@ def march_bounds(origin: np.ndarray, scene_radius: float) -> tuple[float, float]
     return max(0.05, d_mid - scene_radius), d_mid + scene_radius
 
 
-def pixel_ray(e: np.ndarray, k: np.ndarray, u: int, v: int,
-              scene_radius: float = 1.5) -> Ray:
-    """Unit ray through the center of pixel (u, v); u is the column index."""
-    if k[0, 0] == 0 or k[1, 1] == 0:
-        raise ValueError("degenerate camera: zero focal length")
-    d_cam = np.linalg.inv(k) @ np.array([u + 0.5, v + 0.5, 1.0])
-    d_world = e[:, :3].T @ d_cam
-    d_world /= np.linalg.norm(d_world)
-    origin = camera_center(e)
-    near, far = march_bounds(origin, scene_radius)
-    return Ray(origin=origin, direction=d_world, d_near=near, d_far=far)
-
-
 def pixel_rays(e: np.ndarray, k: np.ndarray, height: int, width: int,
                flat_pixels: np.ndarray | None = None,
                scene_radius: float = 1.5) -> RayBatch:
-    """Rays through pixel centers, scanline order; optionally a subset given
-    as flat indices into that order."""
-    if k[0, 0] == 0 or k[1, 1] == 0:
-        raise ValueError("degenerate camera: zero focal length")
-    u = np.arange(width) + 0.5
-    v = np.arange(height) + 0.5
-    uu, vv = np.meshgrid(u, v)
-    pix = np.stack([uu.ravel(), vv.ravel(), np.ones(height * width)], axis=1)
-    if flat_pixels is not None:
-        pix = pix[np.asarray(flat_pixels, dtype=np.int64)]
-    dirs = (pix @ np.linalg.inv(k).T) @ e[:, :3]
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    origin = camera_center(e)
+    """Rays through pixel centers, scanline order, with their march interval;
+    optionally a subset given as flat indices into that order."""
+    origin, dirs = view_ray_grid(e, k, height, width, flat_pixels)
     near, far = march_bounds(origin, scene_radius)
     r = dirs.shape[0]
     return RayBatch(origins=np.broadcast_to(origin, dirs.shape).copy(), dirs=dirs,
@@ -159,21 +119,30 @@ def _theta_for(weights: ModelWeights, code: LatentCode) -> Tensor:
     return hyper_map(weights.hyper, feats)
 
 
-def render_image(weights: ModelWeights, code: LatentCode, e: np.ndarray,
-                 k: np.ndarray, height: int, width: int,
-                 chunk: int = 4096) -> np.ndarray:
-    """Full-frame RGB render as a plain (H, W, 3) array (no graph kept)."""
+def _render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
+                  k: np.ndarray, height: int, width: int, chunk: int,
+                  rgb: bool) -> np.ndarray:
+    """One head over a full frame as (H*W, C) rows, no graph kept: RGB if
+    ``rgb``, else segmentation logits. Rays are marched ``chunk`` at a time."""
     with gc.no_grad():
         theta = _theta_for(weights, code)
-        out = np.empty((height * width, 3))
+        out = np.empty((height * width, 3 if rgb else weights.arch.n_classes))
         grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
         for lo in range(0, height * width, chunk):
             hi = min(lo + chunk, height * width)
             sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
                            grid.d_near[lo:hi], grid.d_far[lo:hi])
-            rgb, _, _ = render_rays(weights, theta, sub, want_seg=False)
-            out[lo:hi] = rgb.data
-    return out.reshape(height, width, 3)
+            colors, logits, _ = render_rays(weights, theta, sub, want_rgb=rgb, want_seg=not rgb)
+            out[lo:hi] = (colors if rgb else logits).data
+    return out
+
+
+def render_image(weights: ModelWeights, code: LatentCode, e: np.ndarray,
+                 k: np.ndarray, height: int, width: int,
+                 chunk: int = 4096) -> np.ndarray:
+    """Full-frame RGB render as a plain (H, W, 3) array (no graph kept)."""
+    return _render_frame(weights, code, e, k, height, width, chunk, rgb=True
+                         ).reshape(height, width, 3)
 
 
 def render_segmentation(weights: ModelWeights, code: LatentCode, e: np.ndarray,
@@ -184,16 +153,6 @@ def render_segmentation(weights: ModelWeights, code: LatentCode, e: np.ndarray,
     Ties in the argmax resolve to the lowest class index (numpy argmax rule),
     so exactly uniform logits yield class 0.
     """
-    c = weights.arch.n_classes
-    with gc.no_grad():
-        theta = _theta_for(weights, code)
-        logits = np.empty((height * width, c))
-        grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
-        for lo in range(0, height * width, chunk):
-            hi = min(lo + chunk, height * width)
-            sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
-                           grid.d_near[lo:hi], grid.d_far[lo:hi])
-            _, lg, _ = render_rays(weights, theta, sub, want_rgb=False)
-            logits[lo:hi] = lg.data
+    logits = _render_frame(weights, code, e, k, height, width, chunk, rgb=False)
     classes = np.argmax(logits, axis=1).astype(np.uint8)
-    return classes.reshape(height, width), logits.reshape(height, width, c)
+    return classes.reshape(height, width), logits.reshape(height, width, logits.shape[1])

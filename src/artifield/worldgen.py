@@ -362,15 +362,18 @@ class PosedView:
         return self.image.shape[1]
 
 
-def view_ray_grid(e: np.ndarray, k: np.ndarray, height: int, width: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit world-frame rays through all pixel centers (row-major order)."""
+def view_ray_grid(e: np.ndarray, k: np.ndarray, height: int, width: int,
+                  flat_pixels: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Camera center and unit world-frame rays through all pixel centers
+    (row-major order), or through a subset given as flat indices into it."""
     if k[0, 0] == 0 or k[1, 1] == 0:
         raise ValueError("degenerate camera: zero focal length")
     u = np.arange(width) + 0.5
     v = np.arange(height) + 0.5
     uu, vv = np.meshgrid(u, v)
     pix = np.stack([uu.ravel(), vv.ravel(), np.ones(height * width)], axis=1)
+    if flat_pixels is not None:
+        pix = pix[np.asarray(flat_pixels, dtype=np.int64)]
     cam_dirs = pix @ np.linalg.inv(k).T
     world_dirs = cam_dirs @ e[:, :3]
     world_dirs /= np.linalg.norm(world_dirs, axis=1, keepdims=True)

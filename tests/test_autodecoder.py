@@ -326,6 +326,32 @@ def test_checkpoint_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_checkpoint_bytes(tmp_path):
+    path = tmp_path / "cp.bin"
+    save_checkpoint(_dummy_checkpoint(), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return path, blob, hlen
+
+
+@pytest.mark.parametrize("cut", [6, 12, 40, "hlen-1", "header-1"])
+def test_checkpoint_truncated_header_rejected(tmp_path, cut):
+    path, blob, hlen = _saved_checkpoint_bytes(tmp_path)
+    end = {"hlen-1": hlen - 1, "header-1": 16 + hlen - 1}.get(cut, cut)
+    path.write_bytes(blob[:end])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"x", b"\xff", b"[]", b"{}"],
+                         ids=["not-json", "not-utf8", "not-object", "no-fields"])
+def test_checkpoint_malformed_header_rejected(tmp_path, header):
+    path, blob, hlen = _saved_checkpoint_bytes(tmp_path)
+    path.write_bytes(blob[:16] + header.ljust(hlen) + blob[16 + hlen:])
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_wrong_magic_rejected(tmp_path):
     path = tmp_path / "cp.bin"
     path.write_bytes(b"NOPE" + b"\0" * 64)

@@ -7,8 +7,8 @@ import pytest
 from artifield import worldgen as wg
 from artifield.artsim import KeypointTrajectory
 from artifield.planner import (
+    TOL_CONSTRAINT,
     InfeasibleProblemError,
-    SolveConfig,
     TrajectoryProblem,
     build_problem,
     solve,
@@ -106,7 +106,7 @@ def test_solve_two_pins_straight_line_oracle():
     prob = TrajectoryProblem(horizon=12, start=HOME,
                              constraints=[(12, target)],
                              bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
-    traj = solve(prob, SolveConfig(tol_constraint=1e-9))
+    traj = solve(prob)
     assert traj.success
     # oracle: straight segment between the solved endpoints
     a, b = traj.positions[0], traj.positions[12]
@@ -124,7 +124,7 @@ def test_solve_free_steps_are_stationary():
     pins = [(6, np.array([0.5, -0.5, 0.5])), (14, np.array([-0.4, 0.3, 0.8]))]
     prob = TrajectoryProblem(horizon=14, start=HOME, constraints=pins,
                              bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
-    traj = solve(prob, SolveConfig(tol_constraint=1e-9))
+    traj = solve(prob)
     x = traj.positions
     d = np.zeros((13, 15))
     for t in range(1, 14):
@@ -175,18 +175,80 @@ def test_solve_respects_bounds():
 
 
 def test_solve_stops_on_the_norm_it_reports():
-    """Two axes each just under tolerance give a Euclidean residual above
-    it; the solver must keep iterating instead of stopping with success=False."""
+    """A far pin on two axes: success is decided on the Euclidean residual
+    norm, which must end below tolerance."""
     pin = np.array([12.0, 12.0, 0.0])
     prob = TrajectoryProblem(horizon=8, start=np.zeros(3),
                              constraints=[(4, pin), (8, np.zeros(3))],
                              bounds_lo=np.full(3, -20.0), bounds_hi=np.full(3, 20.0))
-    tol = SolveConfig().tol_constraint
-    early = solve(prob, SolveConfig(max_outer=3))
-    assert np.max(np.abs(early.positions[4] - pin)) < tol < early.max_residual
     traj = solve(prob)
     assert traj.success
-    assert traj.max_residual < tol
+    assert traj.max_residual < TOL_CONSTRAINT
+
+
+def random_tight_problem(rng):
+    """Box a few centimetres to decimetres wide, start and pins anywhere in
+    it, some on a face; the minimum-acceleration path often hits the box."""
+    h = int(rng.integers(2, 31))
+    lo = rng.uniform(-1.0, 0.0, 3)
+    hi = lo + rng.uniform(0.05, 0.6, 3)
+    steps = rng.choice(np.arange(1, h + 1), size=int(rng.integers(0, min(h, 6) + 1)),
+                       replace=False)
+    pins = [(int(s), rng.uniform(lo, hi)) for s in steps]
+    for _, target in pins:
+        if rng.random() < 0.2:
+            axis = int(rng.integers(3))
+            target[axis] = (lo, hi)[int(rng.integers(2))][axis]
+    return TrajectoryProblem(horizon=h, start=rng.uniform(lo, hi), constraints=pins,
+                             bounds_lo=lo, bounds_hi=hi)
+
+
+def test_solve_meets_kkt_conditions_on_tight_boxes():
+    """The plan is the exact box-constrained optimum: pins met, box held,
+    zero objective gradient at free steps and a multiplier of the right sign
+    (gradient >= 0 at lo, <= 0 at hi) at every step held on a bound."""
+    rng = np.random.default_rng(11)
+    binding = 0
+    for _ in range(200):
+        prob = random_tight_problem(rng)
+        traj = solve(prob)
+        x = traj.positions
+        assert traj.success
+        for s, target in prob.constraints:
+            assert np.max(np.abs(x[s] - target)) < 1e-9
+        assert np.all(x >= prob.bounds_lo) and np.all(x <= prob.bounds_hi)
+        d = np.diff(np.eye(prob.horizon + 1), n=2, axis=0)
+        grad = 2.0 * d.T @ (d @ x)
+        pinned = np.zeros(prob.horizon + 1, dtype=bool)
+        pinned[[0] + [s for s, _ in prob.constraints]] = True
+        at_lo = (x <= prob.bounds_lo) & ~pinned[:, None]
+        at_hi = (x >= prob.bounds_hi) & ~pinned[:, None]
+        free = ~pinned[:, None] & ~at_lo & ~at_hi
+        assert np.max(np.abs(grad[free]), initial=0.0) < 1e-9
+        assert np.all(grad[at_lo] > -1e-9) and np.all(grad[at_hi] < 1e-9)
+        binding += bool(at_lo.any() or at_hi.any())
+    assert binding > 0
+
+
+@pytest.mark.parametrize("horizon", [1, 8])
+def test_solve_without_pins_rests_at_start(horizon):
+    start = np.array([0.2, -3.0, 0.1])  # on the lower y face
+    prob = TrajectoryProblem(horizon=horizon, start=start, constraints=[],
+                             bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
+    traj = solve(prob)
+    assert traj.success
+    np.testing.assert_array_equal(traj.positions, np.tile(start, (horizon + 1, 1)))
+    assert traj.objective == 0.0 and traj.residuals.shape == (0,)
+
+
+def test_duplicate_pins_rejected():
+    prob = TrajectoryProblem(horizon=6, start=np.zeros(3),
+                             constraints=[(4, np.full(3, 0.5)), (4, np.full(3, -0.5))],
+                             bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
+    with pytest.raises(ValueError, match="same step"):
+        prob.validate()
+    with pytest.raises(ValueError, match="same step"):
+        solve(prob)
 
 
 # ---------------------------------------------------------------------------

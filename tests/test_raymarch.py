@@ -20,7 +20,6 @@ from artifield.raymarch import (
     RayBatch,
     march,
     march_bounds,
-    pixel_ray,
     pixel_rays,
     render_image,
     render_rays,
@@ -51,9 +50,9 @@ def test_principal_ray_points_forward():
     h = w = 17  # odd: center pixel's center coincides with the principal point
     k = wg.make_intrinsics(h, w)
     e = offset_identity_extrinsic()
-    ray = pixel_ray(e, k, u=w // 2, v=h // 2)
-    np.testing.assert_allclose(ray.direction, [0.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(ray.origin, [0.0, 0.0, -2.0], atol=1e-12)
+    ray = pixel_rays(e, k, h, w, flat_pixels=[(h // 2) * w + w // 2])
+    np.testing.assert_allclose(ray.dirs[0], [0.0, 0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(ray.origins[0], [0.0, 0.0, -2.0], atol=1e-12)
 
 
 def test_all_rays_unit_norm():
@@ -69,7 +68,7 @@ def test_singular_intrinsics_rejected():
     e = offset_identity_extrinsic()
     k = np.array([[0.0, 0.0, 8.0], [0.0, 10.0, 8.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
-        pixel_ray(e, k, 3, 3)
+        pixel_rays(e, k, 8, 8, flat_pixels=[3 * 8 + 3])
 
 
 def test_projection_ray_round_trip():
@@ -87,10 +86,10 @@ def test_projection_ray_round_trip():
         u, v = int(uv[0, 0]), int(uv[0, 1])
         if not (0 <= u < 64 and 0 <= v < 64) or z[0] <= 0:
             continue
-        ray = pixel_ray(e, k, u, v)
+        direction = pixel_rays(e, k, 64, 64, flat_pixels=[v * 64 + u]).dirs[0]
         to_p = p - origin
-        dist_along = to_p @ ray.direction
-        perp = np.linalg.norm(to_p - dist_along * ray.direction)
+        dist_along = to_p @ direction
+        perp = np.linalg.norm(to_p - dist_along * direction)
         footprint = z[0] * np.sqrt(2.0) / f
         assert perp <= footprint / 2.0 + 1e-12
         checked += 1
@@ -109,9 +108,9 @@ def test_keypoint_pixel_ray_round_trip():
         u, v = int(uv[0, 0]), int(uv[0, 1])
         if not (0 <= u < 96 and 0 <= v < 96):
             continue
-        ray = pixel_ray(e, k, u, v)
-        to_p = kp - ray.origin
-        perp = np.linalg.norm(to_p - (to_p @ ray.direction) * ray.direction)
+        ray = pixel_rays(e, k, 96, 96, flat_pixels=[v * 96 + u])
+        to_p = kp - ray.origins[0]
+        perp = np.linalg.norm(to_p - (to_p @ ray.dirs[0]) * ray.dirs[0])
         assert perp <= z[0] * np.sqrt(2.0) / k[0, 0] / 2.0 + 1e-12
 
 
