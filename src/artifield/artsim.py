@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .autodecoder import Checkpoint
 from .neuralfield import LatentCode, articulation_to_code, keypoint_predict
 from .netpbm import write_pgm, write_ppm
@@ -48,7 +49,7 @@ class KeypointTrajectory:
                 "steps": [{"q": q, "points": kps.as_dict()} for q, kps in self.steps]}
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
     @classmethod

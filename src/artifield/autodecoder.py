@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcore as gc
+from ._atomic import atomic_open
 from .gradcore import Adam, NonFiniteError, Tensor
 from .neuralfield import (
     ArchConfig,
@@ -485,7 +486,7 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     blob = json.dumps(header, sort_keys=True).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))

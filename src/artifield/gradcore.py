@@ -2,9 +2,18 @@
 
 A Tensor is a node in a define-by-run graph: every operation records its
 parents and a closure that propagates the output gradient back to them.
-Graphs are rebuilt per minibatch and discarded after ``backward``. All
-arithmetic is float64 and single-threaded per graph, so repeated runs with
-identical inputs are bit-identical.
+Graphs are rebuilt per minibatch. All arithmetic is float64 and
+single-threaded per graph, so repeated runs with identical inputs are
+bit-identical.
+
+``backward`` releases the graph as it runs: once a node's vjp has been
+taken, the node drops its parents and its closure, so the activations the
+closure captured are freed on the way toward the leaves and no graph
+outlives its ``backward``. Each node keeps ``data``, ``grad`` and
+``requires_grad``, so an intermediate a caller holds still shows its
+gradient. A second ``backward`` that reaches a released node, on the same
+output or on a new one built from released nodes, raises ``GraphError``;
+run the forward pass again instead.
 
 Two fused ops replace chains of primitive nodes on the hot path:
 
@@ -24,7 +33,10 @@ unfused composition of primitive ops:
 - h' hands its o-gate gradient to c': since c' is h''s parent, h''s vjp
   always runs first in ``backward``, and c''s vjp then runs the single
   ``dz @ w.T`` / ``xh.T @ dz`` pass over all four gates. Without h' in the
-  graph, the o-gate gradient is zero.
+  graph, the o-gate gradient is zero. ``xh = concat([x, h])`` is not kept
+  between forward and backward: c''s vjp rebuilds it from ``x.data`` and
+  ``h.data``, the same values in the same layout, so the product's bits are
+  the same.
 - Under ``set_finite_checks("all")`` the fused forward checks every
   pre-activation the unfused chain recorded as a node.
 """
@@ -88,7 +100,9 @@ class Tensor:
 
     ``data`` is a C-contiguous float64 ndarray; ``grad`` is filled lazily by
     ``backward``. Leaf tensors created with ``requires_grad=True`` are the
-    trainable parameters; everything else is an operation node.
+    trainable parameters; everything else is an operation node. A recorded
+    node (``op != "leaf"``) holds ``_parents`` and ``_vjp`` until
+    ``backward`` releases them; its ``data`` and ``grad`` stay readable.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents", "_vjp")
@@ -215,7 +229,9 @@ def backward(output: Tensor, output_grad=None) -> None:
     """Accumulate gradients of ``output`` into every reachable leaf's ``.grad``.
 
     Traversal is a fixed topological order, so accumulation order (and hence
-    the bit pattern of every gradient) is deterministic.
+    the bit pattern of every gradient) is deterministic. Each node's links
+    are released as its vjp runs (see the module docstring); reaching an
+    already released node raises ``GraphError``.
     """
     if not output.requires_grad:
         raise GraphError(
@@ -242,6 +258,10 @@ def backward(output: Tensor, output_grad=None) -> None:
             continue
         if node.node_id in visited:
             continue
+        if node.op != "leaf" and node._vjp is None:
+            raise GraphError(
+                f"graph through node #{node.node_id} ({node.op}) was released by an "
+                "earlier backward; run the forward pass again")
         visited.add(node.node_id)
         stack.append((node, True))
         for p in node._parents:
@@ -250,8 +270,10 @@ def backward(output: Tensor, output_grad=None) -> None:
 
     output.grad = seed.copy()
     for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
+        vjp = node._vjp
+        node._vjp, node._parents = None, ()
+        if vjp is not None and node.grad is not None:
+            vjp(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +679,8 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
         raise ShapeMismatchError(
             f"lstm_step width mismatch: input {x.data.shape}, state {h.data.shape}, "
             f"cell expects input_dim={params.input_dim}, hidden_dim={hd}")
-    xh = np.concatenate([x.data, h.data], axis=1)
     wd, cd = w.data, c.data
-    z = _affine_data(xh, wd, b.data)
+    z = _affine_data(np.concatenate([x.data, h.data], axis=1), wd, b.data)
     _check_intermediate(z, "lstm_step gate pre-activations")
     gates = _sigmoid_np(z)
     gates[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
@@ -676,7 +697,7 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
         if not z_wants:
             return
         # Zero fill plus += reproduces the unfused narrow vjps' zero padding.
-        dz = np.zeros((xh.shape[0], 4 * hd))
+        dz = np.zeros((x.data.shape[0], 4 * hd))
         dz[:, :hd] += (dc * g) * (i * (1.0 - i))
         dz[:, hd:2 * hd] += (dc * cd) * (f * (1.0 - f))
         dz[:, 2 * hd:3 * hd] += (dc * i) * (1.0 - g * g)
@@ -690,6 +711,7 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
             if h.requires_grad:
                 _accum(h, dxh[:, in_dim:])
         if w.requires_grad:
+            xh = np.concatenate([x.data, h.data], axis=1)  # rebuilt, not kept
             _accum(w, xh.T @ dz)
         if b.requires_grad:
             _accum(b, dz.sum(axis=0))
@@ -734,11 +756,24 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray) -> Tensor:
         state.v = np.zeros_like(params.data)
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    params.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # In place over two temporaries, with the association of
+    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    # update = (lr*m_hat) / (sqrt(v_hat) + eps); products commute exactly.
+    m, v = state.m, state.v
+    step = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
+    m *= state.beta1
+    m += step
+    np.multiply(g, 1.0 - state.beta2, out=step)
+    step *= g
+    v *= state.beta2
+    v += step
+    np.divide(m, 1.0 - state.beta1 ** t, out=step)
+    step *= state.lr
+    denom = np.divide(v, 1.0 - state.beta2 ** t, out=np.empty_like(v))
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params.data -= step
     return params
 
 

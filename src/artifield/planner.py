@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .artsim import KeypointTrajectory
 from .worldgen import SceneModel, keypoints_analytic
 
@@ -47,6 +48,8 @@ class TrajectoryProblem:
     task: str = "open"
 
     def validate(self) -> None:
+        if self.horizon < 1:
+            raise ValueError(f"horizon {self.horizon} must be at least 1")
         if not (np.all(self.start >= self.bounds_lo) and np.all(self.start <= self.bounds_hi)):
             raise InfeasibleProblemError("start position outside workspace bounds")
         bad = [s for s, p in self.constraints
@@ -85,7 +88,7 @@ class RobotTrajectory:
                 "interaction": [[int(s), float(q)] for s, q in self.interaction]}
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 SEG_CLASSES = ("background", "body", "door", "handle")
@@ -546,7 +547,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
         "objects": objects,
         "instances": instances,
     }
-    with open(root / "manifest.json", "w") as f:
+    with atomic_open(root / "manifest.json") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
     return load_manifest(root / "manifest.json")
 

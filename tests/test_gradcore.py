@@ -127,6 +127,52 @@ def test_backward_before_forward_raises():
         backward(x)
 
 
+def test_backward_twice_on_one_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = tsum(square(x))
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, np.array([2.0, 4.0]))
+    with pytest.raises(GraphError, match="released by an earlier backward"):
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, np.array([2.0, 4.0]))
+
+
+def test_backward_through_released_nodes_raises():
+    """A second output built on an intermediate whose graph the first
+    backward released would otherwise get no gradient through it."""
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = tanh(x)
+    backward(tsum(y))
+    with pytest.raises(GraphError, match="released by an earlier backward"):
+        backward(tsum(mul(y, 3.0)))
+
+
+def test_backward_releases_captured_activations():
+    """After backward, with only the leaves and the loss held, the memory the
+    forward pass took (hidden activations that only the mlp closure keeps,
+    about 2 MB) is free again."""
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((2000, 4)))
+    layers = [(Tensor(rng.standard_normal((i, o)) * 0.3, requires_grad=True),
+               Tensor(np.zeros(o), requires_grad=True)) for i, o in [(4, 64), (64, 64), (64, 1)]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = tsum(square(gc.mlp(x, layers)))
+        after_forward = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        after_backward = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_forward - before > 2_000_000
+    # what stays is the weight grads (about 35 kB) and the loss
+    assert after_backward - before < 200_000
+    assert loss._parents == () and loss._vjp is None
+    assert all(t.grad is not None for layer in layers for t in layer)
+
+
 def test_three_layer_mlp_gradient_vs_finite_differences():
     rng = np.random.default_rng(7)
     sizes = [(2, 3), (3,), (3, 2), (2,), (2, 1), (1,)]
@@ -519,6 +565,23 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(st, p, np.array([np.nan]))
     np.testing.assert_array_equal(p.data, np.array([1.0]))
     assert st.step_count == 0
+
+
+def test_adam_step_bit_identical_to_reference_update():
+    """The in-place update keeps the association of the textbook formulas."""
+    rng = np.random.default_rng(6)
+    p = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
+    st = AdamState(lr=3e-3)
+    w, m, v = p.data.copy(), np.zeros((5, 7)), np.zeros((5, 7))
+    for t in range(1, 6):
+        g = rng.standard_normal((5, 7)) * 10.0 ** rng.uniform(-4, 2)
+        adam_step(st, p, g)
+        m = st.beta1 * m + (1.0 - st.beta1) * g
+        v = st.beta2 * v + (1.0 - st.beta2) * g * g
+        m_hat = m / (1.0 - st.beta1 ** t)
+        v_hat = v / (1.0 - st.beta2 ** t)
+        w = w - st.lr * m_hat / (np.sqrt(v_hat) + st.eps)
+        assert [a.tobytes() for a in (p.data, st.m, st.v)] == [a.tobytes() for a in (w, m, v)]
 
 
 def test_adam_converges_on_quadratic_bowl():

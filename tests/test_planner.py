@@ -251,6 +251,16 @@ def test_duplicate_pins_rejected():
         solve(prob)
 
 
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_horizon_below_one_rejected(horizon):
+    prob = TrajectoryProblem(horizon=horizon, start=np.zeros(3), constraints=[],
+                             bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
+    with pytest.raises(ValueError, match=f"horizon {horizon} must be at least 1"):
+        prob.validate()
+    with pytest.raises(ValueError, match=f"horizon {horizon} must be at least 1"):
+        solve(prob)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
