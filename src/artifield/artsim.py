@@ -3,10 +3,11 @@
 Movement is simulated purely in latent space: the articulation part of the
 code walks from the current articulation to a target along the unit circle
 while the object part stays fixed, and each intermediate code is decoded
-into keypoints, images and segmentation maps. Interpolation is linear in the
-articulation scalar q (a geodesic on the normalized circle); interpolating
-the raw 2-vector instead could leave the circle and alias through the
-normalization.
+into keypoints, images and segmentation maps; a frame's image and map come
+from one march of its code (``raymarch.render_frame``). Interpolation is
+linear in the articulation scalar q (a geodesic on the normalized circle);
+interpolating the raw 2-vector instead could leave the circle and alias
+through the normalization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ._atomic import atomic_open
 from .autodecoder import Checkpoint
 from .neuralfield import LatentCode, articulation_to_code, keypoint_predict
 from .netpbm import write_pgm, write_ppm
-from .raymarch import render_image, render_segmentation
+from .raymarch import render_frame
 from .worldgen import KeypointSet
 
 
@@ -97,13 +98,13 @@ def simulate_keypoints(checkpoint: Checkpoint, codes: list[LatentCode]
 def render_motion(checkpoint: Checkpoint, codes: list[LatentCode],
                   e: np.ndarray, k: np.ndarray, height: int, width: int,
                   out_dir) -> list[tuple[Path, Path]]:
-    """One RGB + segmentation frame per code, written as step-indexed files."""
+    """One RGB + segmentation frame per code, written as step-indexed files;
+    both come from a single march of each code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []
     for i, code in enumerate(codes):
-        img = render_image(checkpoint.weights, code, e, k, height, width)
-        seg, _ = render_segmentation(checkpoint.weights, code, e, k, height, width)
+        img, seg, _ = render_frame(checkpoint.weights, code, e, k, height, width)
         rgb_path = out_dir / f"frame_{i:04d}.ppm"
         seg_path = out_dir / f"frame_{i:04d}_seg.pgm"
         write_ppm(rgb_path, img)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -495,7 +496,19 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises CheckpointError unless the header's tensor directory tiles the
+    payload exactly as ``save_checkpoint`` writes it: non-negative integer
+    shapes and offsets, each offset the running sum of the sizes before it,
+    ``total_values`` their sum, and every tensor the architecture needs
+    present once with its shape.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
@@ -511,12 +524,18 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
             raise CheckpointError(f"{path.name}: header runs past the end of the file")
         header = json.loads(rest[:hlen].decode())
         arch = ArchConfig.from_dict(header["arch"])
-        by_name = {rec["name"]: (tuple(rec["shape"]), int(rec["offset"]))
-                   for rec in header["tensors"]}
-        expected_bytes = int(header["total_values"]) * 8
+        directory = [(rec["name"], rec["shape"], rec["offset"]) for rec in header["tensors"]]
+        total_values = header["total_values"]
         meta = {key: header[key] for key in ("train_config", "iteration", "rng_state")}
+        by_name = {name: (tuple(shape), offset) for name, shape, offset in directory}
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path.name}: malformed header: {exc!r}") from exc
+    for name, shape, offset in directory:
+        if type(shape) is not list or not all(map(_is_count, [*shape, offset])):
+            raise CheckpointError(f"{path.name}: tensor {name!r} needs a non-negative "
+                                  f"integer shape and offset, got {shape!r} at {offset!r}")
+    if len(by_name) != len(directory):
+        raise CheckpointError(f"{path.name}: tensor names repeat in the header")
     payload = memoryview(rest)[hlen:]
 
     if header.get("arch_hash") != _arch_hash(arch):
@@ -527,32 +546,38 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
         diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
         raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
 
-    if len(payload) != expected_bytes:
+    weights = ModelWeights.init(arch, np.random.default_rng(0))
+    shapes = {name: t.data.shape for name, t in weights.named_parameters()}
+    codes_shape = by_name["codes"][0] if "codes" in by_name else ()
+    shapes["codes"] = (codes_shape[0] if codes_shape else 0, arch.k_obj)  # any count
+    for name, shape in shapes.items():
+        if name not in by_name:
+            raise CheckpointError(f"{path.name}: tensor {name!r} missing from the header")
+        if by_name[name][0] != shape:
+            raise CheckpointError(
+                f"{path.name}: tensor {name!r} has shape {by_name[name][0]}, expected {shape}")
+    running = 0
+    for name, shape, offset in directory:
+        if offset != running:
+            raise CheckpointError(f"{path.name}: tensor {name!r} lies outside its place "
+                                  f"in the payload: offset {offset}, expected {running}")
+        running += math.prod(shape)
+    if not _is_count(total_values) or total_values != running:
+        raise CheckpointError(f"{path.name}: total_values {total_values!r} differs from "
+                              f"the {running} values the tensors hold")
+
+    if len(payload) != running * 8:
         raise CheckpointError(
             f"{path.name}: corrupt checkpoint, payload {len(payload)} bytes, "
-            f"expected {expected_bytes}")
+            f"expected {running * 8}")
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(flat)):
         raise CheckpointError(f"{path.name}: non-finite values in the payload")
 
-    rng = np.random.default_rng(0)
-    weights = ModelWeights.init(arch, rng)
-
-    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in by_name:
-            raise CheckpointError(f"{path.name}: tensor {name!r} missing from the header")
-        rec_shape, offset = by_name[name]
-        if rec_shape != shape:
-            raise CheckpointError(
-                f"{path.name}: tensor {name!r} has shape {rec_shape}, expected {shape}")
-        n = int(np.prod(shape))
-        if not 0 <= offset <= flat.size - n:
-            raise CheckpointError(f"{path.name}: tensor {name!r} lies outside the payload")
-        return flat[offset:offset + n].reshape(shape).copy()
+    def tensor(name: str) -> np.ndarray:
+        shape, offset = by_name[name]
+        return flat[offset:offset + math.prod(shape)].reshape(shape).copy()
 
     for name, t in weights.named_parameters():
-        t.data = tensor(name, t.data.shape)
-    codes_shape = by_name["codes"][0] if "codes" in by_name else ()
-    n_codes = codes_shape[0] if codes_shape else 0  # any count, k_obj wide
-    codes = tensor("codes", (n_codes, arch.k_obj))
-    return Checkpoint(weights=weights, codes=codes, arch=arch, **meta)
+        t.data = tensor(name)
+    return Checkpoint(weights=weights, codes=tensor("codes"), arch=arch, **meta)

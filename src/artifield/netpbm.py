@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,25 +54,31 @@ def _read_header(f, magic: bytes) -> tuple[int, int, int]:
     return fields[0], fields[1], fields[2]
 
 
+def _read_payload(path, magic: bytes, channels: int) -> np.ndarray:
+    """The 8-bit pixels of a binary netpbm file as (H, W, channels) uint8.
+
+    The header is checked against the file before the payload is read, so a
+    corrupt size fails with ValueError instead of a huge allocation.
+    """
+    kind = magic.decode()
+    with open(path, "rb") as f:
+        w, h, maxval = _read_header(f, magic)
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{kind} size {w}x{h} in {Path(path).name} is not positive")
+        if maxval != 255:
+            raise ValueError(f"only 8-bit {kind} supported")
+        size = w * h * channels
+        if size > os.fstat(f.fileno()).st_size - f.tell():
+            raise ValueError(f"truncated {kind} payload in {Path(path).name}")
+        raw = f.read(size)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
+
+
 def read_ppm(path) -> np.ndarray:
     """Read binary P6 into an (H, W, 3) float64 image in [0, 1]."""
-    with open(path, "rb") as f:
-        w, h, maxval = _read_header(f, b"P6")
-        if maxval != 255:
-            raise ValueError("only 8-bit PPM supported")
-        raw = f.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise ValueError(f"truncated PPM payload in {Path(path).name}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+    return _read_payload(path, b"P6", 3).astype(np.float64) / 255.0
 
 
 def read_pgm(path) -> np.ndarray:
     """Read binary P5 into an (H, W) uint8 array."""
-    with open(path, "rb") as f:
-        w, h, maxval = _read_header(f, b"P5")
-        if maxval != 255:
-            raise ValueError("only 8-bit PGM supported")
-        raw = f.read(w * h)
-    if len(raw) != w * h:
-        raise ValueError(f"truncated PGM payload in {Path(path).name}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
+    return _read_payload(path, b"P5", 1)[:, :, 0].copy()

@@ -6,7 +6,9 @@ softplus(linear(h_t)) of the recurrent state, so marching is strictly
 monotone in depth and d_final >= d_near by construction. Per-step depths are
 kept for the depth regularizer. Rays are processed in scanline order and one
 graph covers a whole ray batch, which keeps gradient accumulation
-deterministic.
+deterministic. A full frame (``render_frame``) is marched once per chunk of
+rays, and the RGB and segmentation heads both decode that march's landing
+features; ``render_image`` and ``render_segmentation`` are views of it.
 """
 
 from __future__ import annotations
@@ -119,40 +121,43 @@ def _theta_for(weights: ModelWeights, code: LatentCode) -> Tensor:
     return hyper_map(weights.hyper, feats)
 
 
-def _render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
-                  k: np.ndarray, height: int, width: int, chunk: int,
-                  rgb: bool) -> np.ndarray:
-    """One head over a full frame as (H*W, C) rows, no graph kept: RGB if
-    ``rgb``, else segmentation logits. Rays are marched ``chunk`` at a time."""
+def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
+                 k: np.ndarray, height: int, width: int, chunk: int = 4096
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-frame RGB (H, W, 3), class ids (H, W) uint8 and raw logits
+    (H, W, C), no graph kept.
+
+    Rays are marched ``chunk`` at a time, each chunk once: both heads decode
+    the same landing features. Ties in the class argmax resolve to the lowest
+    class index (numpy argmax rule), so exactly uniform logits yield class 0.
+    """
+    n_classes = weights.arch.n_classes
     with gc.no_grad():
         theta = _theta_for(weights, code)
-        out = np.empty((height * width, 3 if rgb else weights.arch.n_classes))
+        rgb = np.empty((height * width, 3))
+        logits = np.empty((height * width, n_classes))
         grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
         for lo in range(0, height * width, chunk):
             hi = min(lo + chunk, height * width)
             sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
                            grid.d_near[lo:hi], grid.d_far[lo:hi])
-            colors, logits, _ = render_rays(weights, theta, sub, want_rgb=rgb, want_seg=not rgb)
-            out[lo:hi] = (colors if rgb else logits).data
-    return out
+            colors, chunk_logits, _ = render_rays(weights, theta, sub)
+            rgb[lo:hi] = colors.data
+            logits[lo:hi] = chunk_logits.data
+    classes = np.argmax(logits, axis=1).astype(np.uint8)
+    return (rgb.reshape(height, width, 3), classes.reshape(height, width),
+            logits.reshape(height, width, n_classes))
 
 
 def render_image(weights: ModelWeights, code: LatentCode, e: np.ndarray,
                  k: np.ndarray, height: int, width: int,
                  chunk: int = 4096) -> np.ndarray:
-    """Full-frame RGB render as a plain (H, W, 3) array (no graph kept)."""
-    return _render_frame(weights, code, e, k, height, width, chunk, rgb=True
-                         ).reshape(height, width, 3)
+    """The RGB frame of ``render_frame``."""
+    return render_frame(weights, code, e, k, height, width, chunk)[0]
 
 
 def render_segmentation(weights: ModelWeights, code: LatentCode, e: np.ndarray,
                         k: np.ndarray, height: int, width: int,
                         chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Full-frame class-id image plus raw logits.
-
-    Ties in the argmax resolve to the lowest class index (numpy argmax rule),
-    so exactly uniform logits yield class 0.
-    """
-    logits = _render_frame(weights, code, e, k, height, width, chunk, rgb=False)
-    classes = np.argmax(logits, axis=1).astype(np.uint8)
-    return classes.reshape(height, width), logits.reshape(height, width, logits.shape[1])
+    """The class ids and logits of ``render_frame``."""
+    return render_frame(weights, code, e, k, height, width, chunk)[1:]

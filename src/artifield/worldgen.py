@@ -495,46 +495,32 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     view_##.ppm, view_##_seg.pgm, view_##_cam.json}, manifest.json at the
     root. Every byte is a pure function of the config, so regeneration with
     the same seed is file-identical.
+
+    Regenerating into an existing dataset is safe to interrupt: the new
+    manifest is serialized before any file is touched, the old one is removed
+    before the first file is rewritten, and the new one is put in place after
+    the last. A run that fails partway leaves the old dataset whole or no
+    manifest at all, never an old manifest over new files.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     q_grid = config.articulation_grid()
-    objects, instances = [], []
+    models, objects, instances = [], [], []
     for oi in range(config.n_objects):
         model = sample_scene(_derived_seed(config.seed, oi), config.category)
         _jitter_light(model, np.random.default_rng(_derived_seed(config.seed, oi, 91)),
                       config.light_jitter_deg)
-        obj_dir = root / f"obj_{oi:03d}"
-        obj_dir.mkdir(exist_ok=True)
-        scene_file = f"obj_{oi:03d}/scene.json"
-        with open(root / scene_file, "w") as f:
-            json.dump(model.to_dict(), f, indent=1, sort_keys=True)
-        objects.append({"index": oi, "scene_file": scene_file,
+        models.append(model)
+        objects.append({"index": oi, "scene_file": f"obj_{oi:03d}/scene.json",
                         "diagonal": model.diagonal})
         for ai, q in enumerate(q_grid):
-            art_dir = obj_dir / f"art_{ai:02d}"
-            art_dir.mkdir(exist_ok=True)
-            kps = keypoints_analytic(model, float(q))
-            kp_file = f"obj_{oi:03d}/art_{ai:02d}/keypoints.json"
-            with open(root / kp_file, "w") as f:
-                json.dump({"q": float(q), "points": kps.as_dict()}, f, indent=1, sort_keys=True)
-            views = []
-            for vi in range(config.n_views):
-                rng = np.random.default_rng(_derived_seed(config.seed, oi, ai, vi))
-                e, k = sample_camera(rng, model, config.height, config.width,
-                                     config.radius_range, config.elev_range_deg,
-                                     config.azim_range_deg, config.fov_deg)
-                view = raycast_render(model, float(q), e, k, config.height, config.width)
-                base = f"obj_{oi:03d}/art_{ai:02d}/view_{vi:02d}"
-                write_ppm(root / f"{base}.ppm", view.image)
-                write_pgm(root / f"{base}_seg.pgm", view.seg)
-                with open(root / f"{base}_cam.json", "w") as f:
-                    json.dump({"E": e.tolist(), "K": k.tolist()}, f, indent=1, sort_keys=True)
-                views.append({"image": f"{base}.ppm", "seg": f"{base}_seg.pgm",
-                              "camera": f"{base}_cam.json"})
+            base = f"obj_{oi:03d}/art_{ai:02d}"
+            views = [{"image": f"{base}/view_{vi:02d}.ppm",
+                      "seg": f"{base}/view_{vi:02d}_seg.pgm",
+                      "camera": f"{base}/view_{vi:02d}_cam.json"}
+                     for vi in range(config.n_views)]
             instances.append({"object": oi, "articulation": ai, "q": float(q),
-                              "keypoints_file": kp_file, "views": views})
-
+                              "keypoints_file": f"{base}/keypoints.json", "views": views})
     manifest = {
         "category": config.category,
         "n_objects": config.n_objects,
@@ -547,8 +533,30 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
         "objects": objects,
         "instances": instances,
     }
-    with atomic_open(root / "manifest.json") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    with atomic_open(root / "manifest.json") as manifest_file:
+        json.dump(manifest, manifest_file, indent=1, sort_keys=True)
+        (root / "manifest.json").unlink(missing_ok=True)
+        for obj, model in zip(objects, models):
+            (root / obj["scene_file"]).parent.mkdir(exist_ok=True)
+            with open(root / obj["scene_file"], "w") as f:
+                json.dump(model.to_dict(), f, indent=1, sort_keys=True)
+        for inst in instances:
+            oi, ai, q = inst["object"], inst["articulation"], inst["q"]
+            model = models[oi]
+            (root / inst["keypoints_file"]).parent.mkdir(exist_ok=True)
+            with open(root / inst["keypoints_file"], "w") as f:
+                json.dump({"q": q, "points": keypoints_analytic(model, q).as_dict()}, f,
+                          indent=1, sort_keys=True)
+            for vi, rec in enumerate(inst["views"]):
+                rng = np.random.default_rng(_derived_seed(config.seed, oi, ai, vi))
+                e, k = sample_camera(rng, model, config.height, config.width,
+                                     config.radius_range, config.elev_range_deg,
+                                     config.azim_range_deg, config.fov_deg)
+                view = raycast_render(model, q, e, k, config.height, config.width)
+                write_ppm(root / rec["image"], view.image)
+                write_pgm(root / rec["seg"], view.seg)
+                with open(root / rec["camera"], "w") as f:
+                    json.dump({"E": e.tolist(), "K": k.tolist()}, f, indent=1, sort_keys=True)
     return load_manifest(root / "manifest.json")
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from artifield import raymarch
 from artifield import worldgen as wg
 from artifield.artsim import (
     KeypointTrajectory,
@@ -13,6 +14,7 @@ from artifield.artsim import (
     simulate_keypoints,
 )
 from artifield.autodecoder import Checkpoint, TrainConfig
+from artifield.netpbm import write_pgm, write_ppm
 from artifield.neuralfield import (
     ArchConfig,
     LatentCode,
@@ -163,3 +165,38 @@ def test_render_motion_reversed_codes_reverse_frames(tmp_path):
     assert fwd[0][0].read_bytes() == rev[2][0].read_bytes()
     assert fwd[2][0].read_bytes() == rev[0][0].read_bytes()
     assert fwd[1][1].read_bytes() == rev[1][1].read_bytes()
+
+
+@pytest.mark.parametrize("height,width", [(8, 8), (65, 64)])
+def test_render_motion_marches_once_per_frame_and_chunk(tmp_path, monkeypatch, height, width):
+    ckpt = tiny_checkpoint(5)
+    codes = interpolate_codes(LatentCode.from_articulation(0.2, ckpt.codes[1]), 0.9, 2)
+    e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
+    k = wg.make_intrinsics(height, width)
+    marches = []
+    original = raymarch.march
+
+    def counted(*args, **kwargs):
+        marches.append(args[2].count)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(raymarch, "march", counted)
+    render_motion(ckpt, codes, e, k, height, width, tmp_path / "frames")
+    chunks = -(-height * width // 4096)  # render_frame's default chunk
+    assert len(marches) == len(codes) * chunks
+    assert sum(marches) == len(codes) * height * width
+
+
+def test_render_motion_files_match_separate_renders(tmp_path):
+    ckpt = tiny_checkpoint(6)
+    codes = interpolate_codes(LatentCode.from_articulation(0.7, ckpt.codes[2]), 0.1, 3)
+    m = wg.sample_scene(2, "closet")
+    e, k = wg.sample_camera(np.random.default_rng(8), m, 9, 11)
+    frames = render_motion(ckpt, codes, e, k, 9, 11, tmp_path / "frames")
+    for i, (code, (rgb_path, seg_path)) in enumerate(zip(codes, frames)):
+        img = raymarch.render_image(ckpt.weights, code, e, k, 9, 11)
+        seg, _ = raymarch.render_segmentation(ckpt.weights, code, e, k, 9, 11)
+        write_ppm(tmp_path / f"ref_{i}.ppm", img)
+        write_pgm(tmp_path / f"ref_{i}.pgm", seg)
+        assert rgb_path.read_bytes() == (tmp_path / f"ref_{i}.ppm").read_bytes()
+        assert seg_path.read_bytes() == (tmp_path / f"ref_{i}.pgm").read_bytes()

@@ -128,3 +128,43 @@ def test_manifest_write_failure_keeps_previous(tmp_path, monkeypatch):
                                          height=8, width=8, seed=2), tmp_path)
     _assert_left_as_before(path, old, listing)
     assert wg.load_manifest(path).n_instances == 2
+
+
+def test_regeneration_failing_partway_leaves_no_manifest(tmp_path, monkeypatch):
+    """An old manifest must not load over files a later run rewrote."""
+    wg.generate_dataset(wg.GenConfig(n_objects=1, n_articulations=2, n_views=2,
+                                     height=8, width=8, seed=2), tmp_path)
+    real_write_ppm, calls = wg.write_ppm, []
+
+    def write_ppm(path, image):
+        calls.append(path)
+        if len(calls) == 3:
+            raise SimulatedCrash("disk full")
+        real_write_ppm(path, image)
+
+    monkeypatch.setattr(wg, "write_ppm", write_ppm)
+    with pytest.raises(SimulatedCrash):
+        wg.generate_dataset(wg.GenConfig(n_objects=1, n_articulations=3, n_views=2,
+                                         height=8, width=8, seed=2), tmp_path)
+    assert _listing(tmp_path) == ["obj_000"]
+    with pytest.raises(FileNotFoundError):
+        wg.load_manifest(tmp_path / "manifest.json")
+
+
+def test_manifest_write_failure_leaves_old_dataset_whole(tmp_path, monkeypatch):
+    """A regeneration whose manifest cannot be written touches no dataset file,
+    so the old manifest still describes the files beside it."""
+    old = wg.generate_dataset(wg.GenConfig(n_objects=1, n_articulations=2, n_views=1,
+                                           height=8, width=8, seed=2), tmp_path)
+    digest = wg.dataset_digest(old)
+    keypoints = [old.keypoints(inst) for inst in old.instances]
+    _crash_json_dump(monkeypatch, when=lambda obj: "instances" in obj)
+    with pytest.raises(SimulatedCrash):
+        wg.generate_dataset(wg.GenConfig(n_objects=1, n_articulations=3, n_views=1,
+                                         height=8, width=8, seed=2), tmp_path)
+    reloaded = wg.load_manifest(tmp_path / "manifest.json")
+    assert wg.dataset_digest(reloaded) == digest
+    for inst, (q, kps) in zip(reloaded.instances, keypoints):
+        q_file, kps_file = reloaded.keypoints(inst)
+        assert q_file == q == inst["q"]
+        assert kps_file.positions.tobytes() == kps.positions.tobytes()

@@ -407,6 +407,15 @@ def _transpose_shape(header, name="raymarcher.step.w"):
     rec["shape"] = rec["shape"][::-1]
 
 
+def _set_record(header, key, value, name="codes"):
+    rec = next(r for r in header["tensors"] if r["name"] == name)
+    rec[key] = value(rec[key])
+
+
+def _repeat_name(header):
+    header["tensors"][1]["name"] = header["tensors"][0]["name"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (dict(edit_header=_drop_tensor), "'rgb.1.b' missing"),
     (dict(edit_header=lambda h: _drop_tensor(h, "codes")), "'codes' missing"),
@@ -414,10 +423,31 @@ def _transpose_shape(header, name="raymarcher.step.w"):
     (dict(edit_header=_offset_past_end), "'codes' lies outside"),
     (dict(edit_payload=lambda p: p.__setitem__(7, np.nan)), "non-finite"),
     (dict(edit_payload=lambda p: p.__setitem__(-1, -np.inf)), "non-finite"),
-], ids=["missing-weight", "missing-codes", "shape", "offset", "nan", "inf"])
+    (dict(edit_header=lambda h: _set_record(h, "shape", lambda s: [-1, s[1]])),
+     "'codes' needs a non-negative integer shape"),
+    (dict(edit_header=lambda h: _set_record(h, "offset", lambda o: o + 0.5)),
+     "'codes' needs a non-negative integer shape and offset"),
+    (dict(edit_header=lambda h: _set_record(h, "offset", lambda o: o - 1)),
+     "'codes' lies outside its place"),
+    (dict(edit_header=lambda h: h.__setitem__("total_values", float(h["total_values"]))),
+     "total_values"),
+    (dict(edit_header=_repeat_name), "names repeat"),
+], ids=["missing-weight", "missing-codes", "shape", "offset", "nan", "inf",
+        "negative-dim", "fractional-offset", "overlapping-offset", "float-total",
+        "repeated-name"])
 def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
     path = tmp_path / "cp.bin"
     save_checkpoint(_dummy_checkpoint(), path)
     _rewrite_checkpoint(path, **edit)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_values_past_the_directory_rejected(tmp_path):
+    path = tmp_path / "cp.bin"
+    save_checkpoint(_dummy_checkpoint(), path)
+    _rewrite_checkpoint(path, edit_header=lambda h: h.__setitem__("total_values",
+                                                                  h["total_values"] + 3))
+    path.write_bytes(path.read_bytes() + np.zeros(3).tobytes())
+    with pytest.raises(CheckpointError, match="total_values"):
         load_checkpoint(path)

@@ -21,6 +21,7 @@ from artifield.raymarch import (
     march,
     march_bounds,
     pixel_rays,
+    render_frame,
     render_image,
     render_rays,
     render_segmentation,
@@ -244,6 +245,36 @@ def test_render_segmentation_argmax_shift_invariant():
     k = wg.make_intrinsics(8, 8)
     seg, logits = render_segmentation(w, code, e, k, 8, 8)
     np.testing.assert_array_equal(seg, np.argmax(logits + 5.0, axis=2).astype(np.uint8))
+
+
+@pytest.mark.parametrize("height,width,chunk", [(8, 8, 4096), (8, 8, 7), (17, 13, 4096),
+                                                (17, 13, 7)])
+def test_render_frame_equals_separate_renders(height, width, chunk):
+    w = tiny_weights(18)
+    code = LatentCode.from_articulation(0.7, np.random.default_rng(19).normal(size=TINY.k_obj))
+    m = wg.sample_scene(1, "closet")
+    e, k = wg.sample_camera(np.random.default_rng(20), m, height, width)
+    rgb, classes, logits = render_frame(w, code, e, k, height, width, chunk=chunk)
+    img = render_image(w, code, e, k, height, width, chunk=chunk)
+    seg, seg_logits = render_segmentation(w, code, e, k, height, width, chunk=chunk)
+    assert rgb.shape == (height, width, 3) and classes.dtype == np.uint8
+    assert logits.shape == (height, width, TINY.n_classes)
+    assert rgb.tobytes() == img.tobytes()
+    assert classes.tobytes() == seg.tobytes()
+    assert logits.tobytes() == seg_logits.tobytes()
+    # Reference: one march per head, as separate image and segmentation
+    # renders did before they shared a march.
+    grid = pixel_rays(e, k, height, width, scene_radius=TINY.scene_radius)
+    ref_rgb, ref_logits = [], []
+    with gc.no_grad():
+        theta = hyper_map(w.hyper, code_features_t(Tensor(code.z_art), Tensor(code.z_obj)))
+        for lo in range(0, height * width, chunk):
+            sub = RayBatch(*(a[lo:lo + chunk] for a in
+                             (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
+            ref_rgb.append(render_rays(w, theta, sub, want_seg=False)[0].data)
+            ref_logits.append(render_rays(w, theta, sub, want_rgb=False)[1].data)
+    assert rgb.tobytes() == np.concatenate(ref_rgb).tobytes()
+    assert logits.tobytes() == np.concatenate(ref_logits).tobytes()
 
 
 def test_render_rays_graph_chunking_consistency():

@@ -248,6 +248,22 @@ def test_pgm_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), seg)
 
 
+@pytest.mark.parametrize("blob", [
+    b"P6\n99999 99999\n255\n",
+    b"P6\n4 3\n255\n" + bytes(35),
+    b"P5\n4 3\n255\n" + bytes(11),
+    b"P6\n0 0\n255\n",
+    b"P5\n0 5\n255\n",
+    b"P5\n-2 -3\n255\n" + bytes(6),
+], ids=["huge", "ppm-short", "pgm-short", "ppm-empty", "pgm-zero-width", "negative"])
+def test_netpbm_impossible_header_rejected(tmp_path, blob):
+    path = tmp_path / "x.pnm"
+    path.write_bytes(blob)
+    reader = read_ppm if blob.startswith(b"P6") else read_pgm
+    with pytest.raises(ValueError, match="truncated|not positive"):
+        reader(path)
+
+
 # ---------------------------------------------------------------------------
 # dataset generation
 
