@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,12 @@ from .neuralfield import (
     ArchConfig,
     LatentCode,
     ModelWeights,
-    RaymarcherWeights,
     articulation_to_code,
     code_features_t,
     hyper_map,
     keypoint_head,
 )
-from .raymarch import RayBatch, pixel_rays, render_rays
+from .raymarch import RayBatch, pixel_rays, render_image, render_rays
 from .worldgen import DatasetManifest, PosedView
 
 CHECKPOINT_MAGIC = b"AFLD"
@@ -106,8 +105,6 @@ class InstanceBatch:
 
 def _merge_views(views: list[ViewSample]) -> ViewSample:
     """Stack sampled rays of several views into one batch (one march graph)."""
-    if len(views) == 1:
-        return views[0]
     rays = RayBatch(
         origins=np.concatenate([v.rays.origins for v in views]),
         dirs=np.concatenate([v.rays.dirs for v in views]),
@@ -257,6 +254,14 @@ def _sample_view(view: PosedView, rng: np.random.Generator, rays_per_view: int,
     return ViewSample(rays=rays, target_rgb=rgb, target_seg=seg)
 
 
+def _check_counts(config, minimums: dict[str, int]) -> None:
+    """Raise ValueError naming the first config field below its minimum."""
+    for name, least in minimums.items():
+        if getattr(config, name) < least:
+            raise ValueError(f"{type(config).__name__}.{name} is {getattr(config, name)}, "
+                             f"must be at least {least}")
+
+
 def train(manifest: DatasetManifest, config: TrainConfig,
           arch: ArchConfig | None = None, out_dir=None,
           log_fn=None) -> tuple[Checkpoint, list[LossBreakdown]]:
@@ -266,6 +271,8 @@ def train(manifest: DatasetManifest, config: TrainConfig,
     given. Divergence (non-finite loss or gradient) aborts with a
     TrainingDivergedError pointing at the last good checkpoint.
     """
+    _check_counts(config, {"iterations": 0, "batch_instances": 1,
+                           "views_per_instance": 1, "rays_per_view": 1})
     if arch is None:
         arch = ArchConfig(category=manifest.category)
     elif arch.category != manifest.category:
@@ -386,7 +393,6 @@ class InferResult:
 
 def _full_frame_image_loss(weights: ModelWeights, z_art: np.ndarray,
                            z_obj: np.ndarray, views: list[PosedView]) -> float:
-    from .raymarch import render_image  # local import to avoid cycle at module load
     code = LatentCode(z_art, z_obj)
     errs = []
     for view in views:
@@ -405,6 +411,7 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     extra entries in q_inits run independent restarts, keeping the fit with
     the lowest final loss.
     """
+    _check_counts(config, {"iterations": 0, "rays_per_view": 1})
     if not views:
         raise ValueError("need at least one posed view")
     if not config.q_inits:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,9 +66,9 @@ class GraphError(RuntimeError):
 _node_counter = itertools.count()
 _grad_enabled = True
 # "risky": validate only ops that can produce non-finite values from
-# ordinary-magnitude inputs (div, log, sqrt); "all": every op;
-# "off": nothing. Training loops additionally validate the loss and Adam
-# validates gradients, so divergence is caught either way.
+# ordinary-magnitude inputs (div, sqrt); "all": every op. Training loops
+# additionally validate the loss and Adam validates gradients, so divergence
+# is caught either way.
 _finite_mode = "risky"
 
 
@@ -84,13 +84,12 @@ def no_grad():
         _grad_enabled = prev
 
 
-def set_finite_checks(mode: str | bool) -> None:
+def set_finite_checks(mode: str) -> None:
+    """Choose which nodes are checked for non-finite values: "risky" (the
+    default) checks div and sqrt, "all" checks every node and every
+    pre-activation inside a fused op, for debugging a divergence."""
     global _finite_mode
-    if mode is True:
-        mode = "all"
-    elif mode is False:
-        mode = "off"
-    if mode not in ("risky", "all", "off"):
+    if mode not in ("risky", "all"):
         raise ValueError(f"unknown finite-check mode {mode!r}")
     _finite_mode = mode
 
@@ -119,59 +118,8 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], None] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, id={self.node_id})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self, output_grad=None) -> None:
-        backward(self, output_grad)
-
-    # Operator sugar; the full op set lives at module level.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -335,24 +283,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, "div", (a, b), vjp, risky=True)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatchError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
-    out_data = ad @ bd
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g @ bd.T)
-        if b.requires_grad:
-            _accum(b, ad.T @ g)
-
-    return _make(out_data, "matmul", (a, b), vjp)
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
@@ -407,18 +337,6 @@ def relu(a) -> Tensor:
     return _make(y, "relu", (a,), vjp)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    y = np.log(x)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, g / x)
-
-    return _make(y, "log", (a,), vjp, risky=True)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     y = np.sqrt(a.data)
@@ -441,35 +359,21 @@ def square(a) -> Tensor:
     return _make(x * x, "square", (a,), vjp)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
     a = as_tensor(a)
     in_shape = a.data.shape
-    y = a.data.sum(axis=axis, keepdims=keepdims)
+    y = a.data.sum()
 
     def vjp(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
+        if a.requires_grad:
             _accum(a, np.broadcast_to(g, in_shape).astype(np.float64))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, in_shape).astype(np.float64))
 
     return _make(np.asarray(y, dtype=np.float64), "sum", (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    in_shape = a.data.shape
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, int):
-        count = in_shape[axis]
-    else:
-        count = int(np.prod([in_shape[i] for i in axis]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -510,10 +414,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _make(y, "narrow", (a,), vjp)
 
 
-def reshape(a, *shape) -> Tensor:
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     in_shape = a.data.shape
     y = a.data.reshape(shape)
 
@@ -624,11 +526,6 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     return _make(np.float64(loss), "cross_entropy", (lg,), vjp)
 
 
-def mse(pred, target) -> Tensor:
-    """Mean of squared differences over all elements."""
-    return tmean(square(sub(pred, target)))
-
-
 # ---------------------------------------------------------------------------
 # recurrent cell
 
@@ -649,11 +546,10 @@ class LSTMParams:
         return self.w.data.shape[0] - self.hidden_dim
 
 
-def lstm_init(input_dim: int, hidden_dim: int, rng: np.random.Generator,
-              forget_bias: float = 1.0) -> LSTMParams:
+def lstm_init(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LSTMParams:
     w = rng.standard_normal((input_dim + hidden_dim, 4 * hidden_dim)) / np.sqrt(input_dim + hidden_dim)
     b = np.zeros(4 * hidden_dim)
-    b[hidden_dim:2 * hidden_dim] = forget_bias
+    b[hidden_dim:2 * hidden_dim] = 1.0  # forget-gate bias
     return LSTMParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
@@ -784,15 +680,9 @@ class Adam:
     (their moments do not decay), matching sparse auto-decoder updates.
     """
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
         self.params = list(named_params)
-        self.states = {name: AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-                       for name, _ in self.params}
-
-    def set_lr(self, lr: float) -> None:
-        for st in self.states.values():
-            st.lr = lr
+        self.states = {name: AdamState(lr=lr) for name, _ in self.params}
 
     def step(self) -> None:
         for name, p in self.params:

@@ -21,10 +21,13 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an (H, W) uint8 array (e.g. class ids) as binary P5."""
+    """Write an (H, W) array of integers in 0..255 (e.g. class ids) as
+    binary P5; any other value raises ValueError."""
     data = np.asarray(image)
     if data.ndim != 2:
         raise ValueError(f"expected (H, W) image, got {data.shape}")
+    if not np.all((data >= 0) & (data <= 255) & (data == np.round(data))):
+        raise ValueError("PGM values must be integers in 0..255")
     data = data.astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as f:

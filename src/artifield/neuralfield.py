@@ -14,7 +14,7 @@ respect to both their weights and the latent code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
@@ -87,13 +87,6 @@ class LatentCode:
     @classmethod
     def from_articulation(cls, q: float, z_obj: np.ndarray) -> "LatentCode":
         return cls(articulation_to_code(q), np.asarray(z_obj, dtype=np.float64))
-
-    def to_dict(self) -> dict:
-        return {"z_art": self.z_art.tolist(), "z_obj": self.z_obj.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatentCode":
-        return cls(np.array(d["z_art"]), np.array(d["z_obj"]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +265,6 @@ def slice_field_weights(theta: Tensor, arch: ArchConfig) -> list[tuple[Tensor, T
 def field_eval_layers(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor | np.ndarray) -> Tensor:
     """The coordinate field over pre-sliced layers: points (P, 3) -> features (P, n)."""
     return gc.mlp(x, layers)
-
-
-def field_eval(theta: Tensor, x: Tensor | np.ndarray, arch: ArchConfig) -> Tensor:
-    """Evaluate the coordinate field at points x (P, 3) -> features (P, n).
-
-    theta stays a graph tensor, so gradients flow back through the
-    hypernetwork that produced it.
-    """
-    return field_eval_layers(slice_field_weights(theta, arch), x)
 
 
 def rgb_head(rgb_layers: Sequence[tuple[Tensor, Tensor]], v: Tensor) -> Tensor:

@@ -3,8 +3,9 @@
 A render is a pure function of (latent code, weights, E, K, H, W). Each ray
 starts at its near bound and takes n_march learned steps; the step length is
 softplus(linear(h_t)) of the recurrent state, so marching is strictly
-monotone in depth and d_final >= d_near by construction. Per-step depths are
-kept for the depth regularizer. Rays are processed in scanline order and one
+monotone in depth and d_final >= d_near by construction. The march result
+keeps the depth after every step; the depth regularizer reads only d_final,
+the depth after the last step. Rays are processed in scanline order and one
 graph covers a whole ray batch, which keeps gradient accumulation
 deterministic. A full frame (``render_frame``) is marched once per chunk of
 rays, and the RGB and segmentation heads both decode that march's landing
@@ -53,7 +54,7 @@ class MarchResult:
     x_surface: Tensor          # (R, 3)
     v_final: Tensor            # (R, n)
     d_final: Tensor            # (R, 1)
-    step_depths: list[Tensor]  # per-step (R, 1), for regularization
+    step_depths: list[Tensor]  # (R, 1) after each step; the last is d_final
 
 
 def march_bounds(origin: np.ndarray, scene_radius: float) -> tuple[float, float]:
@@ -76,16 +77,10 @@ def pixel_rays(e: np.ndarray, k: np.ndarray, height: int, width: int,
 
 
 def march(theta: Tensor, rm: RaymarcherWeights, rays: RayBatch,
-          arch: ArchConfig,
-          field_layers: list[tuple[Tensor, Tensor]] | None = None) -> MarchResult:
+          arch: ArchConfig) -> MarchResult:
     """Recurrent raymarch: query the field, step by softplus(linear(h)),
-    repeat n_march times, then evaluate features at the landing points.
-
-    Callers marching several batches against one theta can pass the
-    pre-sliced field layers to share the slicing nodes.
-    """
-    if field_layers is None:
-        field_layers = slice_field_weights(theta, arch)
+    repeat n_march times, then evaluate features at the landing points."""
+    field_layers = slice_field_weights(theta, arch)
     r = rays.count
     origins = Tensor(rays.origins)
     dirs = Tensor(rays.dirs)
@@ -106,12 +101,11 @@ def march(theta: Tensor, rm: RaymarcherWeights, rays: RayBatch,
 
 
 def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
-                want_rgb: bool = True, want_seg: bool = True,
-                field_layers: list[tuple[Tensor, Tensor]] | None = None
-                ) -> tuple[Tensor | None, Tensor | None, MarchResult]:
-    """March a ray batch and decode features into RGB and/or seg logits."""
-    result = march(theta, weights.raymarcher, rays, weights.arch, field_layers)
-    rgb = rgb_head(weights.rgb, result.v_final) if want_rgb else None
+                want_seg: bool = True) -> tuple[Tensor, Tensor | None, MarchResult]:
+    """March a ray batch and decode its features into RGB and, with
+    ``want_seg``, seg logits."""
+    result = march(theta, weights.raymarcher, rays, weights.arch)
+    rgb = rgb_head(weights.rgb, result.v_final)
     logits = seg_head(weights.seg, result.v_final) if want_seg else None
     return rgb, logits, result
 
@@ -130,7 +124,12 @@ def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
     Rays are marched ``chunk`` at a time, each chunk once: both heads decode
     the same landing features. Ties in the class argmax resolve to the lowest
     class index (numpy argmax rule), so exactly uniform logits yield class 0.
+    Raises ValueError unless ``chunk``, ``height`` and ``width`` are at
+    least 1.
     """
+    if chunk < 1 or height < 1 or width < 1:
+        raise ValueError(f"render_frame needs chunk, height and width of at least 1, "
+                         f"got chunk={chunk}, height={height}, width={width}")
     n_classes = weights.arch.n_classes
     with gc.no_grad():
         theta = _theta_for(weights, code)

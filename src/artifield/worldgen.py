@@ -466,9 +466,9 @@ class DatasetManifest:
             d = json.load(f)
         return d["q"], KeypointSet.from_dict(keypoint_names(self.category), d["points"])
 
-    def load_view(self, view_rec: dict, with_seg: bool = True) -> PosedView:
+    def load_view(self, view_rec: dict) -> PosedView:
         image = read_ppm(self.root / view_rec["image"])
-        seg = read_pgm(self.root / view_rec["seg"]) if with_seg else None
+        seg = read_pgm(self.root / view_rec["seg"])
         with open(self.root / view_rec["camera"]) as f:
             cam = json.load(f)
         return PosedView(image=image, seg=seg,
@@ -560,7 +560,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     return load_manifest(root / "manifest.json")
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     with open(path) as f:
         d = json.load(f)
@@ -569,17 +569,16 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         n_articulations=d["n_articulations"], n_views=d["n_views"],
         height=d["height"], width=d["width"], seed=d["seed"],
         objects=d["objects"], instances=d["instances"])
-    if check_files:
-        n_images = 0
-        for inst in manifest.instances:
-            for rec in inst["views"]:
-                for key in ("image", "seg", "camera"):
-                    if not (manifest.root / rec[key]).exists():
-                        raise FileNotFoundError(f"dataset file missing: {rec[key]}")
-                n_images += 1
-        expected = manifest.n_objects * manifest.n_articulations * manifest.n_views
-        if n_images != expected:
-            raise ValueError(f"manifest lists {n_images} views, expected {expected}")
+    n_images = 0
+    for inst in manifest.instances:
+        for rec in inst["views"]:
+            for key in ("image", "seg", "camera"):
+                if not (manifest.root / rec[key]).exists():
+                    raise FileNotFoundError(f"dataset file missing: {rec[key]}")
+            n_images += 1
+    expected = manifest.n_objects * manifest.n_articulations * manifest.n_views
+    if n_images != expected:
+        raise ValueError(f"manifest lists {n_images} views, expected {expected}")
     return manifest
 
 

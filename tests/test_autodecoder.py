@@ -202,6 +202,25 @@ def test_training_rejects_wrong_category_arch(tiny_dataset):
         train(tiny_dataset, TrainConfig(iterations=1), arch=arch)
 
 
+@pytest.mark.parametrize("entry,field,value", [
+    ("train", "rays_per_view", 0), ("train", "batch_instances", 0),
+    ("train", "views_per_instance", 0), ("train", "iterations", -1),
+    ("infer", "rays_per_view", 0), ("infer", "iterations", -1)])
+def test_config_counts_checked_at_entry(tiny_dataset, monkeypatch, entry, field, value):
+    """A count below its minimum fails by name before any data is loaded."""
+    views = load_training_set(tiny_dataset)[0].views
+
+    def no_loading(manifest):
+        raise AssertionError("training data loaded before the config was checked")
+
+    monkeypatch.setattr("artifield.autodecoder.load_training_set", no_loading)
+    with pytest.raises(ValueError, match=f"{field} is {value}, must be at least"):
+        if entry == "train":
+            train(tiny_dataset, replace(TrainConfig(), **{field: value}), arch=TINY)
+        else:
+            infer_latent(_dummy_checkpoint(), views, replace(InferConfig(), **{field: value}))
+
+
 # ---------------------------------------------------------------------------
 # inference
 

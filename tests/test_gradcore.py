@@ -21,8 +21,6 @@ from artifield.gradcore import (
     lstm_init,
     lstm_step,
     lstm_zero_state,
-    matmul,
-    mse,
     mul,
     narrow,
     relu,
@@ -90,14 +88,14 @@ def test_two_layer_mlp_matches_handrolled_forward():
 
 def test_forward_shape_mismatch_raises():
     with pytest.raises(ShapeMismatchError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
 def test_forward_nonfinite_reports_node():
     x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="node #"):
-            gc.log(x * 0.0)
+            gc.div(x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,7 @@ def test_linear_gradient_outer_product_structure():
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     x = np.array([[2.0, -1.0, 0.5, 3.0]])
-    y = tsum(matmul(Tensor(x), w))
+    y = tsum(affine(Tensor(x), w, Tensor(np.zeros(3))))
     backward(y)
     # d sum(x W) / dW = x^T 1^T
     np.testing.assert_allclose(w.grad, x.T @ np.ones((1, 3)))
@@ -252,7 +250,7 @@ def test_chain_composition_two_node_graph():
     # y = tanh(w * x): dy/dw = x * (1 - tanh(wx)^2), checked by hand
     w = Tensor(np.array([[0.7]]), requires_grad=True)
     x = np.array([[2.0]])
-    y = tanh(matmul(Tensor(x), w))
+    y = tanh(affine(Tensor(x), w, Tensor(np.zeros(1))))
     backward(y, np.array([[1.0]]))
     expected = x * (1 - np.tanh(0.7 * 2.0) ** 2)
     np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
@@ -263,7 +261,7 @@ def test_gradient_determinism():
         rng = np.random.default_rng(42)
         w = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((5, 6)))
-        loss = tmean(square(tanh(matmul(x, w))))
+        loss = tmean(square(tanh(affine(x, w, Tensor(np.zeros(4))))))
         backward(loss)
         return loss.data.copy(), w.grad.copy()
 
@@ -276,7 +274,7 @@ def test_gradient_determinism():
 def test_broadcast_add_gradient_reduces():
     b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     x = Tensor(np.ones((5, 3)))
-    backward(tsum(x + b))
+    backward(tsum(gc.add(x, b)))
     np.testing.assert_array_equal(b.grad, np.full(3, 5.0))
 
 
@@ -426,7 +424,7 @@ def _mlp_graph(mlp_fn, theta0, x0):
     layers = [(w1, b1), (w2, b2), (w2, b2), (w3, b3)]
     y1 = mlp_fn(x, layers)
     y2 = mlp_fn(tanh(y1), layers)
-    loss = tsum(square(y2)) + tsum(mul(y1, 0.3))
+    loss = gc.add(tsum(square(y2)), tsum(mul(y1, 0.3)))
     backward(loss)
     return [y1.data, y2.data, theta.grad, x.grad] + [v.grad for v in views]
 
@@ -452,7 +450,7 @@ def _lstm_graph(step_fn, w0, b0, xs0, from_cell_only=False):
     if not from_cell_only:
         # each h feeds both the next step and the loss
         for t, h in enumerate(outs[0::2]):
-            loss = loss + tsum(mul(h, float(t + 1)))
+            loss = gc.add(loss, tsum(mul(h, float(t + 1))))
     backward(loss)
     return [t.data for t in outs] + [params.w.grad, params.b.grad] + [x.grad for x in xs]
 
@@ -535,6 +533,13 @@ def test_fused_ops_finite_check_sees_inner_overflow():
                 lstm_step(params, state, x)
         finally:
             gc.set_finite_checks("risky")
+
+
+@pytest.mark.parametrize("mode", ["off", True, False])
+def test_set_finite_checks_rejects_unknown_mode(mode):
+    with pytest.raises(ValueError, match="unknown finite-check mode"):
+        gc.set_finite_checks(mode)
+    assert gc._finite_mode == "risky"
 
 
 # ---------------------------------------------------------------------------

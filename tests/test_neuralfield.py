@@ -13,13 +13,14 @@ from artifield.neuralfield import (
     ModelWeights,
     articulation_to_code,
     code_features_t,
-    field_eval,
+    field_eval_layers,
     hyper_map,
     keypoint_head,
     keypoint_predict,
     normalize_articulation,
     rgb_head,
     seg_head,
+    slice_field_weights,
 )
 
 from test_gradcore import finite_diff_grad, max_rel_err
@@ -158,11 +159,12 @@ def test_field_eval_deterministic_and_batched():
                             Tensor(np.zeros(TINY.k_obj)))
     theta = hyper_map(w.hyper, feats)
     pts = np.random.default_rng(6).normal(size=(100, 3))
-    v_batch = field_eval(theta, pts, TINY)
-    v_again = field_eval(theta, pts, TINY)
+    layers = slice_field_weights(theta, TINY)
+    v_batch = field_eval_layers(layers, pts)
+    v_again = field_eval_layers(layers, pts)
     assert v_batch.data.tobytes() == v_again.data.tobytes()
     for i in (0, 17, 99):
-        v_one = field_eval(theta, pts[i:i + 1], TINY)
+        v_one = field_eval_layers(layers, pts[i:i + 1])
         # BLAS may pick different kernels per batch shape; agreement is to
         # rounding, not bit level
         np.testing.assert_allclose(v_one.data[0], v_batch.data[i], rtol=1e-13, atol=1e-15)
@@ -171,21 +173,22 @@ def test_field_eval_deterministic_and_batched():
 def test_field_gradient_wrt_position():
     w = _weights(7)
     theta = hyper_map(w.hyper, code_features_t(
-        Tensor(articulation_to_code(0.5)), Tensor(np.zeros(TINY.k_obj)))).detach()
+        Tensor(articulation_to_code(0.5)), Tensor(np.zeros(TINY.k_obj))))
+    layers = slice_field_weights(theta, TINY)
     x0 = np.array([0.2, -0.4, 0.1])
 
     def loss_np(x):
-        return float(field_eval(theta, x.reshape(1, 3), TINY).data.sum())
+        return float(field_eval_layers(layers, x.reshape(1, 3)).data.sum())
 
     xt = Tensor(x0.reshape(1, 3), requires_grad=True)
-    backward(gc.tsum(field_eval(theta, xt, TINY)))
+    backward(gc.tsum(field_eval_layers(layers, xt)))
     fd = finite_diff_grad(loss_np, x0)
     assert max_rel_err(xt.grad.ravel(), fd) < 1e-4
 
 
 def test_field_wrong_theta_length_rejected():
     with pytest.raises(gc.ShapeMismatchError):
-        field_eval(Tensor(np.zeros(10)), np.zeros((1, 3)), TINY)
+        field_eval_layers(slice_field_weights(Tensor(np.zeros(10)), TINY), np.zeros((1, 3)))
 
 
 def test_rgb_head_zero_weights_give_half():

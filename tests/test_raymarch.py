@@ -247,6 +247,16 @@ def test_render_segmentation_argmax_shift_invariant():
     np.testing.assert_array_equal(seg, np.argmax(logits + 5.0, axis=2).astype(np.uint8))
 
 
+@pytest.mark.parametrize("render", [render_frame, render_image, render_segmentation])
+@pytest.mark.parametrize("height,width,chunk", [(8, 8, 0), (8, 8, -1), (-2, 8, 4096),
+                                                (8, 0, 4096)])
+def test_render_rejects_bad_chunk_or_frame_size(render, height, width, chunk):
+    code = LatentCode.from_articulation(0.5, np.zeros(TINY.k_obj))
+    with pytest.raises(ValueError, match="at least 1"):
+        render(tiny_weights(1), code, offset_identity_extrinsic(), wg.make_intrinsics(8, 8),
+               height, width, chunk=chunk)
+
+
 @pytest.mark.parametrize("height,width,chunk", [(8, 8, 4096), (8, 8, 7), (17, 13, 4096),
                                                 (17, 13, 7)])
 def test_render_frame_equals_separate_renders(height, width, chunk):
@@ -272,7 +282,7 @@ def test_render_frame_equals_separate_renders(height, width, chunk):
             sub = RayBatch(*(a[lo:lo + chunk] for a in
                              (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
             ref_rgb.append(render_rays(w, theta, sub, want_seg=False)[0].data)
-            ref_logits.append(render_rays(w, theta, sub, want_rgb=False)[1].data)
+            ref_logits.append(render_rays(w, theta, sub)[1].data)
     assert rgb.tobytes() == np.concatenate(ref_rgb).tobytes()
     assert logits.tobytes() == np.concatenate(ref_logits).tobytes()
 
@@ -309,7 +319,7 @@ def test_full_render_gradient_wrt_latent_code():
     zo = Tensor(z0[2:], requires_grad=True)
     theta = hyper_map(w.hyper, code_features_t(za, zo))
     rgb, _, _ = render_rays(w, theta, rays, want_seg=False)
-    loss = gc.mse(rgb, target)
+    loss = gc.tmean(gc.square(gc.sub(rgb, target)))
     backward(loss)
     analytic = np.concatenate([za.grad, zo.grad])
     fd = finite_diff_grad(loss_np, z0)

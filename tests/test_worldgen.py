@@ -248,6 +248,23 @@ def test_pgm_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_pgm(tmp_path / "x.pgm"), seg)
 
 
+def test_pgm_write_takes_integer_arrays_of_any_dtype(tmp_path):
+    seg = (np.arange(35) % 4).reshape(5, 7)
+    write_pgm(tmp_path / "u8.pgm", seg.astype(np.uint8))
+    for dtype in (np.int64, np.float64):
+        write_pgm(tmp_path / "x.pgm", seg.astype(dtype))
+        assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("values", [[[256, -1, 3]], [[2.7, 1.0]], [[np.nan, 0.0]]],
+                         ids=["out-of-range", "fractional", "nan"])
+def test_pgm_write_rejects_values_it_cannot_store(tmp_path, values):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="0..255"):
+        write_pgm(path, np.array(values))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("blob", [
     b"P6\n99999 99999\n255\n",
     b"P6\n4 3\n255\n" + bytes(35),
