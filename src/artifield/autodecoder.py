@@ -81,7 +81,7 @@ class LossBreakdown:
 
 @dataclass
 class ViewSample:
-    """Sampled rays of one view plus their ground-truth pixels."""
+    """Sampled rays of an instance's views plus their ground-truth pixels."""
 
     rays: RayBatch
     target_rgb: np.ndarray          # (R, 3)
@@ -98,22 +98,9 @@ class InstanceBatch:
 
     z_art: Tensor
     z_obj: Tensor
-    views: list[ViewSample]
+    sample: ViewSample
     target_keypoints: np.ndarray | None = None  # (N_kp, 3)
     z_art_free: bool = False
-
-
-def _merge_views(views: list[ViewSample]) -> ViewSample:
-    """Stack sampled rays of several views into one batch (one march graph)."""
-    rays = RayBatch(
-        origins=np.concatenate([v.rays.origins for v in views]),
-        dirs=np.concatenate([v.rays.dirs for v in views]),
-        d_near=np.concatenate([v.rays.d_near for v in views]),
-        d_far=np.concatenate([v.rays.d_far for v in views]))
-    rgb = np.concatenate([v.target_rgb for v in views])
-    segs = [v.target_seg for v in views]
-    seg = np.concatenate(segs) if all(s is not None for s in segs) else None
-    return ViewSample(rays=rays, target_rgb=rgb, target_seg=seg)
 
 
 def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
@@ -133,18 +120,19 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
         feats = code_features_t(inst.z_art, inst.z_obj)
         theta = hyper_map(weights.hyper, feats)
         want_seg = lam_seg > 0
-        merged = _merge_views(inst.views)
-        if want_seg and merged.target_seg is None:
+        sample = inst.sample
+        if want_seg and sample.target_seg is None:
             raise ValueError("segmentation loss requested but view has no ground truth")
-        rgb, logits, marchres = render_rays(weights, theta, merged.rays,
+        rgb, logits, marchres = render_rays(weights, theta, sample.rays,
                                             want_seg=want_seg)
-        sse = gc.tsum(gc.square(gc.sub(rgb, merged.target_rgb)))
+        sse = gc.tsum(gc.square(gc.sub(rgb, sample.target_rgb)))
         img_sse = sse if img_sse is None else gc.add(img_sse, sse)
-        img_count += merged.target_rgb.size
+        img_count += sample.target_rgb.size
         if want_seg:
-            seg_terms.append(gc.cross_entropy_logits(logits, merged.target_seg))
-        over = gc.relu(gc.sub(marchres.d_final, merged.rays.d_far))
-        depth_terms.append(gc.tmean(gc.square(over)))
+            seg_terms.append(gc.cross_entropy_logits(logits, sample.target_seg))
+        if lam_depth > 0:
+            over = gc.relu(gc.sub(marchres.d_final, sample.rays.d_far))
+            depth_terms.append(gc.tmean(gc.square(over)))
         if lam_kp > 0:
             if inst.target_keypoints is None:
                 raise ValueError("keypoint loss requested but instance has no ground truth")
@@ -171,7 +159,8 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     l_latent = mean_of(latent_terms)
 
     total = gc.add(l_img, gc.mul(l_latent, lam_latent))
-    total = gc.add(total, gc.mul(l_depth, lam_depth))
+    if lam_depth > 0:
+        total = gc.add(total, gc.mul(l_depth, lam_depth))
     if lam_seg > 0:
         total = gc.add(total, gc.mul(l_seg, lam_seg))
     if lam_kp > 0:
@@ -243,15 +232,24 @@ def load_training_set(manifest: DatasetManifest) -> list[LoadedInstance]:
     return out
 
 
-def _sample_view(view: PosedView, rng: np.random.Generator, rays_per_view: int,
-                 scene_radius: float, with_seg: bool) -> ViewSample:
-    h, w = view.height, view.width
-    n = min(rays_per_view, h * w)
-    flat = rng.choice(h * w, size=n, replace=False)
-    rays = pixel_rays(view.e, view.k, h, w, flat_pixels=flat, scene_radius=scene_radius)
-    rgb = view.image.reshape(-1, 3)[flat]
-    seg = view.seg.reshape(-1)[flat] if (with_seg and view.seg is not None) else None
-    return ViewSample(rays=rays, target_rgb=rgb, target_seg=seg)
+def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view: int,
+                 scene_radius: float) -> ViewSample:
+    """Up to ``rays_per_view`` distinct random pixels of each view, drawn in
+    view order, as one ray batch for one march; ``target_seg`` is None unless
+    every view has a segmentation."""
+    flats = [rng.choice(v.height * v.width, size=min(rays_per_view, v.height * v.width),
+                        replace=False) for v in views]
+    rays = [pixel_rays(v.e, v.k, v.height, v.width, flat_pixels=f, scene_radius=scene_radius)
+            for v, f in zip(views, flats)]
+    rgb = np.concatenate([v.image.reshape(-1, 3)[f] for v, f in zip(views, flats)])
+    seg = None
+    if all(v.seg is not None for v in views):
+        seg = np.concatenate([v.seg.reshape(-1)[f] for v, f in zip(views, flats)])
+    batch = RayBatch(origins=np.concatenate([r.origins for r in rays]),
+                     dirs=np.concatenate([r.dirs for r in rays]),
+                     d_near=np.concatenate([r.d_near for r in rays]),
+                     d_far=np.concatenate([r.d_far for r in rays]))
+    return ViewSample(rays=batch, target_rgb=rgb, target_seg=seg)
 
 
 def _check_counts(config, minimums: dict[str, int]) -> None:
@@ -322,12 +320,11 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                 inst = instances[i]
                 n_views = min(config.views_per_instance, len(inst.views))
                 view_idx = rng.choice(len(inst.views), size=n_views, replace=False)
-                views = [_sample_view(inst.views[v], rng, config.rays_per_view,
-                                      arch.scene_radius, config.lam_seg > 0)
-                         for v in view_idx]
+                sample = _sample_rays([inst.views[v] for v in view_idx], rng,
+                                      config.rays_per_view, arch.scene_radius)
                 batch.append(InstanceBatch(z_art=art_codes[inst.q],
                                            z_obj=codes[inst.object_index],
-                                           views=views,
+                                           sample=sample,
                                            target_keypoints=inst.keypoints))
             try:
                 loss, breakdown = total_loss(batch, weights, config.lam_seg,
@@ -378,7 +375,6 @@ class InferConfig:
     seed: int = 0
     rays_per_view: int = 128
     lam_latent: float = 1e-3
-    loss_threshold: float = 0.05   # final image loss above this sets the warning flag
     q_inits: tuple[float, ...] = (0.5,)
 
 
@@ -387,7 +383,6 @@ class InferResult:
     code: LatentCode
     final_image_loss: float        # full-frame mean squared rgb error
     iterations: int
-    converged: bool                # False = warning flag, not an error
     history: list[float]           # sampled-ray image loss per iteration
 
 
@@ -432,11 +427,8 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
             opt = Adam([("z_art", z_art), ("z_obj", z_obj)], lr=config.lr)
             history = []
             for _ in range(config.iterations):
-                batch_views = [_sample_view(v, rng, config.rays_per_view,
-                                            arch.scene_radius, with_seg=False)
-                               for v in views]
-                inst = InstanceBatch(z_art=z_art, z_obj=z_obj, views=batch_views,
-                                     z_art_free=True)
+                sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
+                inst = InstanceBatch(z_art=z_art, z_obj=z_obj, sample=sample, z_art_free=True)
                 loss, breakdown = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
                                              lam_latent=config.lam_latent,
                                              lam_depth=0.0)
@@ -447,9 +439,7 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
             final = _full_frame_image_loss(weights, z_art.data, z_obj.data, views)
             result = InferResult(code=LatentCode(z_art.data.copy(), z_obj.data.copy()),
                                  final_image_loss=final,
-                                 iterations=config.iterations,
-                                 converged=final <= config.loss_threshold,
-                                 history=history)
+                                 iterations=config.iterations, history=history)
             if best is None or result.final_image_loss < best.final_image_loss:
                 best = result
     finally:

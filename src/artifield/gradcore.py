@@ -173,8 +173,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def backward(output: Tensor, output_grad=None) -> None:
-    """Accumulate gradients of ``output`` into every reachable leaf's ``.grad``.
+def backward(output: Tensor) -> None:
+    """Accumulate gradients of the one-element ``output`` into every
+    reachable leaf's ``.grad``, seeding it with 1.
 
     Traversal is a fixed topological order, so accumulation order (and hence
     the bit pattern of every gradient) is deterministic. Each node's links
@@ -185,15 +186,8 @@ def backward(output: Tensor, output_grad=None) -> None:
         raise GraphError(
             "backward called on a tensor with no recorded graph; "
             "run a forward pass over trainable tensors first")
-    if output_grad is None:
-        if output.data.size != 1:
-            raise ShapeMismatchError("implicit gradient seed requires a scalar output")
-        seed = np.ones_like(output.data)
-    else:
-        seed = np.asarray(output_grad, dtype=np.float64)
-        if seed.shape != output.data.shape:
-            raise ShapeMismatchError(
-                f"output_grad shape {seed.shape} != output shape {output.data.shape}")
+    if output.data.size != 1:
+        raise ShapeMismatchError("backward needs a one-element output")
 
     # Iterative post-order DFS; unrolled marches make recursion risky.
     topo: list[Tensor] = []
@@ -216,7 +210,7 @@ def backward(output: Tensor, output_grad=None) -> None:
             if p.requires_grad and p.node_id not in visited:
                 stack.append((p, False))
 
-    output.grad = seed.copy()
+    output.grad = np.ones_like(output.data)
     for node in reversed(topo):
         vjp = node._vjp
         node._vjp, node._parents = None, ()
@@ -627,14 +621,16 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam state with bias correction."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -656,18 +652,18 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray) -> Tensor:
     # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     # update = (lr*m_hat) / (sqrt(v_hat) + eps); products commute exactly.
     m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
-    m *= state.beta1
+    step = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty_like(m))
+    m *= ADAM_BETA1
     m += step
-    np.multiply(g, 1.0 - state.beta2, out=step)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
     step *= g
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += step
-    np.divide(m, 1.0 - state.beta1 ** t, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
     step *= state.lr
-    denom = np.divide(v, 1.0 - state.beta2 ** t, out=np.empty_like(v))
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=np.empty_like(v))
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     params.data -= step
     return params

@@ -9,10 +9,13 @@ import numpy as np
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write an (H, W, 3) float image in [0, 1] as binary 8-bit P6."""
+    """Write an (H, W, 3) float image in [0, 1] as binary 8-bit P6; values
+    outside are clipped, and NaN or infinite pixels raise ValueError."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("PPM pixels must be finite")
     data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape[:2]
     with open(path, "wb") as f:

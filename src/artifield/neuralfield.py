@@ -62,7 +62,7 @@ def normalize_articulation_t(z_art: Tensor) -> Tensor:
 
 @dataclass
 class LatentCode:
-    """z = [z_art; z_obj] plus the derived normalized articulation."""
+    """z = [z_art; z_obj] and the articulation q that z_art encodes."""
 
     z_art: np.ndarray  # (2,)
     z_obj: np.ndarray  # (k_obj,)
@@ -72,17 +72,8 @@ class LatentCode:
         self.z_obj = np.asarray(self.z_obj, dtype=np.float64).ravel()
 
     @property
-    def z_art_hat(self) -> np.ndarray:
-        return normalize_articulation(self.z_art)[0]
-
-    @property
     def q(self) -> float:
         return normalize_articulation(self.z_art)[1]
-
-    @property
-    def features(self) -> np.ndarray:
-        """concat(z_art_hat, z_obj): the only form downstream maps consume."""
-        return np.concatenate([self.z_art_hat, self.z_obj])
 
     @classmethod
     def from_articulation(cls, q: float, z_obj: np.ndarray) -> "LatentCode":
@@ -229,7 +220,8 @@ class ModelWeights:
 
 
 def code_features_t(z_art: Tensor | np.ndarray, z_obj: Tensor | np.ndarray) -> Tensor:
-    """Graph-side concat(z_art_hat, z_obj) as a (1, k) tensor."""
+    """concat(z_art / |z_art|, z_obj) as a (1, k) graph tensor: the form
+    the hypernetwork and keypoint head consume."""
     z_art = gc.as_tensor(z_art)
     z_obj = gc.as_tensor(z_obj)
     z_hat = normalize_articulation_t(z_art)

@@ -35,8 +35,12 @@ SEG_CLASSES = ("background", "body", "door", "handle")
 CLOSET_KEYPOINT_NAMES = ("handle", "hinge_top", "hinge_bottom", "goal")
 DRAWER_KEYPOINT_NAMES = ("handle", "rail_front", "rail_back", "goal")
 
-# Documented sampling ranges for sample_scene.
+# Documented sampling ranges for sample_scene and sample_camera.
 BODY_EXTENT_RANGE = (0.3, 1.0)      # full extents per axis, meters
+CAMERA_RADIUS_RANGE = (1.5, 2.5)    # camera distance, in body diagonals
+CAMERA_ELEV_RANGE_DEG = (10.0, 45.0)
+CAMERA_AZIM_RANGE_DEG = (-90.0, 90.0)  # 0 looks along +y at the front face
+FOV_DEG = 45.0                      # horizontal field of view
 ALBEDO_RANGE = (0.1, 0.9)
 DOOR_THICKNESS_RANGE = (0.015, 0.03)
 DEFAULT_LIGHT_DIR = (0.35, -0.45, 0.82)  # unit-normalized below, toward the light
@@ -216,19 +220,20 @@ def keypoints_analytic(model: SceneModel, q: float) -> KeypointSet:
 # cameras
 
 
-def make_intrinsics(height: int, width: int, fov_deg: float = 45.0) -> np.ndarray:
-    f = 0.5 * width / np.tan(np.deg2rad(fov_deg) / 2.0)
+def make_intrinsics(height: int, width: int) -> np.ndarray:
+    f = 0.5 * width / np.tan(np.deg2rad(FOV_DEG) / 2.0)
     return np.array([[f, 0.0, width / 2.0],
                      [0.0, f, height / 2.0],
                      [0.0, 0.0, 1.0]])
 
 
-def look_at_extrinsic(position, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """World-to-camera [R | t] looking from position toward target, +y down."""
+def look_at_extrinsic(position, target) -> np.ndarray:
+    """World-to-camera [R | t] looking from position toward target, +y down
+    and world +z up in the image."""
     position = np.asarray(position, dtype=np.float64)
     z_c = np.asarray(target, dtype=np.float64) - position
     z_c = z_c / np.linalg.norm(z_c)
-    x_c = np.cross(z_c, np.asarray(up, dtype=np.float64))
+    x_c = np.cross(z_c, np.array([0.0, 0.0, 1.0]))
     nx = np.linalg.norm(x_c)
     if nx < 1e-9:
         raise ValueError("camera looking along the up axis")
@@ -252,17 +257,16 @@ def project_points(e: np.ndarray, k: np.ndarray, pts: np.ndarray) -> tuple[np.nd
     return uv, z
 
 
-def sample_camera(rng: np.random.Generator, model: SceneModel, height: int, width: int,
-                  radius_range=(1.5, 2.5), elev_range_deg=(10.0, 45.0),
-                  azim_range_deg=(-90.0, 90.0), fov_deg: float = 45.0
+def sample_camera(rng: np.random.Generator, model: SceneModel, height: int, width: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Random front-hemisphere camera looking at the scene center."""
-    radius = rng.uniform(*radius_range) * model.diagonal
-    azim = np.deg2rad(rng.uniform(*azim_range_deg))
-    elev = np.deg2rad(rng.uniform(*elev_range_deg))
+    """Random front-hemisphere camera looking at the scene center, uniform
+    over the CAMERA_* ranges."""
+    radius = rng.uniform(*CAMERA_RADIUS_RANGE) * model.diagonal
+    azim = np.deg2rad(rng.uniform(*CAMERA_AZIM_RANGE_DEG))
+    elev = np.deg2rad(rng.uniform(*CAMERA_ELEV_RANGE_DEG))
     horiz = np.array([np.sin(azim), -np.cos(azim), 0.0])
     position = radius * (np.cos(elev) * horiz + np.sin(elev) * np.array([0.0, 0.0, 1.0]))
-    return look_at_extrinsic(position, (0.0, 0.0, 0.0)), make_intrinsics(height, width, fov_deg)
+    return look_at_extrinsic(position, (0.0, 0.0, 0.0)), make_intrinsics(height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +423,6 @@ class GenConfig:
     height: int = 32
     width: int = 32
     seed: int = 0
-    radius_range: tuple[float, float] = (1.5, 2.5)
-    elev_range_deg: tuple[float, float] = (10.0, 45.0)
-    azim_range_deg: tuple[float, float] = (-90.0, 90.0)
-    fov_deg: float = 45.0
-    light_jitter_deg: float = 0.0
 
     @property
     def n_instances(self) -> int:
@@ -480,14 +479,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _jitter_light(model: SceneModel, rng: np.random.Generator, jitter_deg: float) -> None:
-    if jitter_deg <= 0:
-        return
-    scale = np.sin(np.deg2rad(jitter_deg))
-    light = model.light_dir + rng.uniform(-scale, scale, size=3)
-    model.light_dir = light / np.linalg.norm(light)
-
-
 def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     """Write a full posed-image dataset and its manifest under out_dir.
 
@@ -508,8 +499,6 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     models, objects, instances = [], [], []
     for oi in range(config.n_objects):
         model = sample_scene(_derived_seed(config.seed, oi), config.category)
-        _jitter_light(model, np.random.default_rng(_derived_seed(config.seed, oi, 91)),
-                      config.light_jitter_deg)
         models.append(model)
         objects.append({"index": oi, "scene_file": f"obj_{oi:03d}/scene.json",
                         "diagonal": model.diagonal})
@@ -529,7 +518,6 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
         "height": config.height,
         "width": config.width,
         "seed": config.seed,
-        "config": asdict(config),
         "objects": objects,
         "instances": instances,
     }
@@ -549,9 +537,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
                           indent=1, sort_keys=True)
             for vi, rec in enumerate(inst["views"]):
                 rng = np.random.default_rng(_derived_seed(config.seed, oi, ai, vi))
-                e, k = sample_camera(rng, model, config.height, config.width,
-                                     config.radius_range, config.elev_range_deg,
-                                     config.azim_range_deg, config.fov_deg)
+                e, k = sample_camera(rng, model, config.height, config.width)
                 view = raycast_render(model, q, e, k, config.height, config.width)
                 write_ppm(root / rec["image"], view.image)
                 write_pgm(root / rec["seg"], view.seg)

@@ -18,7 +18,7 @@ from artifield.autodecoder import (
     InstanceBatch,
     LossBreakdown,
     TrainConfig,
-    ViewSample,
+    _sample_rays,
     infer_latent,
     load_checkpoint,
     load_training_set,
@@ -57,22 +57,19 @@ def smoke_checkpoint(tmp_path_factory):
     return manifest, ckpt, history
 
 
-def _make_batch(manifest, weights, rng, z_art_free=False, with_seg=True):
+def _make_batch(manifest, weights, rng, z_art_free=False, seg=True):
+    """Two instances, 32 rays from each of their views, optionally without
+    segmentation targets."""
     instances = load_training_set(manifest)
     batch = []
     for inst in instances[:2]:
-        views = []
-        for v in inst.views:
-            flat = rng.choice(v.height * v.width, size=32, replace=False)
-            rays = pixel_rays(v.e, v.k, v.height, v.width, flat_pixels=flat,
-                              scene_radius=weights.arch.scene_radius)
-            views.append(ViewSample(rays=rays,
-                                    target_rgb=v.image.reshape(-1, 3)[flat],
-                                    target_seg=v.seg.reshape(-1)[flat] if with_seg else None))
+        sample = _sample_rays(inst.views, rng, 32, weights.arch.scene_radius)
+        if not seg:
+            sample.target_seg = None
         batch.append(InstanceBatch(
             z_art=Tensor(articulation_to_code(inst.q), requires_grad=z_art_free),
             z_obj=Tensor(rng.normal(size=weights.arch.k_obj) * 0.1, requires_grad=True),
-            views=views, target_keypoints=inst.keypoints, z_art_free=z_art_free))
+            sample=sample, target_keypoints=inst.keypoints, z_art_free=z_art_free))
     return batch
 
 
@@ -94,15 +91,14 @@ def test_loss_composition_identity(tiny_dataset):
 
 def test_loss_zero_when_prediction_equals_target(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(2))
-    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(3), with_seg=False)
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(3), seg=False)
     # overwrite targets with the model's own render of those rays
     from artifield.neuralfield import code_features_t, hyper_map
     from artifield.raymarch import render_rays
     for inst in batch:
         theta = hyper_map(weights.hyper, code_features_t(inst.z_art, inst.z_obj))
-        for view in inst.views:
-            rgb, _, _ = render_rays(weights, theta, view.rays, want_seg=False)
-            view.target_rgb = rgb.data.copy()
+        rgb, _, _ = render_rays(weights, theta, inst.sample.rays, want_seg=False)
+        inst.sample.target_rgb = rgb.data.copy()
     _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
                        lam_latent=0.0, lam_depth=0.0)
     assert bd.image == 0.0
@@ -111,11 +107,18 @@ def test_loss_zero_when_prediction_equals_target(tiny_dataset):
 
 def test_loss_inference_weights_reduce_to_srn_terms(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(4))
-    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(5), with_seg=False)
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(5), seg=False)
+    for inst in batch:  # every ray overshoots, so the depth term is positive
+        inst.sample.rays.d_far = inst.sample.rays.d_near.copy()
     _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
                        lam_latent=1e-3, lam_depth=0.1)
-    assert bd.seg == 0.0 and bd.kp == 0.0
+    assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth > 0.0
     assert bd.total == bd.image + 1e-3 * bd.latent + 0.1 * bd.depth
+    # Inference's weights: a zero-weight term is not built, as for seg and kp.
+    _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                       lam_latent=1e-3, lam_depth=0.0)
+    assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth == 0.0
+    assert bd.total == bd.image + 1e-3 * bd.latent
 
 
 def test_loss_uniform_logits_cross_entropy(tiny_dataset):
@@ -131,13 +134,44 @@ def test_loss_uniform_logits_cross_entropy(tiny_dataset):
 
 def test_loss_missing_ground_truth_raises(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(8))
-    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(9), with_seg=False)
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(9), seg=False)
     with pytest.raises(ValueError, match="segmentation"):
         total_loss(batch, weights, lam_seg=0.5, lam_kp=0.0, lam_latent=0.0, lam_depth=0.0)
     for inst in batch:
         inst.target_keypoints = None
     with pytest.raises(ValueError, match="keypoint"):
         total_loss(batch, weights, lam_seg=0.0, lam_kp=1.0, lam_latent=0.0, lam_depth=0.0)
+
+
+@pytest.mark.parametrize("rays_per_view", [40, 10**6], ids=["subset", "clamped"])
+def test_sample_rays_matches_view_by_view_reference(tiny_dataset, rays_per_view):
+    """One pass over the views gives what sampling each view on its own and
+    concatenating gives; more rays than pixels takes every pixel once."""
+    views = load_training_set(tiny_dataset)[0].views
+    got = _sample_rays(views, np.random.default_rng(11), rays_per_view, 1.3)
+    rng = np.random.default_rng(11)
+    rays, rgb, seg = [], [], []
+    for v in views:
+        n = v.height * v.width
+        flat = rng.choice(n, size=min(rays_per_view, n), replace=False)
+        rays.append(pixel_rays(v.e, v.k, v.height, v.width, flat_pixels=flat,
+                               scene_radius=1.3))
+        rgb.append(v.image.reshape(-1, 3)[flat])
+        seg.append(v.seg.reshape(-1)[flat])
+    for name in ("origins", "dirs", "d_near", "d_far"):
+        expected = np.concatenate([getattr(r, name) for r in rays])
+        assert getattr(got.rays, name).tobytes() == expected.tobytes()
+    assert got.target_rgb.tobytes() == np.concatenate(rgb).tobytes()
+    assert got.target_seg.tobytes() == np.concatenate(seg).tobytes()
+    assert got.rays.count == len(views) * min(rays_per_view, 16 * 16)
+
+
+def test_sample_rays_drops_seg_unless_every_view_has_it(tiny_dataset):
+    views = load_training_set(tiny_dataset)[0].views
+    views[1] = replace(views[1], seg=None)
+    got = _sample_rays(views, np.random.default_rng(0), 20, 1.5)
+    assert got.target_seg is None
+    assert got.target_rgb.shape == (2 * 20, 3)
 
 
 def test_latent_prior_decays_codes_toward_zero():

@@ -98,9 +98,10 @@ def test_articulation_round_trip_101_values():
 
 def test_latent_code_features_layout():
     code = LatentCode.from_articulation(0.25, np.arange(4.0))
-    assert code.features.shape == (6,)
-    np.testing.assert_allclose(code.features[:2], articulation_to_code(0.25))
-    np.testing.assert_array_equal(code.features[2:], np.arange(4.0))
+    features = code_features_t(code.z_art, code.z_obj).data[0]
+    assert features.shape == (6,)
+    np.testing.assert_allclose(features[:2], articulation_to_code(0.25))
+    np.testing.assert_array_equal(features[2:], np.arange(4.0))
     assert abs(code.q - 0.25) < 1e-12
 
 

@@ -265,6 +265,19 @@ def test_pgm_write_rejects_values_it_cannot_store(tmp_path, values):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_ppm_write_rejects_non_finite_pixels(tmp_path, bad):
+    img = np.full((2, 2, 3), 0.5)
+    img[1, 0, 2] = bad
+    path = tmp_path / "x.ppm"
+    with pytest.raises(ValueError, match="finite"):
+        write_ppm(path, img)
+    assert not path.exists()
+    # finite values outside [0, 1] are still clipped, not rejected
+    write_ppm(path, np.array([[[-0.5, 0.5, 1.5]]]))
+    assert path.read_bytes() == b"P6\n1 1\n255\n" + bytes([0, 128, 255])
+
+
 @pytest.mark.parametrize("blob", [
     b"P6\n99999 99999\n255\n",
     b"P6\n4 3\n255\n" + bytes(35),
@@ -300,6 +313,30 @@ def test_generate_dataset_counts_and_files(tmp_path):
     assert sum(len(i["views"]) for i in manifest.instances) == 12
     # loader re-checks existence of every referenced file
     wg.load_manifest(tmp_path / "ds" / "manifest.json")
+
+
+def test_generated_cameras_follow_the_camera_constants(tmp_path):
+    """Every written camera looks from within the CAMERA_* ranges (radius in
+    body diagonals) with focal length set by FOV_DEG across the width."""
+    cfg = wg.GenConfig(n_objects=2, n_articulations=2, n_views=3,
+                       height=8, width=12, seed=4)
+    manifest = wg.generate_dataset(cfg, tmp_path / "ds")
+    for inst in manifest.instances:
+        diagonal = manifest.objects[inst["object"]]["diagonal"]
+        for rec in inst["views"]:
+            cam = json.loads((manifest.root / rec["camera"]).read_text())
+            e, k = np.array(cam["E"]), np.array(cam["K"])
+            x, y, z = wg.camera_center(e)
+            dist = np.sqrt(x * x + y * y + z * z)
+            lo, hi = wg.CAMERA_RADIUS_RANGE
+            assert lo * diagonal - 1e-9 <= dist <= hi * diagonal + 1e-9
+            elev = np.rad2deg(np.arcsin(z / dist))
+            azim = np.rad2deg(np.arctan2(x, -y))
+            lo, hi = wg.CAMERA_ELEV_RANGE_DEG
+            assert lo - 1e-9 <= elev <= hi + 1e-9
+            lo, hi = wg.CAMERA_AZIM_RANGE_DEG
+            assert lo - 1e-9 <= azim <= hi + 1e-9
+            assert k[0, 0] == 0.5 * cfg.width / np.tan(np.deg2rad(wg.FOV_DEG) / 2.0)
 
 
 def test_generate_dataset_regeneration_is_byte_identical(tmp_path):
