@@ -11,11 +11,14 @@ parts) is fit to the observed images alone.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import hashlib
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -103,74 +106,153 @@ class InstanceBatch:
     z_art_free: bool = False
 
 
+@dataclass
+class _InstanceShare:
+    """One instance's loss terms and the gradient of its share of the total."""
+
+    terms: dict[str, np.ndarray]            # term name -> unweighted value
+    grads: list[tuple[Tensor, np.ndarray]]  # (caller's leaf, d share / d leaf)
+
+
+def _scaled_sum(terms: list[Tensor], scale: float) -> Tensor:
+    """(((t0 + t1) + t2) + ...) * scale."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = gc.add(acc, t)
+    return gc.mul(acc, scale)
+
+
+def _weighted_total(means: dict[str, Tensor], lams: dict[str, float]) -> Tensor:
+    """image + latent * lam_latent, then + term * lam for depth, seg and kp in
+    that order, each only when its weight is positive."""
+    total = gc.add(means["image"], gc.mul(means["latent"], lams["latent"]))
+    for name in ("depth", "seg", "kp"):
+        if lams[name] > 0:
+            total = gc.add(total, gc.mul(means[name], lams[name]))
+    return total
+
+
+def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, float],
+                    scales: dict[str, float]) -> _InstanceShare:
+    """Forward and backward of one instance's share of the total.
+
+    Each caller leaf that requires grad is replaced by a private leaf over the
+    same array, so threads never share a ``.grad``. The graph is the
+    one-instance ``total_loss`` graph with the batch's ``scales`` in its
+    means, so every term gets the upstream gradient it gets in a graph over
+    the whole batch.
+    """
+    pairs: list[tuple[Tensor, Tensor]] = []  # (caller's leaf, private leaf)
+
+    def private(t: Tensor) -> Tensor:
+        if not t.requires_grad:
+            return t  # no backward writes its .grad
+        mine = Tensor(t.data, requires_grad=True)
+        pairs.append((t, mine))
+        return mine
+
+    own = weights.map_tensors(private)
+    z_art, z_obj = private(inst.z_art), private(inst.z_obj)
+    feats = code_features_t(z_art, z_obj)
+    theta = hyper_map(own.hyper, feats)
+    want_seg = lams["seg"] > 0
+    sample = inst.sample
+    if want_seg and sample.target_seg is None:
+        raise ValueError("segmentation loss requested but view has no ground truth")
+    rgb, logits, marchres = render_rays(own, theta, sample.rays, want_seg=want_seg)
+    terms = {"image": gc.tsum(gc.square(gc.sub(rgb, sample.target_rgb)))}
+    if want_seg:
+        terms["seg"] = gc.cross_entropy_logits(logits, sample.target_seg)
+    if lams["depth"] > 0:
+        over = gc.relu(gc.sub(marchres.d_final, sample.rays.d_far))
+        terms["depth"] = gc.tmean(gc.square(over))
+    if lams["kp"] > 0:
+        if inst.target_keypoints is None:
+            raise ValueError("keypoint loss requested but instance has no ground truth")
+        pts = keypoint_head(own.keypoint, feats, weights.arch)
+        terms["kp"] = gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints)))
+    prior = gc.mul(gc.tsum(gc.square(z_obj)), 1.0 / weights.arch.k_obj)
+    if inst.z_art_free:
+        norm = gc.sqrt(gc.tsum(gc.square(z_art)))
+        prior = gc.add(prior, gc.square(gc.sub(norm, 1.0)))
+    terms["latent"] = prior
+
+    share = _weighted_total({name: _scaled_sum([t], scales[name]) for name, t in terms.items()},
+                            lams)
+    if share.requires_grad:
+        gc.backward(share)
+    return _InstanceShare(terms={name: t.data for name, t in terms.items()},
+                          grads=[(real, mine.grad) for real, mine in pairs
+                                 if mine.grad is not None])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
                lam_seg: float, lam_kp: float, lam_latent: float, lam_depth: float
                ) -> tuple[Tensor, LossBreakdown]:
     """Weighted training objective over a minibatch; returns the scalar graph
-    node and a float breakdown satisfying the composition identity."""
-    arch = weights.arch
-    img_sse = None      # sum of squared rgb errors
-    img_count = 0
-    seg_terms = []      # per-instance mean cross-entropies (equal ray counts)
-    depth_terms = []    # per-instance mean overshoot penalties
-    kp_terms = []
-    latent_terms = []
+    node and a float breakdown satisfying the composition identity.
 
-    for inst in batch:
-        feats = code_features_t(inst.z_art, inst.z_obj)
-        theta = hyper_map(weights.hyper, feats)
-        want_seg = lam_seg > 0
-        sample = inst.sample
-        if want_seg and sample.target_seg is None:
-            raise ValueError("segmentation loss requested but view has no ground truth")
-        rgb, logits, marchres = render_rays(weights, theta, sample.rays,
-                                            want_seg=want_seg)
-        sse = gc.tsum(gc.square(gc.sub(rgb, sample.target_rgb)))
-        img_sse = sse if img_sse is None else gc.add(img_sse, sse)
-        img_count += sample.target_rgb.size
-        if want_seg:
-            seg_terms.append(gc.cross_entropy_logits(logits, sample.target_seg))
-        if lam_depth > 0:
-            over = gc.relu(gc.sub(marchres.d_final, sample.rays.d_far))
-            depth_terms.append(gc.tmean(gc.square(over)))
-        if lam_kp > 0:
-            if inst.target_keypoints is None:
-                raise ValueError("keypoint loss requested but instance has no ground truth")
-            pts = keypoint_head(weights.keypoint, feats, arch)
-            kp_terms.append(gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints))))
-        prior = gc.mul(gc.tsum(gc.square(inst.z_obj)), 1.0 / arch.k_obj)
-        if inst.z_art_free:
-            norm = gc.sqrt(gc.tsum(gc.square(inst.z_art)))
-            prior = gc.add(prior, gc.square(gc.sub(norm, 1.0)))
-        latent_terms.append(prior)
+    Gradients are computed eagerly, here: each instance runs its forward and
+    backward on a worker thread (one per usable CPU, up to the batch size; a
+    single worker is the calling thread), on private leaves over the same
+    arrays. The returned node's parents are the caller's leaves, and its vjp
+    hands each leaf its gradient summed over the instances in batch order, so
+    ``gc.backward(loss)`` fills every ``.grad`` the same way whatever the
+    worker count. Values and breakdown floats sum the instances' terms in
+    batch order. An error in any instance is raised here, before any caller
+    leaf's ``.grad`` changes.
+    """
+    if not batch:
+        raise ValueError("total_loss needs at least one instance, got an empty batch")
+    lams = {"latent": lam_latent, "depth": lam_depth, "seg": lam_seg, "kp": lam_kp}
+    img_count = sum(inst.sample.target_rgb.size for inst in batch)
+    scales = {name: 1.0 / len(batch) for name in lams}
+    scales["image"] = 1.0 / img_count
 
-    def mean_of(terms):
-        if not terms:
-            return Tensor(np.float64(0.0))
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = gc.add(acc, t)
-        return gc.mul(acc, 1.0 / len(terms))
+    terms: dict[str, list[Tensor]] = {}
+    sums: dict[int, tuple[Tensor, np.ndarray]] = {}  # id(leaf) -> (leaf, running sum)
 
-    l_img = gc.mul(img_sse, 1.0 / img_count)
-    l_seg = mean_of(seg_terms)
-    l_depth = mean_of(depth_terms)
-    l_kp = mean_of(kp_terms)
-    l_latent = mean_of(latent_terms)
+    def take(share: _InstanceShare) -> None:
+        for name, value in share.terms.items():
+            terms.setdefault(name, []).append(Tensor(value))
+        for leaf, grad in share.grads:
+            if id(leaf) in sums:
+                acc = sums[id(leaf)][1]
+                acc += grad
+            else:
+                sums[id(leaf)] = (leaf, grad)
 
-    total = gc.add(l_img, gc.mul(l_latent, lam_latent))
-    if lam_depth > 0:
-        total = gc.add(total, gc.mul(l_depth, lam_depth))
-    if lam_seg > 0:
-        total = gc.add(total, gc.mul(l_seg, lam_seg))
-    if lam_kp > 0:
-        total = gc.add(total, gc.mul(l_kp, lam_kp))
+    def run(inst: InstanceBatch) -> _InstanceShare:
+        return _instance_share(inst, weights, lams, scales)
 
+    workers = min(len(batch), _usable_cpus())
+    if workers == 1:
+        for inst in batch:
+            take(run(inst))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # One context copy per task: a context runs in one thread at a time.
+            futures = [pool.submit(contextvars.copy_context().run, run, inst)
+                       for inst in batch]
+            for future in futures:
+                take(future.result())
+
+    means = {name: _scaled_sum(terms[name], scales[name]) if name in terms
+             else Tensor(np.float64(0.0)) for name in scales}
+    total = _weighted_total(means, lams)
     breakdown = LossBreakdown(
-        image=float(l_img.data), latent=float(l_latent.data),
-        depth=float(l_depth.data), seg=float(l_seg.data), kp=float(l_kp.data),
+        image=float(means["image"].data), latent=float(means["latent"].data),
+        depth=float(means["depth"].data), seg=float(means["seg"].data),
+        kp=float(means["kp"].data),
         lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent, lam_depth=lam_depth)
-    return total, breakdown
+    return gc.precomputed(total.data, list(sums.values())), breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +345,8 @@ def _check_counts(config, minimums: dict[str, int]) -> None:
 def train(manifest: DatasetManifest, config: TrainConfig,
           arch: ArchConfig | None = None, out_dir=None,
           log_fn=None) -> tuple[Checkpoint, list[LossBreakdown]]:
-    """Fit codes and weights jointly with Adam; deterministic for a seed.
+    """Fit codes and weights jointly with Adam; deterministic for a seed,
+    whatever the number of worker threads ``total_loss`` runs.
 
     Writes periodic checkpoints and a per-iteration CSV log when out_dir is
     given. Divergence (non-finite loss or gradient) aborts with a

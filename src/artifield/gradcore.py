@@ -2,9 +2,14 @@
 
 A Tensor is a node in a define-by-run graph: every operation records its
 parents and a closure that propagates the output gradient back to them.
-Graphs are rebuilt per minibatch. All arithmetic is float64 and
-single-threaded per graph, so repeated runs with identical inputs are
-bit-identical.
+Graphs are rebuilt per minibatch. All arithmetic is float64. One graph is
+built and backpropagated by one thread; graphs that share only leaves may
+run concurrently on several threads, provided each thread writes the
+``.grad`` of no leaf another thread's graph reaches (give each thread
+private leaf tensors over the same arrays). Repeated runs with identical
+inputs are bit-identical. ``no_grad`` holds per context: it switches off
+recording in the thread (or ``contextvars`` context) that enters it only.
+``set_finite_checks`` stays process-wide.
 
 ``backward`` releases the graph as it runs: once a node's vjp has been
 taken, the node drops its parents and its closure, so the activations the
@@ -43,6 +48,7 @@ unfused composition of primitive ops:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,7 +70,8 @@ class GraphError(RuntimeError):
 
 
 _node_counter = itertools.count()
-_grad_enabled = True
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled",
+                                                                     default=True)
 # "risky": validate only ops that can produce non-finite values from
 # ordinary-magnitude inputs (div, sqrt); "all": every op. Training loops
 # additionally validate the loss and Adam validates gradients, so divergence
@@ -74,14 +81,13 @@ _finite_mode = "risky"
 
 @contextmanager
 def no_grad():
-    """Disable graph construction inside the block (pure evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction inside the block (pure evaluation mode),
+    in the current context only: other threads keep recording."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def set_finite_checks(mode: str) -> None:
@@ -132,7 +138,7 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     if (_finite_mode == "all" or (risky and _finite_mode == "risky")) \
             and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values in node #{out.node_id} ({op})")
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
         out._parents = parents
@@ -216,6 +222,23 @@ def backward(output: Tensor) -> None:
         node._vjp, node._parents = None, ()
         if vjp is not None and node.grad is not None:
             vjp(node.grad)
+
+
+def precomputed(value, grads: Sequence[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """A one-element node whose gradient with respect to each tensor in
+    ``grads`` was computed elsewhere; those tensors are its parents.
+
+    Its vjp accumulates ``g * grad`` into each tensor, and ``grad`` itself
+    (not a copy) when g is 1, so give each tensor an array of its own.
+    """
+    parents = tuple(t for t, _ in grads)
+    arrays = [grad for _, grad in grads]
+
+    def vjp(g):
+        for t, grad in zip(parents, arrays):
+            _accum(t, grad if g == 1.0 else g * grad)
+
+    return _make(np.asarray(value, dtype=np.float64), "precomputed", parents, vjp)
 
 
 # ---------------------------------------------------------------------------

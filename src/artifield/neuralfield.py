@@ -199,6 +199,18 @@ class ModelWeights:
                    raymarcher=RaymarcherWeights(lstm, step_w, step_b),
                    rgb=rgb, seg=seg, keypoint=kp)
 
+    def map_tensors(self, fn) -> "ModelWeights":
+        """The same layout with ``fn(t)`` in place of every tensor ``t``."""
+        def layers(ls):
+            return [(fn(w), fn(b)) for w, b in ls]
+
+        rm = self.raymarcher
+        return ModelWeights(arch=self.arch, hyper=layers(self.hyper),
+                            raymarcher=RaymarcherWeights(LSTMParams(fn(rm.lstm.w), fn(rm.lstm.b)),
+                                                         fn(rm.step_w), fn(rm.step_b)),
+                            rgb=layers(self.rgb), seg=layers(self.seg),
+                            keypoint=layers(self.keypoint))
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """Fixed, documented order: serialization and Adam both rely on it."""
         out: list[tuple[str, Tensor]] = []

@@ -4,11 +4,14 @@ checkpoint round trips (tiny configs throughout)."""
 import hashlib
 import json
 import struct
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from artifield import autodecoder
 from artifield import gradcore as gc
 from artifield import worldgen as wg
 from artifield.autodecoder import (
@@ -57,12 +60,12 @@ def smoke_checkpoint(tmp_path_factory):
     return manifest, ckpt, history
 
 
-def _make_batch(manifest, weights, rng, z_art_free=False, seg=True):
-    """Two instances, 32 rays from each of their views, optionally without
-    segmentation targets."""
+def _make_batch(manifest, weights, rng, z_art_free=False, seg=True, count=2):
+    """``count`` instances, 32 rays from each of their views, optionally
+    without segmentation targets."""
     instances = load_training_set(manifest)
     batch = []
-    for inst in instances[:2]:
+    for inst in instances[:count]:
         sample = _sample_rays(inst.views, rng, 32, weights.arch.scene_radius)
         if not seg:
             sample.target_seg = None
@@ -143,6 +146,69 @@ def test_loss_missing_ground_truth_raises(tiny_dataset):
         total_loss(batch, weights, lam_seg=0.0, lam_kp=1.0, lam_latent=0.0, lam_depth=0.0)
 
 
+def test_loss_rejects_an_empty_batch():
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty batch"):
+        total_loss([], weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+
+
+def test_loss_workers_record_no_graph_under_no_grad(tiny_dataset, monkeypatch):
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    made = []  # (thread, recording) for every node an op makes
+    make = gc._make
+
+    def spy(*args, **kwargs):
+        made.append((threading.get_ident(), gc._grad_enabled.get()))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(gc, "_make", spy)
+    with gc.no_grad():
+        loss, _ = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
+                             lam_latent=1e-3, lam_depth=0.1)
+    assert {thread for thread, _ in made} - {threading.get_ident()}, "no worker thread ran"
+    assert not any(recording for _, recording in made)
+    assert not loss.requires_grad
+    assert all(t.grad is None for _, t in weights.named_parameters())
+
+
+def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_dataset,
+                                                                      monkeypatch):
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1), count=3)
+    lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+    own = [Tensor(batch[0].z_obj.data.copy(), requires_grad=True) for _ in batch]
+    for inst, z in zip(batch, own):
+        inst.z_obj = z
+    loss, _ = total_loss(batch, weights, **lams)
+    gc.backward(loss)
+    expected = own[0].grad.copy()
+    for z in own[1:]:
+        expected += z.grad
+
+    shared = Tensor(batch[0].z_obj.data.copy(), requires_grad=True)
+    for inst in batch:
+        inst.z_obj = shared
+    loss, _ = total_loss(batch, weights, **lams)
+    gc.backward(loss)
+    assert shared.grad.tobytes() == expected.tobytes()
+
+
+def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, monkeypatch):
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    batch[1].sample.target_seg = None
+    leaves = [t for _, t in weights.named_parameters()] + [inst.z_obj for inst in batch]
+    for t in leaves:
+        t.grad = np.full(t.data.shape, 7.0)
+    with pytest.raises(ValueError, match="segmentation"):
+        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+    assert all(np.all(t.grad == 7.0) for t in leaves)
+
+
 @pytest.mark.parametrize("rays_per_view", [40, 10**6], ids=["subset", "clamped"])
 def test_sample_rays_matches_view_by_view_reference(tiny_dataset, rays_per_view):
     """One pass over the views gives what sampling each view on its own and
@@ -216,6 +282,35 @@ def test_training_deterministic_loss_curves(tiny_dataset):
     c1 = np.array([b.total for b in h1])
     c2 = np.array([b.total for b in h2])
     assert c1.tobytes() == c2.tobytes()
+
+
+def test_training_bit_identical_across_worker_counts(tiny_dataset, monkeypatch):
+    """Batch 3, so 4 workers means 3 threads; a short switch interval makes
+    the threads interleave often."""
+    tc = TrainConfig(iterations=6, rays_per_view=32, batch_instances=3,
+                     views_per_instance=2, seed=4)
+    share = autodecoder._instance_share
+    results = []
+    for workers in (1, 2, 4):
+        threads = set()
+
+        def traced_share(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return share(*args, **kwargs)
+
+        monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(autodecoder, "_instance_share", traced_share)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ckpt, history = train(tiny_dataset, tc, arch=TINY)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (threads == {threading.get_ident()}) == (workers == 1)
+        blobs = [t.data.tobytes() for _, t in ckpt.weights.named_parameters()]
+        blobs += [ckpt.codes.tobytes(), np.array([h.total for h in history]).tobytes()]
+        results.append(hashlib.sha256(b"".join(blobs)).hexdigest())
+    assert results[0] == results[1] == results[2]
 
 
 def test_training_writes_log_and_checkpoint(tiny_dataset, tmp_path):
@@ -323,17 +418,27 @@ def _graph_nodes(output) -> int:
     return len(seen)
 
 
-def test_graph_nodes_per_march_step(tiny_dataset):
+def test_graph_nodes_per_march_step(tiny_dataset, monkeypatch):
     """A march step is a field query (one fused mlp node), the LSTM cell's two
     nodes and five for the position and step arithmetic. Un-fusing the field
-    MLP adds 4 nodes a step, un-fusing the cell 12."""
+    MLP adds 4 nodes a step, un-fusing the cell 12. Counted over the
+    instance graphs that ``total_loss`` backpropagates."""
+    backward = gc.backward
+    graphs = []
+
+    def counted(output):
+        graphs.append(_graph_nodes(output))
+        backward(output)
+
+    monkeypatch.setattr(gc, "backward", counted)
     sizes = []
     for n_march in (4, 6):
         weights = ModelWeights.init(replace(TINY, n_march=n_march), np.random.default_rng(0))
         batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-        loss, _ = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
-                             lam_latent=1e-3, lam_depth=0.1)
-        sizes.append(_graph_nodes(loss))
+        graphs.clear()
+        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+        assert len(graphs) == len(batch)
+        sizes.append(sum(graphs))
     assert (sizes[1] - sizes[0]) / (2 * len(batch)) <= 8
 
 

@@ -1,6 +1,8 @@
 """Autodiff core: forward values vs hand-rolled oracles, gradients vs
 central finite differences, determinism, Adam behaviour."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -514,6 +516,51 @@ def test_fused_ops_record_no_graph_under_no_grad():
     for t in (v, h, c):
         assert not t.requires_grad
         assert t._parents == () and t._vjp is None
+
+
+def test_no_grad_in_another_thread_leaves_recording_on_here():
+    """Two threads nest no_grad so that the first leaves before the second:
+    with one process-wide flag the second's exit restored False for good."""
+    x = Tensor(np.ones(2), requires_grad=True)
+    steps = [threading.Event() for _ in range(4)]
+
+    def hold(enter, leave, done):
+        with gc.no_grad():
+            steps[enter].set()
+            assert steps[leave].wait(5)
+        steps[done].set()
+
+    a = threading.Thread(target=hold, args=(0, 1, 2))
+    b = threading.Thread(target=hold, args=(3, 2, 2))
+    a.start()
+    try:
+        assert steps[0].wait(5)
+        b.start()
+        assert steps[3].wait(5)
+        assert square(x).requires_grad  # both threads inside no_grad
+    finally:
+        steps[1].set()  # a leaves first, then b
+        a.join(5)
+        if b.is_alive():
+            b.join(5)
+    assert not a.is_alive() and not b.is_alive()
+    assert square(x).requires_grad
+    with gc.no_grad():
+        assert not square(x).requires_grad
+
+
+def test_precomputed_hands_scaled_gradients_to_its_parents():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([[3.0]]), requires_grad=True)
+    ga, gb = np.array([0.5, -1.0]), np.array([[4.0]])
+    node = gc.precomputed(7.0, [(a, ga), (b, gb)])
+    assert node.data == 7.0 and node._parents == (a, b)
+    backward(node)
+    assert a.grad is ga and b.grad is gb  # g == 1 hands the arrays over
+    a.grad = b.grad = None
+    backward(mul(gc.precomputed(7.0, [(a, ga), (b, gb)]), 3.0))
+    assert np.array_equal(a.grad, 3.0 * ga) and np.array_equal(b.grad, 3.0 * gb)
+    assert not gc.precomputed(7.0, []).requires_grad
 
 
 def test_fused_ops_finite_check_sees_inner_overflow():
