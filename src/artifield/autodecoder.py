@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextvars
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -114,24 +115,6 @@ class _InstanceShare:
     grads: list[tuple[Tensor, np.ndarray]]  # (caller's leaf, d share / d leaf)
 
 
-def _scaled_sum(terms: list[Tensor], scale: float) -> Tensor:
-    """(((t0 + t1) + t2) + ...) * scale."""
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = gc.add(acc, t)
-    return gc.mul(acc, scale)
-
-
-def _weighted_total(means: dict[str, Tensor], lams: dict[str, float]) -> Tensor:
-    """image + latent * lam_latent, then + term * lam for depth, seg and kp in
-    that order, each only when its weight is positive."""
-    total = gc.add(means["image"], gc.mul(means["latent"], lams["latent"]))
-    for name in ("depth", "seg", "kp"):
-        if lams[name] > 0:
-            total = gc.add(total, gc.mul(means[name], lams[name]))
-    return total
-
-
 def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, float],
                     scales: dict[str, float]) -> _InstanceShare:
     """Forward and backward of one instance's share of the total.
@@ -177,8 +160,13 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
         prior = gc.add(prior, gc.square(gc.sub(norm, 1.0)))
     terms["latent"] = prior
 
-    share = _weighted_total({name: _scaled_sum([t], scales[name]) for name, t in terms.items()},
-                            lams)
+    # image + latent * lam_latent, then + term * lam for depth, seg and kp in
+    # that order, each term first scaled by its batch mean's factor.
+    scaled = {name: gc.mul(t, scales[name]) for name, t in terms.items()}
+    share = gc.add(scaled["image"], gc.mul(scaled["latent"], lams["latent"]))
+    for name in ("depth", "seg", "kp"):
+        if lams[name] > 0:
+            share = gc.add(share, gc.mul(scaled[name], lams[name]))
     if share.requires_grad:
         gc.backward(share)
     return _InstanceShare(terms={name: t.data for name, t in terms.items()},
@@ -195,19 +183,19 @@ def _usable_cpus() -> int:
 
 def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
                lam_seg: float, lam_kp: float, lam_latent: float, lam_depth: float
-               ) -> tuple[Tensor, LossBreakdown]:
-    """Weighted training objective over a minibatch; returns the scalar graph
-    node and a float breakdown satisfying the composition identity.
+               ) -> LossBreakdown:
+    """Weighted training objective over a minibatch: returns its float
+    breakdown, which satisfies the composition identity, and accumulates the
+    gradient of ``breakdown.total`` into the ``.grad`` of every leaf that
+    requires grad, as ``gc.backward`` would. Callers zero the grads first.
 
-    Gradients are computed eagerly, here: each instance runs its forward and
-    backward on a worker thread (one per usable CPU, up to the batch size; a
-    single worker is the calling thread), on private leaves over the same
-    arrays. The returned node's parents are the caller's leaves, and its vjp
-    hands each leaf its gradient summed over the instances in batch order, so
-    ``gc.backward(loss)`` fills every ``.grad`` the same way whatever the
-    worker count. Values and breakdown floats sum the instances' terms in
-    batch order. An error in any instance is raised here, before any caller
-    leaf's ``.grad`` changes.
+    Each instance runs its forward and backward on a worker thread (one per
+    usable CPU, up to the batch size; a single worker is the calling thread),
+    on private leaves over the same arrays. Once every instance has
+    succeeded, each caller leaf gets its gradient summed over the instances
+    in batch order, so ``.grad`` is the same whatever the worker count. The
+    breakdown sums the instances' terms in batch order. An error in any
+    instance is raised here, before any caller leaf's ``.grad`` changes.
     """
     if not batch:
         raise ValueError("total_loss needs at least one instance, got an empty batch")
@@ -216,12 +204,12 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     scales = {name: 1.0 / len(batch) for name in lams}
     scales["image"] = 1.0 / img_count
 
-    terms: dict[str, list[Tensor]] = {}
+    terms: dict[str, list[np.ndarray]] = {}
     sums: dict[int, tuple[Tensor, np.ndarray]] = {}  # id(leaf) -> (leaf, running sum)
 
     def take(share: _InstanceShare) -> None:
         for name, value in share.terms.items():
-            terms.setdefault(name, []).append(Tensor(value))
+            terms.setdefault(name, []).append(value)
         for leaf, grad in share.grads:
             if id(leaf) in sums:
                 acc = sums[id(leaf)][1]
@@ -244,15 +232,13 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
             for future in futures:
                 take(future.result())
 
-    means = {name: _scaled_sum(terms[name], scales[name]) if name in terms
-             else Tensor(np.float64(0.0)) for name in scales}
-    total = _weighted_total(means, lams)
-    breakdown = LossBreakdown(
-        image=float(means["image"].data), latent=float(means["latent"].data),
-        depth=float(means["depth"].data), seg=float(means["seg"].data),
-        kp=float(means["kp"].data),
-        lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent, lam_depth=lam_depth)
-    return gc.precomputed(total.data, list(sums.values())), breakdown
+    for leaf, grad in sums.values():
+        gc._accum(leaf, grad)
+    # Each mean is (((t0 + t1) + t2) + ...) * scale over the instances' terms.
+    means = {name: float(functools.reduce(np.add, terms[name]) * scales[name])
+             if name in terms else 0.0 for name in scales}
+    return LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent,
+                         lam_depth=lam_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +332,8 @@ def train(manifest: DatasetManifest, config: TrainConfig,
           arch: ArchConfig | None = None, out_dir=None,
           log_fn=None) -> tuple[Checkpoint, list[LossBreakdown]]:
     """Fit codes and weights jointly with Adam; deterministic for a seed,
-    whatever the number of worker threads ``total_loss`` runs.
+    whatever the number of worker threads ``total_loss`` runs. Each iteration
+    zeroes the grads, lets ``total_loss`` fill them and takes one Adam step.
 
     Writes periodic checkpoints and a per-iteration CSV log when out_dir is
     given. Divergence (non-finite loss or gradient) aborts with a
@@ -410,14 +397,12 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                                            sample=sample,
                                            target_keypoints=inst.keypoints))
             try:
-                loss, breakdown = total_loss(batch, weights, config.lam_seg,
-                                             config.lam_kp, config.lam_latent,
-                                             config.lam_depth)
-                if not np.isfinite(breakdown.total):
-                    raise NonFiniteError("total loss is not finite")
                 opt_w.zero_grad()
                 opt_z.zero_grad()
-                gc.backward(loss)
+                breakdown = total_loss(batch, weights, config.lam_seg, config.lam_kp,
+                                       config.lam_latent, config.lam_depth)
+                if not np.isfinite(breakdown.total):
+                    raise NonFiniteError("total loss is not finite")
                 opt_w.step()
                 opt_z.step()
             except NonFiniteError as err:
@@ -487,47 +472,39 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     segmentation and keypoint weights are fixed at zero here. The object part
     starts at the mean trained code and the articulation part at mid-range;
     extra entries in q_inits run independent restarts, keeping the fit with
-    the lowest final loss.
+    the lowest final loss. The checkpoint is left untouched: the march reads
+    its weight arrays through leaves that need no grad, so its tensors keep
+    their ``requires_grad`` and ``.grad`` throughout, and several threads may
+    infer on one checkpoint at once.
     """
     _check_counts(config, {"iterations": 0, "rays_per_view": 1})
     if not views:
         raise ValueError("need at least one posed view")
     if not config.q_inits:
         raise ValueError("need at least one articulation start in q_inits")
-    weights = checkpoint.weights
+    weights = checkpoint.weights.map_tensors(lambda t: Tensor(t.data))
     arch = checkpoint.arch
-    frozen = [t for _, t in weights.named_parameters()]
-    saved_flags = [t.requires_grad for t in frozen]
-    for t in frozen:
-        t.requires_grad = False
-
     best: InferResult | None = None
-    try:
-        for start_i, q0 in enumerate(config.q_inits):
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
-            z_art = Tensor(articulation_to_code(q0), requires_grad=True)
-            z_obj = Tensor(checkpoint.mean_object_code().copy(), requires_grad=True)
-            opt = Adam([("z_art", z_art), ("z_obj", z_obj)], lr=config.lr)
-            history = []
-            for _ in range(config.iterations):
-                sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
-                inst = InstanceBatch(z_art=z_art, z_obj=z_obj, sample=sample, z_art_free=True)
-                loss, breakdown = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
-                                             lam_latent=config.lam_latent,
-                                             lam_depth=0.0)
-                opt.zero_grad()
-                gc.backward(loss)
-                opt.step()
-                history.append(breakdown.image)
-            final = _full_frame_image_loss(weights, z_art.data, z_obj.data, views)
-            result = InferResult(code=LatentCode(z_art.data.copy(), z_obj.data.copy()),
-                                 final_image_loss=final,
-                                 iterations=config.iterations, history=history)
-            if best is None or result.final_image_loss < best.final_image_loss:
-                best = result
-    finally:
-        for t, f in zip(frozen, saved_flags):
-            t.requires_grad = f
+    for start_i, q0 in enumerate(config.q_inits):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
+        z_art = Tensor(articulation_to_code(q0), requires_grad=True)
+        z_obj = Tensor(checkpoint.mean_object_code().copy(), requires_grad=True)
+        opt = Adam([("z_art", z_art), ("z_obj", z_obj)], lr=config.lr)
+        history = []
+        for _ in range(config.iterations):
+            sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
+            inst = InstanceBatch(z_art=z_art, z_obj=z_obj, sample=sample, z_art_free=True)
+            opt.zero_grad()
+            breakdown = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
+                                   lam_latent=config.lam_latent, lam_depth=0.0)
+            opt.step()
+            history.append(breakdown.image)
+        final = _full_frame_image_loss(weights, z_art.data, z_obj.data, views)
+        result = InferResult(code=LatentCode(z_art.data.copy(), z_obj.data.copy()),
+                             final_image_loss=final,
+                             iterations=config.iterations, history=history)
+        if best is None or result.final_image_loss < best.final_image_loss:
+            best = result
     return best
 
 

@@ -224,23 +224,6 @@ def backward(output: Tensor) -> None:
             vjp(node.grad)
 
 
-def precomputed(value, grads: Sequence[tuple[Tensor, np.ndarray]]) -> Tensor:
-    """A one-element node whose gradient with respect to each tensor in
-    ``grads`` was computed elsewhere; those tensors are its parents.
-
-    Its vjp accumulates ``g * grad`` into each tensor, and ``grad`` itself
-    (not a copy) when g is 1, so give each tensor an array of its own.
-    """
-    parents = tuple(t for t, _ in grads)
-    arrays = [grad for _, grad in grads]
-
-    def vjp(g):
-        for t, grad in zip(parents, arrays):
-            _accum(t, grad if g == 1.0 else g * grad)
-
-    return _make(np.asarray(value, dtype=np.float64), "precomputed", parents, vjp)
-
-
 # ---------------------------------------------------------------------------
 # elementwise and reduction ops
 

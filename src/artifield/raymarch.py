@@ -3,13 +3,13 @@
 A render is a pure function of (latent code, weights, E, K, H, W). Each ray
 starts at its near bound and takes n_march learned steps; the step length is
 softplus(linear(h_t)) of the recurrent state, so marching is strictly
-monotone in depth and d_final >= d_near by construction. The march result
-keeps the depth after every step; the depth regularizer reads only d_final,
-the depth after the last step. Rays are processed in scanline order and one
-graph covers a whole ray batch, which keeps gradient accumulation
-deterministic. A full frame (``render_frame``) is marched once per chunk of
-rays, and the RGB and segmentation heads both decode that march's landing
-features; ``render_image`` and ``render_segmentation`` are views of it.
+monotone in depth and d_final >= d_near by construction. The depth
+regularizer reads d_final, the depth after the last step. Rays are
+processed in scanline order and one graph covers a whole ray batch, which
+keeps gradient accumulation deterministic. A full frame (``render_frame``)
+is marched once per chunk of rays, and the RGB and segmentation heads both
+decode that march's landing features; ``render_image`` and
+``render_segmentation`` are views of it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class RayBatch:
 
 @dataclass
 class MarchResult:
-    """Where each ray landed: surface point, final features, depths."""
+    """Where each ray landed: surface point, final features, final depth."""
 
     x_surface: Tensor          # (R, 3)
     v_final: Tensor            # (R, n)
     d_final: Tensor            # (R, 1)
-    step_depths: list[Tensor]  # (R, 1) after each step; the last is d_final
 
 
 def march_bounds(origin: np.ndarray, scene_radius: float) -> tuple[float, float]:
@@ -86,18 +85,15 @@ def march(theta: Tensor, rm: RaymarcherWeights, rays: RayBatch,
     dirs = Tensor(rays.dirs)
     d = Tensor(rays.d_near.copy())
     state = gc.lstm_zero_state(r, arch.lstm_hidden)
-    step_depths: list[Tensor] = []
     for _ in range(arch.n_march):
         x = gc.add(origins, gc.mul(d, dirs))
         v = field_eval_layers(field_layers, x)
         state, h = gc.lstm_step(rm.lstm, state, v)
         delta = gc.softplus(gc.affine(h, rm.step_w, rm.step_b))
         d = gc.add(d, delta)
-        step_depths.append(d)
     x_final = gc.add(origins, gc.mul(d, dirs))
     v_final = field_eval_layers(field_layers, x_final)
-    return MarchResult(x_surface=x_final, v_final=v_final, d_final=d,
-                       step_depths=step_depths)
+    return MarchResult(x_surface=x_final, v_final=v_final, d_final=d)
 
 
 def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,

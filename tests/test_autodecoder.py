@@ -33,6 +33,8 @@ from artifield.gradcore import Adam, Tensor
 from artifield.neuralfield import ArchConfig, LatentCode, ModelWeights, articulation_to_code
 from artifield.raymarch import pixel_rays, render_image
 
+from test_gradcore import max_rel_err
+
 TINY = ArchConfig(k_obj=4, feature_dim=8, field_hidden=12, hyper_hidden=16,
                   rgb_hidden=8, seg_hidden=8, kp_hidden=8, lstm_hidden=4, n_march=4)
 
@@ -83,8 +85,8 @@ def _make_batch(manifest, weights, rng, z_art_free=False, seg=True, count=2):
 def test_loss_composition_identity(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    _, bd = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
-                       lam_latent=1e-3, lam_depth=0.1)
+    bd = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
+                    lam_latent=1e-3, lam_depth=0.1)
     expected = (bd.image + bd.lam_latent * bd.latent + bd.lam_depth * bd.depth
                 + bd.lam_seg * bd.seg + bd.lam_kp * bd.kp)
     assert bd.total == expected
@@ -102,8 +104,8 @@ def test_loss_zero_when_prediction_equals_target(tiny_dataset):
         theta = hyper_map(weights.hyper, code_features_t(inst.z_art, inst.z_obj))
         rgb, _, _ = render_rays(weights, theta, inst.sample.rays, want_seg=False)
         inst.sample.target_rgb = rgb.data.copy()
-    _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                       lam_latent=0.0, lam_depth=0.0)
+    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                    lam_latent=0.0, lam_depth=0.0)
     assert bd.image == 0.0
     assert bd.total == 0.0
 
@@ -113,13 +115,13 @@ def test_loss_inference_weights_reduce_to_srn_terms(tiny_dataset):
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(5), seg=False)
     for inst in batch:  # every ray overshoots, so the depth term is positive
         inst.sample.rays.d_far = inst.sample.rays.d_near.copy()
-    _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                       lam_latent=1e-3, lam_depth=0.1)
+    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                    lam_latent=1e-3, lam_depth=0.1)
     assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth > 0.0
     assert bd.total == bd.image + 1e-3 * bd.latent + 0.1 * bd.depth
     # Inference's weights: a zero-weight term is not built, as for seg and kp.
-    _, bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                       lam_latent=1e-3, lam_depth=0.0)
+    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                    lam_latent=1e-3, lam_depth=0.0)
     assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth == 0.0
     assert bd.total == bd.image + 1e-3 * bd.latent
 
@@ -130,8 +132,8 @@ def test_loss_uniform_logits_cross_entropy(tiny_dataset):
         wt.data[:] = 0.0
         bt.data[:] = 0.0
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(7))
-    _, bd = total_loss(batch, weights, lam_seg=1.0, lam_kp=0.0,
-                       lam_latent=0.0, lam_depth=0.0)
+    bd = total_loss(batch, weights, lam_seg=1.0, lam_kp=0.0,
+                    lam_latent=0.0, lam_depth=0.0)
     assert abs(bd.seg - np.log(4.0)) < 1e-12
 
 
@@ -165,11 +167,9 @@ def test_loss_workers_record_no_graph_under_no_grad(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(gc, "_make", spy)
     with gc.no_grad():
-        loss, _ = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
-                             lam_latent=1e-3, lam_depth=0.1)
+        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
     assert {thread for thread, _ in made} - {threading.get_ident()}, "no worker thread ran"
     assert not any(recording for _, recording in made)
-    assert not loss.requires_grad
     assert all(t.grad is None for _, t in weights.named_parameters())
 
 
@@ -182,8 +182,7 @@ def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_datas
     own = [Tensor(batch[0].z_obj.data.copy(), requires_grad=True) for _ in batch]
     for inst, z in zip(batch, own):
         inst.z_obj = z
-    loss, _ = total_loss(batch, weights, **lams)
-    gc.backward(loss)
+    total_loss(batch, weights, **lams)
     expected = own[0].grad.copy()
     for z in own[1:]:
         expected += z.grad
@@ -191,8 +190,7 @@ def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_datas
     shared = Tensor(batch[0].z_obj.data.copy(), requires_grad=True)
     for inst in batch:
         inst.z_obj = shared
-    loss, _ = total_loss(batch, weights, **lams)
-    gc.backward(loss)
+    total_loss(batch, weights, **lams)
     assert shared.grad.tobytes() == expected.tobytes()
 
 
@@ -207,6 +205,47 @@ def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, mo
     with pytest.raises(ValueError, match="segmentation"):
         total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
     assert all(np.all(t.grad == 7.0) for t in leaves)
+
+
+def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
+    """Two instances share one z_obj on two workers; the second also fits its
+    z_art, off the unit circle, and every one of its rays overshoots, so
+    every term reaches the checked leaves. The grads ``total_loss`` writes
+    match central differences of ``breakdown.total``."""
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    batch[1].z_obj = batch[0].z_obj
+    batch[1].z_art = Tensor(batch[1].z_art.data * 0.8, requires_grad=True)
+    batch[1].z_art_free = True
+    batch[1].sample.rays.d_far = batch[1].sample.rays.d_near.copy()
+    lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
+    params = dict(weights.named_parameters())
+    leaves = {"z_obj": batch[0].z_obj, "z_art": batch[1].z_art,
+              "raymarcher.step.b": params["raymarcher.step.b"],
+              "hyper.1.b": params["hyper.1.b"]}
+    bd = total_loss(batch, weights, **lams)
+    assert min(bd.image, bd.latent, bd.depth, bd.seg, bd.kp) > 0.0
+
+    def total_at(leaf, i, value):
+        saved = leaf.data.flat[i]
+        leaf.data.flat[i] = value
+        try:
+            with gc.no_grad():
+                return total_loss(batch, weights, **lams).total
+        finally:
+            leaf.data.flat[i] = saved
+
+    h = 1e-5
+    for name, leaf in leaves.items():
+        picks = np.random.default_rng(2).choice(leaf.data.size, size=min(3, leaf.data.size),
+                                                replace=False)
+        x0 = leaf.data.flat[picks]
+        fd = np.array([(total_at(leaf, i, x + h) - total_at(leaf, i, x - h)) / (2 * h)
+                       for i, x in zip(picks, x0)])
+        analytic = leaf.grad.flat[picks]
+        assert np.all(analytic != 0.0), name
+        assert max_rel_err(analytic, fd) < 1e-4, name
 
 
 @pytest.mark.parametrize("rays_per_view", [40, 10**6], ids=["subset", "clamped"])
@@ -390,6 +429,55 @@ def test_infer_leaves_weights_bit_identical(smoke_checkpoint):
     before = weight_hash()
     infer_latent(ckpt, inst.views, InferConfig(iterations=20, rays_per_view=48, seed=0))
     assert weight_hash() == before
+    assert all(t.requires_grad for _, t in ckpt.weights.named_parameters())
+
+
+def test_infer_never_touches_the_checkpoint_tensors(tiny_dataset, monkeypatch):
+    """Seen from inside every loss call of a two-restart run, the
+    checkpoint's weights still require grad and hold no gradient."""
+    ckpt = _dummy_checkpoint()
+    views = load_training_set(tiny_dataset)[0].views
+    seen = []
+    loss = autodecoder.total_loss
+
+    def spy(*args, **kwargs):
+        tensors = [t for _, t in ckpt.weights.named_parameters()]
+        seen.append((all(t.requires_grad for t in tensors),
+                     all(t.grad is None for t in tensors)))
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(autodecoder, "total_loss", spy)
+    infer_latent(ckpt, views, InferConfig(iterations=3, rays_per_view=16, q_inits=(0.2, 0.7)))
+    assert seen == [(True, True)] * 6
+    assert all(t.grad is None for _, t in ckpt.weights.named_parameters())
+
+
+def test_infer_on_one_checkpoint_from_two_threads(tiny_dataset):
+    """Two threads inferring on one checkpoint at once, switching often, get
+    the codes a serial run gets and leave every weight requiring grad."""
+    ckpt = _dummy_checkpoint()
+    views = load_training_set(tiny_dataset)[0].views
+    configs = [InferConfig(iterations=4, rays_per_view=16, seed=s) for s in (0, 1)]
+    serial = [infer_latent(ckpt, views, c).code for c in configs]
+    got = [None, None]
+
+    def run(i):
+        got[i] = infer_latent(ckpt, views, configs[i]).code
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for code, want in zip(got, serial):
+        assert code.z_art.tobytes() == want.z_art.tobytes()
+        assert code.z_obj.tobytes() == want.z_obj.tobytes()
     assert all(t.requires_grad for _, t in ckpt.weights.named_parameters())
 
 

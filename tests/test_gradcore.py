@@ -549,20 +549,6 @@ def test_no_grad_in_another_thread_leaves_recording_on_here():
         assert not square(x).requires_grad
 
 
-def test_precomputed_hands_scaled_gradients_to_its_parents():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([[3.0]]), requires_grad=True)
-    ga, gb = np.array([0.5, -1.0]), np.array([[4.0]])
-    node = gc.precomputed(7.0, [(a, ga), (b, gb)])
-    assert node.data == 7.0 and node._parents == (a, b)
-    backward(node)
-    assert a.grad is ga and b.grad is gb  # g == 1 hands the arrays over
-    a.grad = b.grad = None
-    backward(mul(gc.precomputed(7.0, [(a, ga), (b, gb)]), 3.0))
-    assert np.array_equal(a.grad, 3.0 * ga) and np.array_equal(b.grad, 3.0 * gb)
-    assert not gc.precomputed(7.0, []).requires_grad
-
-
 def test_fused_ops_finite_check_sees_inner_overflow():
     """The overflow sits in a pre-activation; tanh and sigmoid saturate it,
     so only the "all" check on the pre-activation can report it."""

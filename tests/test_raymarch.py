@@ -1,6 +1,8 @@
 """Ray generation round trips, march mechanics, and end-to-end render
 differentiability on tiny images."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,13 +164,16 @@ def test_march_deterministic_for_identical_rays():
 
 
 def test_march_depths_monotone():
+    """A k-step march is the first k steps of a longer one, so d_final for
+    k = 1..4 is the depth after each step; every step moves it forward."""
     w = tiny_weights(2)
     theta = Tensor(np.random.default_rng(3).normal(size=TINY.field_param_count) * 0.1)
-    result = march(theta, w.raymarcher, _ray_batch(4, seed=9), TINY)
-    prev = np.full((4, 1), 0.5)
-    for d in result.step_depths:
-        assert np.all(d.data > prev)
-        prev = d.data
+    rays = _ray_batch(4, seed=9)
+    prev = rays.d_near
+    for k in range(1, 5):
+        d = march(theta, w.raymarcher, rays, replace(TINY, n_march=k)).d_final.data
+        assert np.all(d > prev)
+        prev = d
 
 
 def test_march_gradient_wrt_raymarcher_params():
