@@ -111,38 +111,26 @@ class InstanceBatch:
 class _InstanceShare:
     """One instance's loss terms and the gradient of its share of the total."""
 
-    terms: dict[str, np.ndarray]            # term name -> unweighted value
-    grads: list[tuple[Tensor, np.ndarray]]  # (caller's leaf, d share / d leaf)
+    terms: dict[str, np.ndarray]       # term name -> unweighted value
+    grads: dict[Tensor, np.ndarray]    # leaf -> d share / d leaf
 
 
 def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, float],
                     scales: dict[str, float]) -> _InstanceShare:
     """Forward and backward of one instance's share of the total.
 
-    Each caller leaf that requires grad is replaced by a private leaf over the
-    same array, so threads never share a ``.grad``. The graph is the
-    one-instance ``total_loss`` graph with the batch's ``scales`` in its
-    means, so every term gets the upstream gradient it gets in a graph over
-    the whole batch.
+    The graph is the one-instance ``total_loss`` graph with the batch's
+    ``scales`` in its means, so every term gets the upstream gradient it gets
+    in a graph over the whole batch.
     """
-    pairs: list[tuple[Tensor, Tensor]] = []  # (caller's leaf, private leaf)
-
-    def private(t: Tensor) -> Tensor:
-        if not t.requires_grad:
-            return t  # no backward writes its .grad
-        mine = Tensor(t.data, requires_grad=True)
-        pairs.append((t, mine))
-        return mine
-
-    own = weights.map_tensors(private)
-    z_art, z_obj = private(inst.z_art), private(inst.z_obj)
+    z_art, z_obj = inst.z_art, inst.z_obj
     feats = code_features_t(z_art, z_obj)
-    theta = hyper_map(own.hyper, feats)
+    theta = hyper_map(weights.hyper, feats)
     want_seg = lams["seg"] > 0
     sample = inst.sample
     if want_seg and sample.target_seg is None:
         raise ValueError("segmentation loss requested but view has no ground truth")
-    rgb, logits, marchres = render_rays(own, theta, sample.rays, want_seg=want_seg)
+    rgb, logits, marchres = render_rays(weights, theta, sample.rays, want_seg=want_seg)
     terms = {"image": gc.tsum(gc.square(gc.sub(rgb, sample.target_rgb)))}
     if want_seg:
         terms["seg"] = gc.cross_entropy_logits(logits, sample.target_seg)
@@ -152,7 +140,7 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
     if lams["kp"] > 0:
         if inst.target_keypoints is None:
             raise ValueError("keypoint loss requested but instance has no ground truth")
-        pts = keypoint_head(own.keypoint, feats, weights.arch)
+        pts = keypoint_head(weights.keypoint, feats, weights.arch)
         terms["kp"] = gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints)))
     prior = gc.mul(gc.tsum(gc.square(z_obj)), 1.0 / weights.arch.k_obj)
     if inst.z_art_free:
@@ -167,11 +155,8 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
     for name in ("depth", "seg", "kp"):
         if lams[name] > 0:
             share = gc.add(share, gc.mul(scaled[name], lams[name]))
-    if share.requires_grad:
-        gc.backward(share)
     return _InstanceShare(terms={name: t.data for name, t in terms.items()},
-                          grads=[(real, mine.grad) for real, mine in pairs
-                                 if mine.grad is not None])
+                          grads=gc.backward(share) if share.requires_grad else {})
 
 
 def _usable_cpus() -> int:
@@ -183,19 +168,18 @@ def _usable_cpus() -> int:
 
 def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
                lam_seg: float, lam_kp: float, lam_latent: float, lam_depth: float
-               ) -> LossBreakdown:
+               ) -> tuple[LossBreakdown, dict[Tensor, np.ndarray]]:
     """Weighted training objective over a minibatch: returns its float
-    breakdown, which satisfies the composition identity, and accumulates the
-    gradient of ``breakdown.total`` into the ``.grad`` of every leaf that
-    requires grad, as ``gc.backward`` would. Callers zero the grads first.
+    breakdown, which satisfies the composition identity, and the gradient of
+    ``breakdown.total`` for every leaf that receives one, as the dict
+    ``gc.backward`` returns (empty under ``no_grad``).
 
     Each instance runs its forward and backward on a worker thread (one per
-    usable CPU, up to the batch size; a single worker is the calling thread),
-    on private leaves over the same arrays. Once every instance has
-    succeeded, each caller leaf gets its gradient summed over the instances
-    in batch order, so ``.grad`` is the same whatever the worker count. The
-    breakdown sums the instances' terms in batch order. An error in any
-    instance is raised here, before any caller leaf's ``.grad`` changes.
+    usable CPU, up to the batch size; a single worker is the calling thread)
+    over the caller's own leaves. Each leaf's gradient is summed over the
+    instances in batch order, and so is each term of the breakdown, so both
+    are the same whatever the worker count. An error in any instance is
+    raised here.
     """
     if not batch:
         raise ValueError("total_loss needs at least one instance, got an empty batch")
@@ -205,17 +189,13 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     scales["image"] = 1.0 / img_count
 
     terms: dict[str, list[np.ndarray]] = {}
-    sums: dict[int, tuple[Tensor, np.ndarray]] = {}  # id(leaf) -> (leaf, running sum)
+    grads: dict[Tensor, np.ndarray] = {}
 
     def take(share: _InstanceShare) -> None:
         for name, value in share.terms.items():
             terms.setdefault(name, []).append(value)
-        for leaf, grad in share.grads:
-            if id(leaf) in sums:
-                acc = sums[id(leaf)][1]
-                acc += grad
-            else:
-                sums[id(leaf)] = (leaf, grad)
+        for leaf, grad in share.grads.items():
+            gc._accum(grads, leaf, grad)
 
     def run(inst: InstanceBatch) -> _InstanceShare:
         return _instance_share(inst, weights, lams, scales)
@@ -232,13 +212,12 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
             for future in futures:
                 take(future.result())
 
-    for leaf, grad in sums.values():
-        gc._accum(leaf, grad)
     # Each mean is (((t0 + t1) + t2) + ...) * scale over the instances' terms.
     means = {name: float(functools.reduce(np.add, terms[name]) * scales[name])
              if name in terms else 0.0 for name in scales}
-    return LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent,
-                         lam_depth=lam_depth)
+    breakdown = LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp,
+                              lam_latent=lam_latent, lam_depth=lam_depth)
+    return breakdown, grads
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +312,8 @@ def train(manifest: DatasetManifest, config: TrainConfig,
           log_fn=None) -> tuple[Checkpoint, list[LossBreakdown]]:
     """Fit codes and weights jointly with Adam; deterministic for a seed,
     whatever the number of worker threads ``total_loss`` runs. Each iteration
-    zeroes the grads, lets ``total_loss`` fill them and takes one Adam step.
+    takes one Adam step on the gradient dict ``total_loss`` returns and then
+    drops the dict, so no gradient stays alive through the next forward pass.
 
     Writes periodic checkpoints and a per-iteration CSV log when out_dir is
     given. Divergence (non-finite loss or gradient) aborts with a
@@ -397,14 +377,13 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                                            sample=sample,
                                            target_keypoints=inst.keypoints))
             try:
-                opt_w.zero_grad()
-                opt_z.zero_grad()
-                breakdown = total_loss(batch, weights, config.lam_seg, config.lam_kp,
-                                       config.lam_latent, config.lam_depth)
+                breakdown, grads = total_loss(batch, weights, config.lam_seg, config.lam_kp,
+                                              config.lam_latent, config.lam_depth)
                 if not np.isfinite(breakdown.total):
                     raise NonFiniteError("total loss is not finite")
-                opt_w.step()
-                opt_z.step()
+                opt_w.step(grads)
+                opt_z.step(grads)
+                del grads
             except NonFiniteError as err:
                 raise TrainingDivergedError(
                     f"training diverged at iteration {it}: {err}",
@@ -474,8 +453,8 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     extra entries in q_inits run independent restarts, keeping the fit with
     the lowest final loss. The checkpoint is left untouched: the march reads
     its weight arrays through leaves that need no grad, so its tensors keep
-    their ``requires_grad`` and ``.grad`` throughout, and several threads may
-    infer on one checkpoint at once.
+    their ``requires_grad``, the vjps skip the weight products, and several
+    threads may infer on one checkpoint at once.
     """
     _check_counts(config, {"iterations": 0, "rays_per_view": 1})
     if not views:
@@ -494,10 +473,9 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
         for _ in range(config.iterations):
             sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
             inst = InstanceBatch(z_art=z_art, z_obj=z_obj, sample=sample, z_art_free=True)
-            opt.zero_grad()
-            breakdown = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
-                                   lam_latent=config.lam_latent, lam_depth=0.0)
-            opt.step()
+            breakdown, grads = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
+                                          lam_latent=config.lam_latent, lam_depth=0.0)
+            opt.step(grads)
             history.append(breakdown.image)
         final = _full_frame_image_loss(weights, z_art.data, z_obj.data, views)
         result = InferResult(code=LatentCode(z_art.data.copy(), z_obj.data.copy()),
@@ -563,8 +541,8 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
     Raises CheckpointError unless the header's tensor directory tiles the
     payload exactly as ``save_checkpoint`` writes it: non-negative integer
     shapes and offsets, each offset the running sum of the sizes before it,
-    ``total_values`` their sum, and every tensor the architecture needs
-    present once with its shape.
+    ``total_values`` their sum, every tensor the architecture needs
+    present once with its shape, and at least one object code.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -613,6 +591,8 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
         if by_name[name][0] != shape:
             raise CheckpointError(
                 f"{path.name}: tensor {name!r} has shape {by_name[name][0]}, expected {shape}")
+    if shapes["codes"][0] == 0:
+        raise CheckpointError(f"{path.name}: no object codes (inference starts from their mean)")
     running = 0
     for name, shape, offset in directory:
         if offset != running:

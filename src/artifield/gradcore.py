@@ -3,22 +3,20 @@
 A Tensor is a node in a define-by-run graph: every operation records its
 parents and a closure that propagates the output gradient back to them.
 Graphs are rebuilt per minibatch. All arithmetic is float64. One graph is
-built and backpropagated by one thread; graphs that share only leaves may
-run concurrently on several threads, provided each thread writes the
-``.grad`` of no leaf another thread's graph reaches (give each thread
-private leaf tensors over the same arrays). Repeated runs with identical
-inputs are bit-identical. ``no_grad`` holds per context: it switches off
-recording in the thread (or ``contextvars`` context) that enters it only.
-``set_finite_checks`` stays process-wide.
+built and backpropagated by one thread. ``backward`` returns the leaf
+gradients in a dict of its own and writes no leaf attribute, so graphs
+that share leaves may run on several threads at once. Repeated runs with
+identical inputs are bit-identical. ``no_grad`` holds per context: it
+switches off recording in the thread (or ``contextvars`` context) that
+enters it only. ``set_finite_checks`` stays process-wide.
 
 ``backward`` releases the graph as it runs: once a node's vjp has been
 taken, the node drops its parents and its closure, so the activations the
 closure captured are freed on the way toward the leaves and no graph
-outlives its ``backward``. Each node keeps ``data``, ``grad`` and
-``requires_grad``, so an intermediate a caller holds still shows its
-gradient. A second ``backward`` that reaches a released node, on the same
-output or on a new one built from released nodes, raises ``GraphError``;
-run the forward pass again instead.
+outlives its ``backward``. Each node keeps ``data`` and ``requires_grad``.
+A second ``backward`` that reaches a released node, on the same output or
+on a new one built from released nodes, raises ``GraphError``; run the
+forward pass again instead.
 
 Two fused ops replace chains of primitive nodes on the hot path:
 
@@ -103,26 +101,26 @@ def set_finite_checks(mode: str) -> None:
 class Tensor:
     """Dense float64 array plus the bookkeeping for reverse-mode autodiff.
 
-    ``data`` is a C-contiguous float64 ndarray; ``grad`` is filled lazily by
-    ``backward``. Leaf tensors created with ``requires_grad=True`` are the
-    trainable parameters; everything else is an operation node. A recorded
-    node (``op != "leaf"``) holds ``_parents`` and ``_vjp`` until
-    ``backward`` releases them; its ``data`` and ``grad`` stay readable.
+    ``data`` is a C-contiguous float64 ndarray. Leaf tensors created with
+    ``requires_grad=True`` are the trainable parameters; everything else is
+    an operation node. A recorded node (``op != "leaf"``) holds ``_parents``
+    and ``_vjp`` until ``backward`` releases them; its ``data`` stays
+    readable. Gradients live in the dict ``backward`` returns, keyed by the
+    tensor itself.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "node_id", "op", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node_id = next(_node_counter)
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], None] | None = None
+        self._vjp: Callable[[np.ndarray, dict], None] | None = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, id={self.node_id})"
@@ -133,7 +131,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          vjp: Callable[[np.ndarray], None], risky: bool = False) -> Tensor:
+          vjp: Callable[[np.ndarray, dict], None], risky: bool = False) -> Tensor:
     out = Tensor(data)
     if (_finite_mode == "all" or (risky and _finite_mode == "risky")) \
             and not np.all(np.isfinite(data)):
@@ -152,18 +150,19 @@ def _check_intermediate(data: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values in {what}")
 
 
-def _accum(t: Tensor, g) -> None:
-    """Accumulate a gradient contribution.
+def _accum(grads: dict[Tensor, np.ndarray], t: Tensor, g) -> None:
+    """Add a gradient contribution to ``grads[t]``.
 
     The first contribution is adopted without copying; vjp implementations
     must therefore never hand the same array object to two different parents
     (pass a copy to the second). Mutating an adopted buffer in place is safe
-    because a node's grad is complete before its vjp runs.
+    because a node's gradient is complete before its vjp runs.
     """
-    if t.grad is None:
-        t.grad = g if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+    acc = grads.get(t)
+    if acc is None:
+        grads[t] = g if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
     else:
-        t.grad += g
+        acc += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,14 +178,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def backward(output: Tensor) -> None:
-    """Accumulate gradients of the one-element ``output`` into every
-    reachable leaf's ``.grad``, seeding it with 1.
+def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
+    """Gradients of the one-element ``output``, seeded with 1, as a dict
+    from each reachable leaf that receives one to its gradient.
 
-    Traversal is a fixed topological order, so accumulation order (and hence
-    the bit pattern of every gradient) is deterministic. Each node's links
-    are released as its vjp runs (see the module docstring); reaching an
-    already released node raises ``GraphError``.
+    The sums live in a dict owned by this call; no tensor attribute but the
+    released links of the graph's own nodes is written. Traversal is a fixed
+    topological order, so accumulation order (and hence the bit pattern of
+    every gradient) is deterministic. Intermediate gradients are held until
+    the call returns. Each node's links are released as its vjp runs (see
+    the module docstring); reaching an already released node raises
+    ``GraphError``.
     """
     if not output.requires_grad:
         raise GraphError(
@@ -216,12 +218,16 @@ def backward(output: Tensor) -> None:
             if p.requires_grad and p.node_id not in visited:
                 stack.append((p, False))
 
-    output.grad = np.ones_like(output.data)
+    grads = {output: np.ones_like(output.data)}
     for node in reversed(topo):
         vjp = node._vjp
+        if vjp is None:
+            continue  # a leaf, possibly shared with other graphs: left as it is
         node._vjp, node._parents = None, ()
-        if vjp is not None and node.grad is not None:
-            vjp(node.grad)
+        g = grads.get(node)
+        if g is not None:
+            vjp(g, grads)
+    return {t: g for t, g in grads.items() if t.op == "leaf"}
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +238,12 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(grads, a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
-            _accum(b, gb.copy() if gb is g and a.requires_grad else gb)
+            _accum(grads, b, gb.copy() if gb is g and a.requires_grad else gb)
 
     return _make(out_data, "add", (a, b), vjp)
 
@@ -246,11 +252,11 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data - b.data
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(grads, a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))  # fresh array via negation
+            _accum(grads, b, _unbroadcast(-g, b.data.shape))  # fresh array via negation
 
     return _make(out_data, "sub", (a, b), vjp)
 
@@ -260,11 +266,11 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
     out_data = ad * bd
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * bd, ad.shape))
+            _accum(grads, a, _unbroadcast(g * bd, ad.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * ad, bd.shape))
+            _accum(grads, b, _unbroadcast(g * ad, bd.shape))
 
     return _make(out_data, "mul", (a, b), vjp)
 
@@ -274,11 +280,11 @@ def div(a, b) -> Tensor:
     ad, bd = a.data, b.data
     out_data = ad / bd
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g / bd, ad.shape))
+            _accum(grads, a, _unbroadcast(g / bd, ad.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
+            _accum(grads, b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
     return _make(out_data, "div", (a, b), vjp, risky=True)
 
@@ -287,9 +293,9 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * (1.0 - y * y))
+            _accum(grads, a, g * (1.0 - y * y))
 
     return _make(y, "tanh", (a,), vjp)
 
@@ -305,9 +311,9 @@ def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     y = _sigmoid_np(a.data)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * (y * (1.0 - y)))
+            _accum(grads, a, g * (y * (1.0 - y)))
 
     return _make(y, "sigmoid", (a,), vjp)
 
@@ -318,9 +324,9 @@ def softplus(a) -> Tensor:
     x = a.data
     y = np.logaddexp(0.0, x)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * _sigmoid_np(x))
+            _accum(grads, a, g * _sigmoid_np(x))
 
     return _make(y, "softplus", (a,), vjp)
 
@@ -330,9 +336,9 @@ def relu(a) -> Tensor:
     x = a.data
     y = np.maximum(x, 0.0)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * (x > 0.0))
+            _accum(grads, a, g * (x > 0.0))
 
     return _make(y, "relu", (a,), vjp)
 
@@ -341,9 +347,9 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     y = np.sqrt(a.data)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * 0.5 / y)
+            _accum(grads, a, g * 0.5 / y)
 
     return _make(y, "sqrt", (a,), vjp, risky=True)
 
@@ -352,9 +358,9 @@ def square(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g * 2.0 * x)
+            _accum(grads, a, g * 2.0 * x)
 
     return _make(x * x, "square", (a,), vjp)
 
@@ -364,9 +370,9 @@ def tsum(a) -> Tensor:
     in_shape = a.data.shape
     y = a.data.sum()
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, np.broadcast_to(g, in_shape).astype(np.float64))
+            _accum(grads, a, np.broadcast_to(g, in_shape).astype(np.float64))
 
     return _make(np.asarray(y, dtype=np.float64), "sum", (a,), vjp)
 
@@ -383,12 +389,12 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     widths = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + widths)
 
-    def vjp(g):
+    def vjp(g, grads):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
+                _accum(grads, t, g[tuple(idx)])
 
     return _make(y, "concat", tuple(ts), vjp)
 
@@ -405,11 +411,11 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     y = a.data[idx].copy()
     in_shape = a.data.shape
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
             full = np.zeros(in_shape, dtype=np.float64)
             full[idx] = g
-            _accum(a, full)
+            _accum(grads, a, full)
 
     return _make(y, "narrow", (a,), vjp)
 
@@ -419,9 +425,9 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     in_shape = a.data.shape
     y = a.data.reshape(shape)
 
-    def vjp(g):
+    def vjp(g, grads):
         if a.requires_grad:
-            _accum(a, g.reshape(in_shape))
+            _accum(grads, a, g.reshape(in_shape))
 
     return _make(y, "reshape", (a,), vjp)
 
@@ -442,13 +448,13 @@ def affine(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     out_data = _affine_data(xd, wd, b.data)
 
-    def vjp(g):
+    def vjp(g, grads):
         if x.requires_grad:
-            _accum(x, g @ wd.T)
+            _accum(grads, x, g @ wd.T)
         if w.requires_grad:
-            _accum(w, xd.T @ g)
+            _accum(grads, w, xd.T @ g)
         if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(grads, b, g.sum(axis=0))
 
     return _make(out_data, "affine", (x, w, b), vjp)
 
@@ -476,7 +482,7 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
                      or w.requires_grad or b.requires_grad)
     weights = [w.data for w, _ in params]
 
-    def vjp(g):
+    def vjp(g, grads):
         for l in range(last, -1, -1):
             w, b = params[l]
             a = acts[l]
@@ -484,13 +490,13 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
             if wants_in:
                 g_in = g @ weights[l].T
             if w.requires_grad:
-                _accum(w, a.T @ g)
+                _accum(grads, w, a.T @ g)
             if b.requires_grad:
-                _accum(b, g.sum(axis=0))
+                _accum(grads, b, g.sum(axis=0))
             if not wants_in:
                 return
             if l == 0:
-                _accum(x, g_in)
+                _accum(grads, x, g_in)
             else:
                 g = g_in * (1.0 - a * a)
 
@@ -517,11 +523,11 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     rows = np.arange(x.shape[0])
     loss = -logp[rows, labels].mean()
 
-    def vjp(g):
+    def vjp(g, grads):
         if lg.requires_grad:
             soft = np.exp(logp)
             soft[rows, labels] -= 1.0
-            _accum(lg, (float(g) / x.shape[0]) * soft)
+            _accum(grads, lg, (float(g) / x.shape[0]) * soft)
 
     return _make(np.float64(loss), "cross_entropy", (lg,), vjp)
 
@@ -586,10 +592,10 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
     z_wants = x.requires_grad or h.requires_grad or w.requires_grad or b.requires_grad
     handoff: list[np.ndarray] = []  # o-gate pre-activation grad, from h' to c'
 
-    def cell_vjp(dc):
+    def cell_vjp(dc, grads):
         go = handoff.pop() if handoff else None
         if c.requires_grad:
-            _accum(c, dc * f)
+            _accum(grads, c, dc * f)
         if not z_wants:
             return
         # Zero fill plus += reproduces the unfused narrow vjps' zero padding.
@@ -603,21 +609,21 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
             dxh = dz @ wd.T
             in_dim = x.data.shape[1]
             if x.requires_grad:
-                _accum(x, dxh[:, :in_dim])
+                _accum(grads, x, dxh[:, :in_dim])
             if h.requires_grad:
-                _accum(h, dxh[:, in_dim:])
+                _accum(grads, h, dxh[:, in_dim:])
         if w.requires_grad:
             xh = np.concatenate([x.data, h.data], axis=1)  # rebuilt, not kept
-            _accum(w, xh.T @ dz)
+            _accum(grads, w, xh.T @ dz)
         if b.requires_grad:
-            _accum(b, dz.sum(axis=0))
+            _accum(grads, b, dz.sum(axis=0))
 
     c_node = _make(c2, "lstm_cell", (x, c, h, w, b), cell_vjp)
 
-    def hidden_vjp(dh):
+    def hidden_vjp(dh, grads):
         if z_wants:
             handoff.append((dh * tc) * (o * (1.0 - o)))
-        _accum(c_node, (dh * o) * (1.0 - tc * tc))
+        _accum(grads, c_node, (dh * o) * (1.0 - tc * tc))
 
     h_node = _make(o * tc, "lstm_hidden", (c_node,), hidden_vjp)
     return (h_node, c_node), h_node
@@ -678,19 +684,17 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray) -> Tensor:
 class Adam:
     """Adam over a fixed, ordered set of named parameters.
 
-    Parameters whose ``.grad`` is None after backward are skipped entirely
-    (their moments do not decay), matching sparse auto-decoder updates.
+    ``step`` takes the gradient dict ``backward`` returns; parameters absent
+    from it are skipped entirely (their moments do not decay), matching
+    sparse auto-decoder updates.
     """
 
     def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
         self.params = list(named_params)
         self.states = {name: AdamState(lr=lr) for name, _ in self.params}
 
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         for name, p in self.params:
-            if p.grad is not None:
-                adam_step(self.states[name], p, p.grad)
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
+            g = grads.get(p)
+            if g is not None:
+                adam_step(self.states[name], p, g)

@@ -28,6 +28,9 @@ from .worldgen import SceneModel, keypoints_analytic
 
 TOL_CONSTRAINT = 1e-4       # meters; every pin residual must be below it
 MAX_ITERATIONS_PER_STEP = 4  # active-set iteration cap per position on an axis
+# Grasp error and path deviation must each stay below this share of the
+# object's body diagonal for a plan to pass ``validate``.
+VALIDATE_DIAGONAL_SHARE = 0.05
 
 
 class InfeasibleProblemError(ValueError):
@@ -231,18 +234,14 @@ def solve(problem: TrajectoryProblem) -> RobotTrajectory:
                            task=problem.task)
 
 
-def validate(trajectory: RobotTrajectory, oracle: SceneModel,
-             threshold_grasp: float | None = None,
-             threshold_deviation: float | None = None) -> ValidationReport:
+def validate(trajectory: RobotTrajectory, oracle: SceneModel) -> ValidationReport:
     """Check the plan against the analytic object: the gripper must meet the
     true handle at the first interaction step (grasp) and stay on the true
-    handle arc throughout (path deviation)."""
+    handle arc throughout (path deviation), each within
+    ``VALIDATE_DIAGONAL_SHARE`` of the body diagonal."""
     if not trajectory.interaction:
         raise ValueError("trajectory has no interaction steps to validate")
-    if threshold_grasp is None:
-        threshold_grasp = 0.05 * oracle.diagonal
-    if threshold_deviation is None:
-        threshold_deviation = 0.05 * oracle.diagonal
+    threshold = VALIDATE_DIAGONAL_SHARE * oracle.diagonal
 
     per_step = []
     deviations = []
@@ -257,8 +256,7 @@ def validate(trajectory: RobotTrajectory, oracle: SceneModel,
     place_error = None
     if trajectory.task == "place":
         place_error = float(np.linalg.norm(trajectory.positions[-1] - oracle.goal))
-    passed = grasp_error < threshold_grasp and max_dev < threshold_deviation
+    passed = grasp_error < threshold and max_dev < threshold
     return ValidationReport(grasp_error=grasp_error, max_path_deviation=max_dev,
-                            threshold_grasp=threshold_grasp,
-                            threshold_deviation=threshold_deviation,
+                            threshold_grasp=threshold, threshold_deviation=threshold,
                             passed=passed, per_step=per_step, place_error=place_error)

@@ -569,9 +569,11 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def dataset_digest(manifest: DatasetManifest) -> str:
-    """SHA-256 over every file referenced by the manifest (order-stable)."""
+    """SHA-256 over every file referenced by the manifest (order-stable):
+    each instance's keypoints file and views, then each object's scene."""
     h = hashlib.sha256()
     for inst in manifest.instances:
+        h.update((manifest.root / inst["keypoints_file"]).read_bytes())
         for rec in inst["views"]:
             for key in ("image", "seg", "camera"):
                 h.update((manifest.root / rec[key]).read_bytes())

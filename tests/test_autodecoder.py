@@ -85,8 +85,8 @@ def _make_batch(manifest, weights, rng, z_art_free=False, seg=True, count=2):
 def test_loss_composition_identity(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    bd = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
-                    lam_latent=1e-3, lam_depth=0.1)
+    bd, _ = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0,
+                       lam_latent=1e-3, lam_depth=0.1)
     expected = (bd.image + bd.lam_latent * bd.latent + bd.lam_depth * bd.depth
                 + bd.lam_seg * bd.seg + bd.lam_kp * bd.kp)
     assert bd.total == expected
@@ -104,8 +104,8 @@ def test_loss_zero_when_prediction_equals_target(tiny_dataset):
         theta = hyper_map(weights.hyper, code_features_t(inst.z_art, inst.z_obj))
         rgb, _, _ = render_rays(weights, theta, inst.sample.rays, want_seg=False)
         inst.sample.target_rgb = rgb.data.copy()
-    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                    lam_latent=0.0, lam_depth=0.0)
+    bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                       lam_latent=0.0, lam_depth=0.0)
     assert bd.image == 0.0
     assert bd.total == 0.0
 
@@ -115,13 +115,13 @@ def test_loss_inference_weights_reduce_to_srn_terms(tiny_dataset):
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(5), seg=False)
     for inst in batch:  # every ray overshoots, so the depth term is positive
         inst.sample.rays.d_far = inst.sample.rays.d_near.copy()
-    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                    lam_latent=1e-3, lam_depth=0.1)
+    bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                       lam_latent=1e-3, lam_depth=0.1)
     assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth > 0.0
     assert bd.total == bd.image + 1e-3 * bd.latent + 0.1 * bd.depth
     # Inference's weights: a zero-weight term is not built, as for seg and kp.
-    bd = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
-                    lam_latent=1e-3, lam_depth=0.0)
+    bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
+                       lam_latent=1e-3, lam_depth=0.0)
     assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth == 0.0
     assert bd.total == bd.image + 1e-3 * bd.latent
 
@@ -132,8 +132,8 @@ def test_loss_uniform_logits_cross_entropy(tiny_dataset):
         wt.data[:] = 0.0
         bt.data[:] = 0.0
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(7))
-    bd = total_loss(batch, weights, lam_seg=1.0, lam_kp=0.0,
-                    lam_latent=0.0, lam_depth=0.0)
+    bd, _ = total_loss(batch, weights, lam_seg=1.0, lam_kp=0.0,
+                       lam_latent=0.0, lam_depth=0.0)
     assert abs(bd.seg - np.log(4.0)) < 1e-12
 
 
@@ -167,10 +167,11 @@ def test_loss_workers_record_no_graph_under_no_grad(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(gc, "_make", spy)
     with gc.no_grad():
-        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+        _, grads = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3,
+                              lam_depth=0.1)
     assert {thread for thread, _ in made} - {threading.get_ident()}, "no worker thread ran"
     assert not any(recording for _, recording in made)
-    assert all(t.grad is None for _, t in weights.named_parameters())
+    assert grads == {}
 
 
 def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_dataset,
@@ -182,35 +183,33 @@ def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_datas
     own = [Tensor(batch[0].z_obj.data.copy(), requires_grad=True) for _ in batch]
     for inst, z in zip(batch, own):
         inst.z_obj = z
-    total_loss(batch, weights, **lams)
-    expected = own[0].grad.copy()
+    _, grads = total_loss(batch, weights, **lams)
+    expected = grads[own[0]].copy()
     for z in own[1:]:
-        expected += z.grad
+        expected += grads[z]
 
     shared = Tensor(batch[0].z_obj.data.copy(), requires_grad=True)
     for inst in batch:
         inst.z_obj = shared
-    total_loss(batch, weights, **lams)
-    assert shared.grad.tobytes() == expected.tobytes()
+    _, grads = total_loss(batch, weights, **lams)
+    assert grads[shared].tobytes() == expected.tobytes()
 
 
 def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, monkeypatch):
+    """An error in one worker's instance is raised by ``total_loss``, which
+    then returns no gradients at all."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
     batch[1].sample.target_seg = None
-    leaves = [t for _, t in weights.named_parameters()] + [inst.z_obj for inst in batch]
-    for t in leaves:
-        t.grad = np.full(t.data.shape, 7.0)
     with pytest.raises(ValueError, match="segmentation"):
         total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
-    assert all(np.all(t.grad == 7.0) for t in leaves)
 
 
 def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
     """Two instances share one z_obj on two workers; the second also fits its
     z_art, off the unit circle, and every one of its rays overshoots, so
-    every term reaches the checked leaves. The grads ``total_loss`` writes
+    every term reaches the checked leaves. The grads ``total_loss`` returns
     match central differences of ``breakdown.total``."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
@@ -224,7 +223,7 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
     leaves = {"z_obj": batch[0].z_obj, "z_art": batch[1].z_art,
               "raymarcher.step.b": params["raymarcher.step.b"],
               "hyper.1.b": params["hyper.1.b"]}
-    bd = total_loss(batch, weights, **lams)
+    bd, grads = total_loss(batch, weights, **lams)
     assert min(bd.image, bd.latent, bd.depth, bd.seg, bd.kp) > 0.0
 
     def total_at(leaf, i, value):
@@ -232,7 +231,7 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         leaf.data.flat[i] = value
         try:
             with gc.no_grad():
-                return total_loss(batch, weights, **lams).total
+                return total_loss(batch, weights, **lams)[0].total
         finally:
             leaf.data.flat[i] = saved
 
@@ -243,7 +242,7 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         x0 = leaf.data.flat[picks]
         fd = np.array([(total_at(leaf, i, x + h) - total_at(leaf, i, x - h)) / (2 * h)
                        for i, x in zip(picks, x0)])
-        analytic = leaf.grad.flat[picks]
+        analytic = grads[leaf].flat[picks]
         assert np.all(analytic != 0.0), name
         assert max_rel_err(analytic, fd) < 1e-4, name
 
@@ -286,9 +285,7 @@ def test_latent_prior_decays_codes_toward_zero():
     norms = [np.linalg.norm(z.data)]
     for _ in range(300):
         loss = gc.tmean(gc.square(z))
-        opt.zero_grad()
-        gc.backward(loss)
-        opt.step()
+        opt.step(gc.backward(loss))
         norms.append(np.linalg.norm(z.data))
     assert norms[-1] < 1e-2
     assert all(b - a <= 1e-12 for a, b in zip(norms, norms[1:]))
@@ -433,8 +430,8 @@ def test_infer_leaves_weights_bit_identical(smoke_checkpoint):
 
 
 def test_infer_never_touches_the_checkpoint_tensors(tiny_dataset, monkeypatch):
-    """Seen from inside every loss call of a two-restart run, the
-    checkpoint's weights still require grad and hold no gradient."""
+    """Seen from every loss call of a two-restart run, the checkpoint's
+    weights still require grad and get no gradient."""
     ckpt = _dummy_checkpoint()
     views = load_training_set(tiny_dataset)[0].views
     seen = []
@@ -442,14 +439,14 @@ def test_infer_never_touches_the_checkpoint_tensors(tiny_dataset, monkeypatch):
 
     def spy(*args, **kwargs):
         tensors = [t for _, t in ckpt.weights.named_parameters()]
+        breakdown, grads = loss(*args, **kwargs)
         seen.append((all(t.requires_grad for t in tensors),
-                     all(t.grad is None for t in tensors)))
-        return loss(*args, **kwargs)
+                     not any(t in grads for t in tensors)))
+        return breakdown, grads
 
     monkeypatch.setattr(autodecoder, "total_loss", spy)
     infer_latent(ckpt, views, InferConfig(iterations=3, rays_per_view=16, q_inits=(0.2, 0.7)))
     assert seen == [(True, True)] * 6
-    assert all(t.grad is None for _, t in ckpt.weights.named_parameters())
 
 
 def test_infer_on_one_checkpoint_from_two_threads(tiny_dataset):
@@ -516,7 +513,7 @@ def test_graph_nodes_per_march_step(tiny_dataset, monkeypatch):
 
     def counted(output):
         graphs.append(_graph_nodes(output))
-        backward(output)
+        return backward(output)
 
     monkeypatch.setattr(gc, "backward", counted)
     sizes = []
@@ -686,6 +683,14 @@ def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
     save_checkpoint(_dummy_checkpoint(), path)
     _rewrite_checkpoint(path, **edit)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_codes_rejected(tmp_path):
+    """Inference starts from the mean code, which zero rows make NaN."""
+    path = tmp_path / "cp.bin"
+    save_checkpoint(replace(_dummy_checkpoint(), codes=np.zeros((0, TINY.k_obj))), path)
+    with pytest.raises(CheckpointError, match="no object codes"):
         load_checkpoint(path)
 
 

@@ -1,16 +1,24 @@
-"""The layer functions the benchmark's tracer wraps exist in artifield.
+"""The benchmark's tracer still fits artifield.
 
-``perfbench/tracer.py`` looks each one up by module and name when it
-installs, so a renamed or deleted function would crash a traced benchmark
-run; these tests make tier-1 fail first. The tracer is loaded by path and
-not edited.
+``perfbench/tracer.py`` looks each layer function up by module and name
+when it installs, and wraps ``gradcore.backward``, ``Adam.step`` and the vjp
+of every graph node, so a renamed function or a changed gradcore contract
+would break a traced benchmark run; these tests make tier-1 fail first. The
+tracer is loaded by path and not edited.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from artifield import autodecoder
+from artifield.autodecoder import InstanceBatch, ViewSample
+from artifield.gradcore import Tensor
+from artifield.neuralfield import ArchConfig, ModelWeights, articulation_to_code
+from artifield.raymarch import RayBatch
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -22,7 +30,8 @@ def _load_tracer():
     return module
 
 
-LAYER_FUNCTIONS = _load_tracer().LAYER_FUNCTIONS
+TRACER_MODULE = _load_tracer()
+LAYER_FUNCTIONS = TRACER_MODULE.LAYER_FUNCTIONS
 
 
 @pytest.mark.parametrize("label", sorted(LAYER_FUNCTIONS))
@@ -31,3 +40,33 @@ def test_traced_layer_function_exists(label):
     module = importlib.import_module(f"artifield.{module_name}")
     assert callable(getattr(module, name, None)), \
         f"{label}: artifield.{module_name} has no function {name!r}"
+
+
+def test_tracer_counts_backward_and_vjps_of_a_loss_call():
+    """One traced ``total_loss`` call on a one-instance batch of 8 rays
+    counts the backward pass and the vjps it ran, returns the gradients, and
+    uninstalling puts every patched attribute back."""
+    arch = ArchConfig(k_obj=4, feature_dim=8, field_hidden=12, hyper_hidden=16, rgb_hidden=8,
+                      seg_hidden=8, kp_hidden=8, lstm_hidden=4, n_march=4)
+    rng = np.random.default_rng(0)
+    weights = ModelWeights.init(arch, rng)
+    dirs = rng.normal(size=(8, 3)) * 0.1 + [0.0, 1.0, 0.0]
+    rays = RayBatch(origins=np.tile([0.0, -2.0, 0.0], (8, 1)),
+                    dirs=dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                    d_near=np.full((8, 1), 1.0), d_far=np.full((8, 1), 3.0))
+    z_obj = Tensor(rng.normal(size=arch.k_obj) * 0.1, requires_grad=True)
+    inst = InstanceBatch(z_art=Tensor(articulation_to_code(0.5)), z_obj=z_obj,
+                         sample=ViewSample(rays=rays, target_rgb=rng.uniform(size=(8, 3)),
+                                           target_seg=None))
+    tracer = TRACER_MODULE.Tracer()
+    with tracer:
+        _, grads = autodecoder.total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
+                                          lam_latent=1e-3, lam_depth=0.1)
+    assert tracer.restored()
+    assert tracer.count("autodecoder.total_loss") == 1
+    assert tracer.count("gradcore.backward") == 1
+    assert tracer.graph_nodes > 0
+    vjps = {label for label in tracer.labels if label.endswith(".vjp")}
+    assert vjps and all(tracer.calls_within(label, "gradcore.backward") == tracer.count(label)
+                        for label in vjps)
+    assert z_obj in grads and dict(weights.named_parameters())["hyper.0.w"] in grads

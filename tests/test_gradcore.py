@@ -1,6 +1,7 @@
 """Autodiff core: forward values vs hand-rolled oracles, gradients vs
 central finite differences, determinism, Adam behaviour."""
 
+import sys
 import threading
 
 import numpy as np
@@ -110,8 +111,7 @@ def test_forward_nonfinite_reports_node():
 def test_square_gradient():
     x = Tensor(np.array([[3.0]]), requires_grad=True)
     y = square(x)
-    backward(y)
-    assert x.grad.item() == 6.0
+    assert backward(y)[x].item() == 6.0
 
 
 def test_linear_gradient_outer_product_structure():
@@ -119,9 +119,9 @@ def test_linear_gradient_outer_product_structure():
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     x = np.array([[2.0, -1.0, 0.5, 3.0]])
     y = tsum(affine(Tensor(x), w, Tensor(np.zeros(3))))
-    backward(y)
+    grads = backward(y)
     # d sum(x W) / dW = x^T 1^T
-    np.testing.assert_allclose(w.grad, x.T @ np.ones((1, 3)))
+    np.testing.assert_allclose(grads[w], x.T @ np.ones((1, 3)))
 
 
 def test_backward_before_forward_raises():
@@ -133,11 +133,9 @@ def test_backward_before_forward_raises():
 def test_backward_twice_on_one_graph_raises():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     loss = tsum(square(x))
-    backward(loss)
-    np.testing.assert_array_equal(x.grad, np.array([2.0, 4.0]))
+    np.testing.assert_array_equal(backward(loss)[x], np.array([2.0, 4.0]))
     with pytest.raises(GraphError, match="released by an earlier backward"):
         backward(loss)
-    np.testing.assert_array_equal(x.grad, np.array([2.0, 4.0]))
 
 
 def test_backward_through_released_nodes_raises():
@@ -165,7 +163,7 @@ def test_backward_releases_captured_activations():
         before = tracemalloc.get_traced_memory()[0]
         loss = tsum(square(gc.mlp(x, layers)))
         after_forward = tracemalloc.get_traced_memory()[0]
-        backward(loss)
+        grads = backward(loss)
         after_backward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -173,7 +171,7 @@ def test_backward_releases_captured_activations():
     # what stays is the weight grads (about 35 kB) and the loss
     assert after_backward - before < 200_000
     assert loss._parents == () and loss._vjp is None
-    assert all(t.grad is not None for layer in layers for t in layer)
+    assert set(grads) == {t for layer in layers for t in layer}
 
 
 def test_three_layer_mlp_gradient_vs_finite_differences():
@@ -211,10 +209,10 @@ def test_three_layer_mlp_gradient_vs_finite_differences():
     h = tanh(affine(h, w2, b2))
     y = affine(h, w3, b3)
     loss = tmean(square(y))
-    backward(loss)
+    grads = backward(loss)
 
     fd = finite_diff_grad(loss_np, theta0)
-    assert max_rel_err(theta_t.grad, fd) < 1e-4
+    assert max_rel_err(grads[theta_t], fd) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -245,9 +243,9 @@ def test_layer_primitive_gradients_property(seed):
     xt = Tensor(x0, requires_grad=True)
     wt = Tensor(w0, requires_grad=True)
     loss = tsum(mul(op(xt), wt))
-    backward(loss)
+    grads = backward(loss)
     fd = finite_diff_grad(loss_np, theta0)
-    analytic = np.concatenate([xt.grad, wt.grad])
+    analytic = np.concatenate([grads[xt], grads[wt]])
     assert max_rel_err(analytic, fd) < 1e-4
 
 
@@ -256,9 +254,9 @@ def test_chain_composition_two_node_graph():
     w = Tensor(np.array([[0.7]]), requires_grad=True)
     x = np.array([[2.0]])
     y = tanh(affine(Tensor(x), w, Tensor(np.zeros(1))))
-    backward(y)
+    grads = backward(y)
     expected = x * (1 - np.tanh(0.7 * 2.0) ** 2)
-    np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
+    np.testing.assert_allclose(grads[w], expected, rtol=1e-15)
 
 
 def test_gradient_determinism():
@@ -267,8 +265,7 @@ def test_gradient_determinism():
         w = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((5, 6)))
         loss = tmean(square(tanh(affine(x, w, Tensor(np.zeros(4))))))
-        backward(loss)
-        return loss.data.copy(), w.grad.copy()
+        return loss.data.copy(), backward(loss)[w].copy()
 
     l1, g1 = run()
     l2, g2 = run()
@@ -279,17 +276,16 @@ def test_gradient_determinism():
 def test_broadcast_add_gradient_reduces():
     b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     x = Tensor(np.ones((5, 3)))
-    backward(tsum(gc.add(x, b)))
-    np.testing.assert_array_equal(b.grad, np.full(3, 5.0))
+    np.testing.assert_array_equal(backward(tsum(gc.add(x, b)))[b], np.full(3, 5.0))
 
 
 def test_concat_narrow_roundtrip_gradient():
     a = Tensor(np.arange(4.0), requires_grad=True)
     b = Tensor(np.arange(3.0), requires_grad=True)
     joined = concat([a, b], axis=0)
-    backward(tsum(mul(narrow(joined, 0, 2, 4), 2.0)))
-    np.testing.assert_array_equal(a.grad, np.array([0.0, 0.0, 2.0, 2.0]))
-    np.testing.assert_array_equal(b.grad, np.array([2.0, 2.0, 0.0]))
+    grads = backward(tsum(mul(narrow(joined, 0, 2, 4), 2.0)))
+    np.testing.assert_array_equal(grads[a], np.array([0.0, 0.0, 2.0, 2.0]))
+    np.testing.assert_array_equal(grads[b], np.array([2.0, 2.0, 0.0]))
 
 
 def test_cross_entropy_uniform_logits_value_and_gradient():
@@ -297,7 +293,7 @@ def test_cross_entropy_uniform_logits_value_and_gradient():
     labels = np.arange(8) % 4
     loss = cross_entropy_logits(logits, labels)
     np.testing.assert_allclose(loss.data, np.log(4.0), rtol=1e-15)
-    backward(loss)
+    grads = backward(loss)
 
     def loss_np(flat):
         lg = flat.reshape(8, 4)
@@ -306,7 +302,7 @@ def test_cross_entropy_uniform_logits_value_and_gradient():
         return float(-logp[np.arange(8), labels].mean())
 
     fd = finite_diff_grad(loss_np, np.zeros(32)).reshape(8, 4)
-    assert max_rel_err(logits.grad, fd) < 1e-4
+    assert max_rel_err(grads[logits], fd) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +365,8 @@ def test_lstm_unrolled_gradient_vs_finite_differences():
     out = None
     for x in xs:
         state, out = lstm_step(params, state, Tensor(x))
-    backward(tsum(square(out)))
-    analytic = np.concatenate([params.w.grad.ravel(), params.b.grad])
+    grads = backward(tsum(square(out)))
+    analytic = np.concatenate([grads[params.w].ravel(), grads[params.b]])
     fd = finite_diff_grad(loss_np, np.concatenate([w0, b0]))
     assert max_rel_err(analytic, fd) < 1e-4
 
@@ -416,7 +412,9 @@ def unfused_lstm_step(params, state, x):
 def _mlp_graph(mlp_fn, theta0, x0):
     """Two chained MLP calls over views of one flat weight vector; the middle
     (5, 5) layer appears twice per call, so its weights take four
-    contributions whose order shows in the bits."""
+    contributions whose order shows in the bits. The views take disjoint,
+    zero-padded slices of theta's gradient, so theta's gradient carries each
+    view's bits exactly."""
     theta = Tensor(theta0, requires_grad=True)
     x = Tensor(x0, requires_grad=True)
     views, off = [], 0
@@ -430,8 +428,8 @@ def _mlp_graph(mlp_fn, theta0, x0):
     y1 = mlp_fn(x, layers)
     y2 = mlp_fn(tanh(y1), layers)
     loss = gc.add(tsum(square(y2)), tsum(mul(y1, 0.3)))
-    backward(loss)
-    return [y1.data, y2.data, theta.grad, x.grad] + [v.grad for v in views]
+    grads = backward(loss)
+    return [y1.data, y2.data, grads[theta], grads[x]]
 
 
 def test_mlp_bit_identical_to_unfused_layers():
@@ -456,8 +454,8 @@ def _lstm_graph(step_fn, w0, b0, xs0, from_cell_only=False):
         # each h feeds both the next step and the loss
         for t, h in enumerate(outs[0::2]):
             loss = gc.add(loss, tsum(mul(h, float(t + 1))))
-    backward(loss)
-    return [t.data for t in outs] + [params.w.grad, params.b.grad] + [x.grad for x in xs]
+    grads = backward(loss)
+    return [t.data for t in outs] + [grads[t] for t in (params.w, params.b, *xs)]
 
 
 @pytest.mark.parametrize("from_cell_only", [False, True])
@@ -500,8 +498,9 @@ def test_mlp_gradient_vs_finite_differences():
     layers_np, _ = unpack(flat0)
     layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in layers_np]
     x = Tensor(x0, requires_grad=True)
-    backward(tsum(square(gc.mlp(x, layers))))
-    analytic = np.concatenate([t.grad.ravel() for layer in layers for t in layer] + [x.grad.ravel()])
+    grads = backward(tsum(square(gc.mlp(x, layers))))
+    analytic = np.concatenate([grads[t].ravel() for layer in layers for t in layer]
+                              + [grads[x].ravel()])
     assert max_rel_err(analytic, finite_diff_grad(loss_np, flat0)) < 1e-4
 
 
@@ -516,6 +515,57 @@ def test_fused_ops_record_no_graph_under_no_grad():
     for t in (v, h, c):
         assert not t.requires_grad
         assert t._parents == () and t._vjp is None
+
+
+def _leaf_state(t):
+    state = {name: getattr(t, name) for name in Tensor.__slots__ if name != "data"}
+    return state | {"data": (id(t.data), t.data.tobytes())}
+
+
+def test_backward_on_two_threads_over_shared_leaves():
+    """Two threads, switching often, each backpropagate their own graphs over
+    the same leaves: every gradient equals the serial one bit for bit, and
+    no leaf attribute changes."""
+    rng = np.random.default_rng(9)
+    layers = [(Tensor(rng.standard_normal((i, o)) * 0.5, requires_grad=True),
+               Tensor(rng.standard_normal(o) * 0.1, requires_grad=True))
+              for i, o in [(3, 16), (16, 16), (16, 2)]]
+    params = lstm_init(2, 4, np.random.default_rng(10))
+    leaves = [t for layer in layers for t in layer] + [params.w, params.b]
+    inputs = [rng.standard_normal((32, 3)) for _ in range(2)]
+
+    def grads_of(x):
+        state, out = lstm_zero_state(32, 4), None
+        for _ in range(6):
+            state, out = lstm_step(params, state, gc.mlp(Tensor(x), layers))
+        return backward(tsum(square(out)))
+
+    before = [_leaf_state(t) for t in leaves]
+    serial = [grads_of(x) for x in inputs]
+    assert all(set(g) == set(leaves) for g in serial)
+    got = [[], []]
+
+    def run(i):
+        for _ in range(10):
+            got[i].append(grads_of(inputs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, runs in zip(serial, got):
+        assert len(runs) == 10
+        for grads in runs:
+            assert set(grads) == set(leaves)
+            assert all(grads[t].tobytes() == want[t].tobytes() for t in leaves)
+    assert [_leaf_state(t) for t in leaves] == before
 
 
 def test_no_grad_in_another_thread_leaves_recording_on_here():
@@ -637,8 +687,7 @@ def test_adam_wrapper_skips_untouched_params():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([2.0]), requires_grad=True)
     opt = Adam([("a", a), ("b", b)], lr=0.5)
-    a.grad = np.array([1.0])
-    opt.step()
+    opt.step({a: np.array([1.0])})
     assert a.data[0] != 1.0
     assert b.data[0] == 2.0
     assert opt.states["b"].step_count == 0

@@ -144,8 +144,8 @@ def test_hyper_gradient_wrt_latent_code():
     za = Tensor(z0[:2], requires_grad=True)
     zo = Tensor(z0[2:], requires_grad=True)
     th = hyper_map(w.hyper, code_features_t(za, zo))
-    backward(gc.tsum(gc.square(th)))
-    analytic = np.concatenate([za.grad, zo.grad])
+    grads = backward(gc.tsum(gc.square(th)))
+    analytic = np.concatenate([grads[za], grads[zo]])
     fd = finite_diff_grad(loss_np, z0)
     assert max_rel_err(analytic, fd) < 1e-4
 
@@ -182,9 +182,9 @@ def test_field_gradient_wrt_position():
         return float(field_eval_layers(layers, x.reshape(1, 3)).data.sum())
 
     xt = Tensor(x0.reshape(1, 3), requires_grad=True)
-    backward(gc.tsum(field_eval_layers(layers, xt)))
+    grads = backward(gc.tsum(field_eval_layers(layers, xt)))
     fd = finite_diff_grad(loss_np, x0)
-    assert max_rel_err(xt.grad.ravel(), fd) < 1e-4
+    assert max_rel_err(grads[xt].ravel(), fd) < 1e-4
 
 
 def test_field_wrong_theta_length_rejected():
@@ -214,9 +214,9 @@ def test_rgb_head_gradient():
         return float((rgb_head(w.rgb, Tensor(flat.reshape(2, -1))).data ** 2).sum())
 
     vt = Tensor(v0, requires_grad=True)
-    backward(gc.tsum(gc.square(rgb_head(w.rgb, vt))))
+    grads = backward(gc.tsum(gc.square(rgb_head(w.rgb, vt))))
     fd = finite_diff_grad(loss_np, v0.ravel())
-    assert max_rel_err(vt.grad.ravel(), fd) < 1e-4
+    assert max_rel_err(grads[vt].ravel(), fd) < 1e-4
 
 
 def test_seg_head_uniform_logits_for_zero_weights():
@@ -246,9 +246,9 @@ def test_seg_cross_entropy_gradient():
         return float(-logp[np.arange(6), labels].mean())
 
     vt = Tensor(v0, requires_grad=True)
-    backward(gc.cross_entropy_logits(seg_head(w.seg, vt), labels))
+    grads = backward(gc.cross_entropy_logits(seg_head(w.seg, vt), labels))
     fd = finite_diff_grad(loss_np, v0.ravel())
-    assert max_rel_err(vt.grad.ravel(), fd) < 1e-4
+    assert max_rel_err(grads[vt].ravel(), fd) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +293,11 @@ def test_keypoint_gradient_wrt_weights_and_code():
     zo = Tensor(z0[2:], requires_grad=True)
     pts = keypoint_head(w.keypoint, code_features_t(za, zo), TINY)
     loss = gc.tsum(gc.square(gc.sub(pts, target)))
-    backward(loss)
+    grads = backward(loss)
     fd = finite_diff_grad(loss_np, z0)
-    assert max_rel_err(np.concatenate([za.grad, zo.grad]), fd) < 1e-4
+    assert max_rel_err(np.concatenate([grads[za], grads[zo]]), fd) < 1e-4
     # weight gradient on the first layer too
-    g_first = w.keypoint[0][0].grad
+    g_first = grads.get(w.keypoint[0][0])
     assert g_first is not None
 
     def loss_np_w(flat):

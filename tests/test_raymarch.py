@@ -200,8 +200,8 @@ def test_march_gradient_wrt_raymarcher_params():
                 p.data = s
 
     res = march(theta, rm, rays, TINY)
-    backward(gc.tsum(res.d_final))
-    analytic = np.concatenate([p.grad.ravel() for p in packs])
+    grads = backward(gc.tsum(res.d_final))
+    analytic = np.concatenate([grads[p].ravel() for p in packs])
     fd = finite_diff_grad(loss_np, flat0)
     assert max_rel_err(analytic, fd) < 1e-4
 
@@ -325,7 +325,7 @@ def test_full_render_gradient_wrt_latent_code():
     theta = hyper_map(w.hyper, code_features_t(za, zo))
     rgb, _, _ = render_rays(w, theta, rays, want_seg=False)
     loss = gc.tmean(gc.square(gc.sub(rgb, target)))
-    backward(loss)
-    analytic = np.concatenate([za.grad, zo.grad])
+    grads = backward(loss)
+    analytic = np.concatenate([grads[za], grads[zo]])
     fd = finite_diff_grad(loss_np, z0)
     assert max_rel_err(analytic, fd) < 1e-3

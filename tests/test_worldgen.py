@@ -357,6 +357,21 @@ def test_generate_dataset_different_seed_differs(tmp_path):
     assert wg.dataset_digest(m1) != wg.dataset_digest(m2)
 
 
+def test_dataset_digest_covers_keypoint_files(tmp_path):
+    """Moving the handle 25 cm in one instance's keypoints file, which holds
+    the training q and keypoints, changes the digest."""
+    cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8, seed=4)
+    manifest = wg.generate_dataset(cfg, tmp_path)
+    before = wg.dataset_digest(manifest)
+    path = tmp_path / manifest.instances[1]["keypoints_file"]
+    record = json.loads(path.read_text())
+    record["points"]["handle"][0] += 0.25
+    path.write_text(json.dumps(record))
+    assert manifest.keypoints(manifest.instances[1])[1].positions[0, 0] \
+        == record["points"]["handle"][0]
+    assert wg.dataset_digest(manifest) != before
+
+
 def test_manifest_detects_missing_file(tmp_path):
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
