@@ -7,10 +7,16 @@ articulation part of each code is injected from the ground-truth articulation
 scalar. At inference the weights are frozen, the segmentation and keypoint
 loss terms are switched off, and the full code (articulation and object
 parts) is fit to the observed images alone.
+
+A checkpoint is an uncompressed ``.npz`` that ``np.load(path, allow_pickle=False)``
+reads: a 0-d string member ``header`` holding JSON (format tag, arch, arch hash,
+train config, iteration, rng state), then a float64 member per weight and ``codes``.
+The CRC-32 the zip keeps of each member catches a flipped bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import csv
 import functools
@@ -18,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-import struct
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -40,8 +46,7 @@ from .neuralfield import (
 from .raymarch import RayBatch, pixel_rays, render_image, render_rays
 from .worldgen import DatasetManifest, PosedView
 
-CHECKPOINT_MAGIC = b"AFLD"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_FORMAT = "artifield-checkpoint-npz-1"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -502,119 +507,110 @@ def _checkpoint_tensors(cp: Checkpoint) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    """Binary layout: magic, version u32, header-length u64, JSON header,
-    then raw little-endian float64 payloads in header directory order."""
-    tensors = _checkpoint_tensors(cp)
-    directory = []
-    offset = 0
-    for name, arr in tensors:
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-    header = {
-        "arch": cp.arch.to_dict(),
-        "train_config": cp.train_config,
-        "iteration": cp.iteration,
-        "rng_state": cp.rng_state,
-        "tensors": directory,
-        "total_values": offset,
-        "arch_hash": _arch_hash(cp.arch),
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
+    """Write ``cp`` as an uncompressed ``.npz`` (see the module docstring)."""
+    header = {"format": CHECKPOINT_FORMAT, "arch": cp.arch.to_dict(),
+              "arch_hash": _arch_hash(cp.arch), "train_config": cp.train_config,
+              "iteration": cp.iteration, "rng_state": cp.rng_state}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        np.savez(f, header=np.array(json.dumps(header, sort_keys=True)),
+                 **{name: np.asarray(arr, dtype="<f8") for name, arr in _checkpoint_tensors(cp)})
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+def _npy_header(f, info: zipfile.ZipInfo, file_size: int) -> tuple[tuple, np.dtype]:
+    """Shape and dtype from the .npy header of the open stored member ``f``;
+    the values they describe must fill the rest of it, within the file."""
+    if info.compress_type != zipfile.ZIP_STORED or info.file_size > file_size:
+        raise ValueError(f"member {info.filename!r} is compressed or larger than the file")
+    if np.lib.format.read_magic(f) != (1, 0):
+        raise ValueError(f"member {info.filename!r} is not a version 1.0 .npy array")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+    if fortran_order or f.tell() + math.prod(shape) * dtype.itemsize != info.file_size:
+        raise ValueError(f"member {info.filename!r}: shape {shape} of {dtype} does not "
+                         f"fill its {info.file_size - f.tell()} value bytes in C order")
+    return shape, dtype
+
+
+def _read_into(f, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` from ``f`` a chunk at a time, so that no buffer holds a
+    whole member; reading a member's last byte checks its CRC-32."""
+    buf = memoryview(out).cast("B")
+    for start in range(0, len(buf), 1 << 18):
+        part = buf[start:start + (1 << 18)]
+        if f.readinto(part) != len(part):
+            raise EOFError("member ends before its values do")
+    return out
 
 
 def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Raises CheckpointError unless the header's tensor directory tiles the
-    payload exactly as ``save_checkpoint`` writes it: non-negative integer
-    shapes and offsets, each offset the running sum of the sizes before it,
-    ``total_values`` their sum, every tensor the architecture needs
-    present once with its shape, and at least one object code.
+    Raises CheckpointError unless the header has this format's tag, its arch
+    hash and ``expected_arch`` (when given) match, the members are exactly
+    the header and each tensor in float64 with the architecture's shape
+    (``codes`` with at least one row), and every value is finite and passes
+    its member's CRC-32. Every name, shape and dtype is checked before any
+    value is read, and each value is read once, into its final array.
     """
     path = Path(path)
-    with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path.name}: not a checkpoint file")
-        prefix, rest = f.read(12), f.read()
-    # A truncated or malformed header shows up as a short read, bad UTF-8 or
-    # JSON, or a missing or mistyped field; each means a corrupt file.
+    file_size = path.stat().st_size
     try:
-        version, hlen = struct.unpack("<IQ", prefix)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path.name}: unsupported version {version}")
-        if hlen > len(rest):
-            raise CheckpointError(f"{path.name}: header runs past the end of the file")
-        header = json.loads(rest[:hlen].decode())
-        arch = ArchConfig.from_dict(header["arch"])
-        directory = [(rec["name"], rec["shape"], rec["offset"]) for rec in header["tensors"]]
-        total_values = header["total_values"]
-        meta = {key: header[key] for key in ("train_config", "iteration", "rng_state")}
-        by_name = {name: (tuple(shape), offset) for name, shape, offset in directory}
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path.name}: malformed header: {exc!r}") from exc
-    for name, shape, offset in directory:
-        if type(shape) is not list or not all(map(_is_count, [*shape, offset])):
-            raise CheckpointError(f"{path.name}: tensor {name!r} needs a non-negative "
-                                  f"integer shape and offset, got {shape!r} at {offset!r}")
-    if len(by_name) != len(directory):
-        raise CheckpointError(f"{path.name}: tensor names repeat in the header")
-    payload = memoryview(rest)[hlen:]
+        with zipfile.ZipFile(path) as z, contextlib.ExitStack() as stack:
+            members = {}  # name -> (open member, shape, dtype)
+            for info in z.infolist():
+                key = info.filename.removesuffix(".npy")
+                if key in members:
+                    raise CheckpointError(f"{path.name}: member {key!r} repeats")
+                f = stack.enter_context(z.open(info))
+                members[key] = (f, *_npy_header(f, info, file_size))
 
-    if header.get("arch_hash") != _arch_hash(arch):
-        raise CheckpointError(f"{path.name}: architecture hash mismatch (corrupt header)")
-    if expected_arch is not None and arch != expected_arch:
-        ours = expected_arch.to_dict()
-        theirs = arch.to_dict()
-        diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
-        raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
+            try:
+                f, shape, dtype = members["header"]
+                if shape != () or dtype.kind != "U":
+                    raise ValueError(f"header is {dtype} of shape {shape}, not a string")
+                header = json.loads(str(np.frombuffer(f.read(), dtype)[0]))
+                tag = header["format"]
+                arch = ArchConfig.from_dict(header["arch"])
+                meta = {key: header[key] for key in ("train_config", "iteration", "rng_state")}
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointError(f"{path.name}: malformed header: {exc!r}") from exc
+            if tag != CHECKPOINT_FORMAT:
+                raise CheckpointError(f"{path.name}: unsupported format {tag!r}")
+            if header.get("arch_hash") != _arch_hash(arch):
+                raise CheckpointError(f"{path.name}: architecture hash mismatch (corrupt header)")
+            if expected_arch is not None and arch != expected_arch:
+                ours, theirs = expected_arch.to_dict(), arch.to_dict()
+                diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
+                raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
 
-    weights = ModelWeights.init(arch, np.random.default_rng(0))
-    shapes = {name: t.data.shape for name, t in weights.named_parameters()}
-    codes_shape = by_name["codes"][0] if "codes" in by_name else ()
-    shapes["codes"] = (codes_shape[0] if codes_shape else 0, arch.k_obj)  # any count
-    for name, shape in shapes.items():
-        if name not in by_name:
-            raise CheckpointError(f"{path.name}: tensor {name!r} missing from the header")
-        if by_name[name][0] != shape:
-            raise CheckpointError(
-                f"{path.name}: tensor {name!r} has shape {by_name[name][0]}, expected {shape}")
-    if shapes["codes"][0] == 0:
-        raise CheckpointError(f"{path.name}: no object codes (inference starts from their mean)")
-    running = 0
-    for name, shape, offset in directory:
-        if offset != running:
-            raise CheckpointError(f"{path.name}: tensor {name!r} lies outside its place "
-                                  f"in the payload: offset {offset}, expected {running}")
-        running += math.prod(shape)
-    if not _is_count(total_values) or total_values != running:
-        raise CheckpointError(f"{path.name}: total_values {total_values!r} differs from "
-                              f"the {running} values the tensors hold")
+            weights = ModelWeights.init(arch, np.random.default_rng(0))
+            shapes = {key: t.data.shape for key, t in weights.named_parameters()}
+            rows = members["codes"][1][:1] if "codes" in members else ()
+            shapes["codes"] = (*rows, arch.k_obj)  # any number of rows
+            for key, shape in shapes.items():
+                if key not in members:
+                    raise CheckpointError(f"{path.name}: tensor {key!r} missing")
+                if members[key][1:] != (shape, np.dtype("<f8")):
+                    raise CheckpointError(f"{path.name}: tensor {key!r} has shape and dtype "
+                                          f"{members[key][1:]}, expected {shape} of float64")
+            extra = sorted(members.keys() - shapes.keys() - {"header"})
+            if extra:
+                raise CheckpointError(f"{path.name}: unexpected members {extra}")
+            if shapes["codes"][0] == 0:
+                raise CheckpointError(f"{path.name}: no object codes "
+                                      "(inference starts from their mean)")
 
-    if len(payload) != running * 8:
-        raise CheckpointError(
-            f"{path.name}: corrupt checkpoint, payload {len(payload)} bytes, "
-            f"expected {running * 8}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(flat)):
+            # The template's random values are overwritten in place, so the
+            # weights are never held twice.
+            arrays = [_read_into(members[key][0], t.data)
+                      for key, t in weights.named_parameters()]
+            codes = _read_into(members["codes"][0], np.empty(shapes["codes"]))
+    except CheckpointError:
+        raise
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError, TypeError,
+            NotImplementedError, RuntimeError) as exc:
+        raise CheckpointError(f"{path.name}: corrupt or not a checkpoint file: {exc!r}") from exc
+    if not all(np.isfinite(a).all() for a in [*arrays, codes]):
         raise CheckpointError(f"{path.name}: non-finite values in the payload")
-
-    def tensor(name: str) -> np.ndarray:
-        shape, offset = by_name[name]
-        return flat[offset:offset + math.prod(shape)].reshape(shape).copy()
-
-    for name, t in weights.named_parameters():
-        t.data = tensor(name)
-    return Checkpoint(weights=weights, codes=tensor("codes"), arch=arch, **meta)
+    return Checkpoint(weights=weights, codes=codes, arch=arch, **meta)

@@ -181,7 +181,8 @@ class ModelWeights:
         hyper = _init_layers([(k, arch.hyper_hidden)], rng)
         # Small final weights keep early fields near the bias point; the bias
         # itself is a standard field init so hidden units are not symmetric.
-        w_out = rng.standard_normal((arch.hyper_hidden, arch.field_param_count)) * arch.hyper_out_std
+        w_out = rng.standard_normal((arch.hyper_hidden, arch.field_param_count))
+        w_out *= arch.hyper_out_std  # in place: this is most of the model's memory
         b_out = _flat_field_init(arch, rng)
         hyper.append((Tensor(w_out, requires_grad=True), Tensor(b_out, requires_grad=True)))
 

@@ -463,7 +463,7 @@ class DatasetManifest:
     def keypoints(self, instance: dict) -> tuple[float, KeypointSet]:
         with open(self.root / instance["keypoints_file"]) as f:
             d = json.load(f)
-        return d["q"], KeypointSet.from_dict(keypoint_names(self.category), d["points"])
+        return instance["q"], KeypointSet.from_dict(keypoint_names(self.category), d["points"])
 
     def load_view(self, view_rec: dict) -> PosedView:
         image = read_ppm(self.root / view_rec["image"])
@@ -533,7 +533,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
             model = models[oi]
             (root / inst["keypoints_file"]).parent.mkdir(exist_ok=True)
             with open(root / inst["keypoints_file"], "w") as f:
-                json.dump({"q": q, "points": keypoints_analytic(model, q).as_dict()}, f,
+                json.dump({"points": keypoints_analytic(model, q).as_dict()}, f,
                           indent=1, sort_keys=True)
             for vi, rec in enumerate(inst["views"]):
                 rng = np.random.default_rng(_derived_seed(config.seed, oi, ai, vi))
@@ -555,13 +555,14 @@ def load_manifest(path) -> DatasetManifest:
         n_articulations=d["n_articulations"], n_views=d["n_views"],
         height=d["height"], width=d["width"], seed=d["seed"],
         objects=d["objects"], instances=d["instances"])
-    n_images = 0
+    n_images = sum(len(inst["views"]) for inst in manifest.instances)
+    listed = [obj["scene_file"] for obj in manifest.objects]
     for inst in manifest.instances:
-        for rec in inst["views"]:
-            for key in ("image", "seg", "camera"):
-                if not (manifest.root / rec[key]).exists():
-                    raise FileNotFoundError(f"dataset file missing: {rec[key]}")
-            n_images += 1
+        listed += [inst["keypoints_file"], *(rec[key] for rec in inst["views"]
+                                             for key in ("image", "seg", "camera"))]
+    for name in listed:
+        if not (manifest.root / name).exists():
+            raise FileNotFoundError(f"dataset file missing: {name}")
     expected = manifest.n_objects * manifest.n_articulations * manifest.n_views
     if n_images != expected:
         raise ValueError(f"manifest lists {n_images} views, expected {expected}")
@@ -569,9 +570,9 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def dataset_digest(manifest: DatasetManifest) -> str:
-    """SHA-256 over every file referenced by the manifest (order-stable):
+    """SHA-256 over manifest.json and every file it references (order-stable):
     each instance's keypoints file and views, then each object's scene."""
-    h = hashlib.sha256()
+    h = hashlib.sha256((manifest.root / "manifest.json").read_bytes())
     for inst in manifest.instances:
         h.update((manifest.root / inst["keypoints_file"]).read_bytes())
         for rec in inst["views"]:

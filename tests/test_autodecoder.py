@@ -2,10 +2,14 @@
 checkpoint round trips (tiny configs throughout)."""
 
 import hashlib
+import io
 import json
 import struct
 import sys
 import threading
+import tracemalloc
+import warnings
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -569,28 +573,40 @@ def test_checkpoint_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _member_span(blob: bytes, filename: str) -> tuple[int, int]:
+    """Byte range of a stored member's data within a saved checkpoint."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as z:
+        info = z.getinfo(filename)
+    name_len, extra_len = struct.unpack("<HH", blob[info.header_offset + 26:
+                                                    info.header_offset + 30])
+    start = info.header_offset + 30 + name_len + extra_len
+    return start, start + info.compress_size
+
+
 def _saved_checkpoint_bytes(tmp_path):
     path = tmp_path / "cp.bin"
     save_checkpoint(_dummy_checkpoint(), path)
     blob = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", blob[8:16])
-    return path, blob, hlen
+    return path, blob, _member_span(blob, "header.npy")
 
 
 @pytest.mark.parametrize("cut", [6, 12, 40, "hlen-1", "header-1"])
 def test_checkpoint_truncated_header_rejected(tmp_path, cut):
-    path, blob, hlen = _saved_checkpoint_bytes(tmp_path)
-    end = {"hlen-1": hlen - 1, "header-1": 16 + hlen - 1}.get(cut, cut)
-    path.write_bytes(blob[:end])
+    """Cut within the first local file header, just before the header
+    member's data, or one byte short of its end."""
+    path, blob, (start, end) = _saved_checkpoint_bytes(tmp_path)
+    path.write_bytes(blob[:{"hlen-1": end - 1, "header-1": start - 1}.get(cut, cut)])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("header", [b"x", b"\xff", b"[]", b"{}"],
+@pytest.mark.parametrize("header", [np.array("x"), np.array(b"\xff"), np.array("[]"),
+                                    np.array("{}")],
                          ids=["not-json", "not-utf8", "not-object", "no-fields"])
 def test_checkpoint_malformed_header_rejected(tmp_path, header):
-    path, blob, hlen = _saved_checkpoint_bytes(tmp_path)
-    path.write_bytes(blob[:16] + header.ljust(hlen) + blob[16 + hlen:])
+    path = tmp_path / "cp.bin"
+    save_checkpoint(_dummy_checkpoint(), path)
+    _rewrite_checkpoint(path, lambda members: members.__setitem__("header", header))
     with pytest.raises(CheckpointError, match="malformed header"):
         load_checkpoint(path)
 
@@ -600,6 +616,57 @@ def test_checkpoint_wrong_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(CheckpointError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_version_1_file_rejected(tmp_path):
+    """A file in the earlier AFLD layout (magic, version, header length, JSON
+    header, then the float64 values) is not read."""
+    cp = _dummy_checkpoint()
+    head = json.dumps({"arch": cp.arch.to_dict(), "iteration": cp.iteration}).encode()
+    values = b"".join(arr.tobytes() for _, arr in autodecoder._checkpoint_tensors(cp))
+    path = tmp_path / "cp.bin"
+    path.write_bytes(b"AFLD" + struct.pack("<IQ", 1, len(head)) + head + values)
+    with pytest.raises(CheckpointError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_members_read_with_np_load(tmp_path):
+    cp = _dummy_checkpoint()
+    save_checkpoint(cp, tmp_path / "cp.bin")
+    with np.load(tmp_path / "cp.bin", allow_pickle=False) as z:
+        header = json.loads(str(z["header"]))
+        assert z.files == ["header", *(name for name, _ in autodecoder._checkpoint_tensors(cp))]
+        np.testing.assert_array_equal(z["codes"], cp.codes)
+    assert header["arch"] == cp.arch.to_dict() and header["iteration"] == cp.iteration
+
+
+def test_checkpoint_flipped_value_bit_rejected(tmp_path):
+    """Flipping the lowest mantissa bit of the last value of any tensor fails
+    that member's CRC-32."""
+    path, blob, _ = _saved_checkpoint_bytes(tmp_path)
+    for name, _ in autodecoder._checkpoint_tensors(_dummy_checkpoint()):
+        _, end = _member_span(blob, f"{name}.npy")
+        damaged = bytearray(blob)
+        damaged[end - 8] ^= 1
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_load_peak_memory_near_the_payload(tmp_path):
+    """At the default arch the traced peak of a load, the loaded arrays
+    included, stays under 2.5x the tensor bytes: no buffer holds the whole
+    file and no tensor is held twice."""
+    cp = _dummy_checkpoint(arch=ArchConfig())
+    save_checkpoint(cp, tmp_path / "cp.bin")
+    payload = sum(arr.nbytes for _, arr in autodecoder._checkpoint_tensors(cp))
+    tracemalloc.start()
+    try:
+        load_checkpoint(tmp_path / "cp.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * payload
 
 
 def test_checkpoint_architecture_mismatch_reports_diff(tmp_path):
@@ -622,62 +689,57 @@ def test_checkpoint_rng_state_roundtrip(tmp_path):
     assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
 
 
-def _rewrite_checkpoint(path, edit_header=None, edit_payload=None):
-    """Apply edits to a saved checkpoint's JSON header and float64 payload."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + hlen].decode())
-    payload = np.frombuffer(blob[16 + hlen:], dtype="<f8").copy()
-    if edit_header is not None:
-        edit_header(header)
-    if edit_payload is not None:
-        edit_payload(payload)
-    head = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + payload.tobytes())
+def _rewrite_checkpoint(path, edit=None, edit_zip=None):
+    """Save a checkpoint again after ``edit`` changes its members as a dict
+    of arrays, or ``edit_zip`` as a list of (file name, raw bytes); the zip
+    gets new CRC-32s."""
+    if edit is not None:
+        with np.load(path, allow_pickle=False) as z:
+            members = {name: z[name] for name in z.files}
+        edit(members)
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+    if edit_zip is not None:
+        with zipfile.ZipFile(path) as z:
+            raw = [(info.filename, z.read(info)) for info in z.infolist()]
+        edit_zip(raw)
+        with zipfile.ZipFile(path, "w") as z, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a repeated name warns
+            for name, data in raw:
+                z.writestr(name, data)
 
 
-def _drop_tensor(header, name="rgb.1.b"):
-    header["tensors"] = [r for r in header["tensors"] if r["name"] != name]
+def _edit_header(fn):
+    def edit(members):
+        header = json.loads(str(members["header"]))
+        fn(header)
+        members["header"] = np.array(json.dumps(header))
+    return edit
 
 
-def _offset_past_end(header, name="codes"):
-    rec = next(r for r in header["tensors"] if r["name"] == name)
-    rec["offset"] = header["total_values"] - 1
-
-
-def _transpose_shape(header, name="raymarcher.step.w"):
-    rec = next(r for r in header["tensors"] if r["name"] == name)
-    rec["shape"] = rec["shape"][::-1]
-
-
-def _set_record(header, key, value, name="codes"):
-    rec = next(r for r in header["tensors"] if r["name"] == name)
-    rec[key] = value(rec[key])
-
-
-def _repeat_name(header):
-    header["tensors"][1]["name"] = header["tensors"][0]["name"]
+def _negative_codes_rows(members):
+    i = next(i for i, (name, _) in enumerate(members) if name == "codes.npy")
+    data = members[i][1]
+    members[i] = ("codes.npy", data.replace(b"(3, 4), } ", b"(-1, 4), }", 1))
+    assert members[i][1] != data
 
 
 @pytest.mark.parametrize("edit, message", [
-    (dict(edit_header=_drop_tensor), "'rgb.1.b' missing"),
-    (dict(edit_header=lambda h: _drop_tensor(h, "codes")), "'codes' missing"),
-    (dict(edit_header=_transpose_shape), "'raymarcher.step.w' has shape"),
-    (dict(edit_header=_offset_past_end), "'codes' lies outside"),
-    (dict(edit_payload=lambda p: p.__setitem__(7, np.nan)), "non-finite"),
-    (dict(edit_payload=lambda p: p.__setitem__(-1, -np.inf)), "non-finite"),
-    (dict(edit_header=lambda h: _set_record(h, "shape", lambda s: [-1, s[1]])),
-     "'codes' needs a non-negative integer shape"),
-    (dict(edit_header=lambda h: _set_record(h, "offset", lambda o: o + 0.5)),
-     "'codes' needs a non-negative integer shape and offset"),
-    (dict(edit_header=lambda h: _set_record(h, "offset", lambda o: o - 1)),
-     "'codes' lies outside its place"),
-    (dict(edit_header=lambda h: h.__setitem__("total_values", float(h["total_values"]))),
-     "total_values"),
-    (dict(edit_header=_repeat_name), "names repeat"),
-], ids=["missing-weight", "missing-codes", "shape", "offset", "nan", "inf",
-        "negative-dim", "fractional-offset", "overlapping-offset", "float-total",
-        "repeated-name"])
+    (dict(edit=lambda m: m.pop("rgb.1.b")), "'rgb.1.b' missing"),
+    (dict(edit=lambda m: m.pop("codes")), "'codes' missing"),
+    (dict(edit=lambda m: m.__setitem__("raymarcher.step.w", m["raymarcher.step.w"].T)),
+     "'raymarcher.step.w' has shape"),
+    (dict(edit=lambda m: m["hyper.0.w"].flat.__setitem__(7, np.nan)), "non-finite"),
+    (dict(edit=lambda m: m["codes"].flat.__setitem__(-1, -np.inf)), "non-finite"),
+    (dict(edit_zip=_negative_codes_rows), r"'codes.npy': shape \(-1, 4\)"),
+    (dict(edit_zip=lambda m: m.append(m[-1])), "'codes' repeats"),
+    (dict(edit=lambda m: m.__setitem__("extra", np.zeros(2))),
+     r"unexpected members \['extra'\]"),
+    (dict(edit=_edit_header(lambda h: h.__setitem__("format", "artifield-checkpoint-npz-0"))),
+     "unsupported format"),
+    (dict(edit=_edit_header(lambda h: h.pop("rng_state"))), "malformed header"),
+], ids=["missing-weight", "missing-codes", "shape", "nan", "inf", "negative-dim",
+        "repeated-name", "extra-member", "format-tag", "header-field"])
 def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
     path = tmp_path / "cp.bin"
     save_checkpoint(_dummy_checkpoint(), path)
@@ -691,14 +753,4 @@ def test_checkpoint_without_codes_rejected(tmp_path):
     path = tmp_path / "cp.bin"
     save_checkpoint(replace(_dummy_checkpoint(), codes=np.zeros((0, TINY.k_obj))), path)
     with pytest.raises(CheckpointError, match="no object codes"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_values_past_the_directory_rejected(tmp_path):
-    path = tmp_path / "cp.bin"
-    save_checkpoint(_dummy_checkpoint(), path)
-    _rewrite_checkpoint(path, edit_header=lambda h: h.__setitem__("total_values",
-                                                                  h["total_values"] + 3))
-    path.write_bytes(path.read_bytes() + np.zeros(3).tobytes())
-    with pytest.raises(CheckpointError, match="total_values"):
         load_checkpoint(path)

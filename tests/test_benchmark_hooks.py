@@ -1,36 +1,42 @@
-"""The benchmark's tracer still fits artifield.
+"""The benchmark's tracer and workloads still fit artifield.
 
 ``perfbench/tracer.py`` looks each layer function up by module and name
 when it installs, and wraps ``gradcore.backward``, ``Adam.step`` and the vjp
 of every graph node, so a renamed function or a changed gradcore contract
-would break a traced benchmark run; these tests make tier-1 fail first. The
-tracer is loaded by path and not edited.
+would break a traced benchmark run. ``perfbench/workloads.py`` checks that a
+checkpoint ``train`` wrote reads back equal, so a changed checkpoint format
+would fail both gated workloads. These tests make tier-1 fail first. Both
+files are loaded by path and not edited.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifield import autodecoder
+from artifield import worldgen as wg
 from artifield.autodecoder import InstanceBatch, ViewSample
 from artifield.gradcore import Tensor
 from artifield.neuralfield import ArchConfig, ModelWeights, articulation_to_code
 from artifield.raymarch import RayBatch
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACER_MODULE = _load_tracer()
+TRACER_MODULE = _load("tracer")
+WORKLOADS_MODULE = _load("workloads")
 LAYER_FUNCTIONS = TRACER_MODULE.LAYER_FUNCTIONS
 
 
@@ -70,3 +76,19 @@ def test_tracer_counts_backward_and_vjps_of_a_loss_call():
     assert vjps and all(tracer.calls_within(label, "gradcore.backward") == tracer.count(label)
                         for label in vjps)
     assert z_obj in grads and dict(weights.named_parameters())["hyper.0.w"] in grads
+
+
+def test_trained_checkpoint_reads_back_as_the_workloads_check(tmp_path):
+    """Train after each chunk and serve in set-up load the checkpoint that
+    ``train`` wrote and compare it with the one it returned."""
+    arch = ArchConfig(k_obj=4, feature_dim=8, field_hidden=12, hyper_hidden=16, rgb_hidden=8,
+                      seg_hidden=8, kp_hidden=8, lstm_hidden=4, n_march=4)
+    manifest = wg.generate_dataset(wg.GenConfig(n_objects=2, n_articulations=1, n_views=1,
+                                                height=8, width=8, seed=2), tmp_path / "data")
+    config = autodecoder.TrainConfig(iterations=2, batch_instances=2, views_per_instance=1,
+                                     rays_per_view=16, seed=1)
+    trained, _ = autodecoder.train(manifest, config, arch=arch, out_dir=tmp_path / "model")
+    loaded = autodecoder.load_checkpoint(tmp_path / "model" / "checkpoint.bin",
+                                         expected_arch=arch)
+    assert WORKLOADS_MODULE._same_checkpoint(trained, loaded)
+    assert loaded.iteration == 2 and loaded.rng_state == trained.rng_state

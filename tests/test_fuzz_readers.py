@@ -5,7 +5,8 @@ an untyped one (MemoryError, struct.error, IndexError, ...).
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
-import struct
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def _saved(tmp_path_factory, name, write, value) -> bytes:
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """Each file kind as (bytes, length of its header)."""
+    """Each file kind as (bytes, length of its header); a checkpoint's
+    header is its zip entry for the header member."""
     rng = np.random.default_rng(0)
     weights = ModelWeights.init(TINY, rng)
     checkpoint = Checkpoint(weights=weights, codes=rng.normal(size=(2, TINY.k_obj)),
@@ -53,9 +55,10 @@ def originals(tmp_path_factory):
                  rng.integers(0, 4, size=(3, 4)).astype(np.uint8))
     cp = _saved(tmp_path_factory, "cp.bin", lambda path, c: save_checkpoint(c, path),
                 checkpoint)
-    (hlen,) = struct.unpack("<Q", cp[8:16])
+    with zipfile.ZipFile(io.BytesIO(cp)) as z:
+        first_tensor = z.infolist()[1].header_offset  # the header member comes first
     return {"ppm": (ppm, ppm.index(b"255\n") + 4), "pgm": (pgm, pgm.index(b"255\n") + 4),
-            "checkpoint": (cp, 16 + hlen)}
+            "checkpoint": (cp, first_tensor)}
 
 
 READERS = {"ppm": (read_ppm, ValueError), "pgm": (read_pgm, ValueError),

@@ -359,7 +359,7 @@ def test_generate_dataset_different_seed_differs(tmp_path):
 
 def test_dataset_digest_covers_keypoint_files(tmp_path):
     """Moving the handle 25 cm in one instance's keypoints file, which holds
-    the training q and keypoints, changes the digest."""
+    the training keypoints, changes the digest."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8, seed=4)
     manifest = wg.generate_dataset(cfg, tmp_path)
     before = wg.dataset_digest(manifest)
@@ -370,6 +370,34 @@ def test_dataset_digest_covers_keypoint_files(tmp_path):
     assert manifest.keypoints(manifest.instances[1])[1].positions[0, 0] \
         == record["points"]["handle"][0]
     assert wg.dataset_digest(manifest) != before
+
+
+@pytest.mark.parametrize("section, index, key, value",
+                         [("instances", 1, "q", 0.0), ("objects", 0, "diagonal", 9.0)])
+def test_dataset_digest_covers_the_manifest(tmp_path, section, index, key, value):
+    """The manifest holds each instance's q, which training reads from it
+    and from nowhere else, so an edit to it changes the digest."""
+    cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8, seed=4)
+    before = wg.dataset_digest(wg.generate_dataset(cfg, tmp_path))
+    path = tmp_path / "manifest.json"
+    record = json.loads(path.read_text())
+    record[section][index][key] = value
+    path.write_text(json.dumps(record))
+    manifest = wg.load_manifest(path)
+    assert wg.dataset_digest(manifest) != before
+    for inst in manifest.instances:
+        assert manifest.keypoints(inst)[0] == inst["q"]
+        assert "q" not in json.loads((tmp_path / inst["keypoints_file"]).read_text())
+
+
+@pytest.mark.parametrize("listing, key", [("instances", "keypoints_file"),
+                                          ("objects", "scene_file")])
+def test_manifest_detects_missing_keypoints_or_scene(tmp_path, listing, key):
+    cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8)
+    manifest = wg.generate_dataset(cfg, tmp_path / "ds")
+    (manifest.root / getattr(manifest, listing)[-1][key]).unlink()
+    with pytest.raises(FileNotFoundError, match="dataset file missing"):
+        wg.load_manifest(tmp_path / "ds" / "manifest.json")
 
 
 def test_manifest_detects_missing_file(tmp_path):
