@@ -16,6 +16,7 @@ The CRC-32 the zip keeps of each member catches a flipped bit.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import csv
@@ -44,7 +45,7 @@ from .neuralfield import (
     keypoint_head,
 )
 from .raymarch import RayBatch, pixel_rays, render_image, render_rays
-from .worldgen import DatasetManifest, PosedView
+from .worldgen import DatasetManifest, PosedView, _check_counts
 
 CHECKPOINT_FORMAT = "artifield-checkpoint-npz-1"
 
@@ -183,8 +184,9 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     usable CPU, up to the batch size; a single worker is the calling thread)
     over the caller's own leaves. Each leaf's gradient is summed over the
     instances in batch order, and so is each term of the breakdown, so both
-    are the same whatever the worker count. An error in any instance is
-    raised here.
+    are the same whatever the worker count. An instance's own gradients are
+    dropped as soon as they are summed. An error in any instance is raised
+    here.
     """
     if not batch:
         raise ValueError("total_loss needs at least one instance, got an empty batch")
@@ -212,10 +214,10 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     else:
         with ThreadPoolExecutor(workers) as pool:
             # One context copy per task: a context runs in one thread at a time.
-            futures = [pool.submit(contextvars.copy_context().run, run, inst)
-                       for inst in batch]
-            for future in futures:
-                take(future.result())
+            futures = collections.deque(pool.submit(contextvars.copy_context().run, run, inst)
+                                        for inst in batch)
+            while futures:
+                take(futures.popleft().result())
 
     # Each mean is (((t0 + t1) + t2) + ...) * scale over the instances' terms.
     means = {name: float(functools.reduce(np.add, terms[name]) * scales[name])
@@ -302,14 +304,6 @@ def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view
                      d_near=np.concatenate([r.d_near for r in rays]),
                      d_far=np.concatenate([r.d_far for r in rays]))
     return ViewSample(rays=batch, target_rgb=rgb, target_seg=seg)
-
-
-def _check_counts(config, minimums: dict[str, int]) -> None:
-    """Raise ValueError naming the first config field below its minimum."""
-    for name, least in minimums.items():
-        if getattr(config, name) < least:
-            raise ValueError(f"{type(config).__name__}.{name} is {getattr(config, name)}, "
-                             f"must be at least {least}")
 
 
 def train(manifest: DatasetManifest, config: TrainConfig,
@@ -584,7 +578,7 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
                 diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
                 raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
 
-            weights = ModelWeights.init(arch, np.random.default_rng(0))
+            weights = ModelWeights.zeros(arch)
             shapes = {key: t.data.shape for key, t in weights.named_parameters()}
             rows = members["codes"][1][:1] if "codes" in members else ()
             shapes["codes"] = (*rows, arch.k_obj)  # any number of rows
@@ -601,8 +595,8 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
                 raise CheckpointError(f"{path.name}: no object codes "
                                       "(inference starts from their mean)")
 
-            # The template's random values are overwritten in place, so the
-            # weights are never held twice.
+            # The values go into the template's arrays, so the weights are
+            # never held twice.
             arrays = [_read_into(members[key][0], t.data)
                       for key, t in weights.named_parameters()]
             codes = _read_into(members["codes"][0], np.empty(shapes["codes"]))

@@ -11,8 +11,9 @@ switches off recording in the thread (or ``contextvars`` context) that
 enters it only. ``set_finite_checks`` stays process-wide.
 
 ``backward`` releases the graph as it runs: once a node's vjp has been
-taken, the node drops its parents and its closure, so the activations the
-closure captured are freed on the way toward the leaves and no graph
+taken, the node drops its parents and its closure, and ``backward`` drops
+the node and its gradient, so the activations the closure captured and the
+gradients already used are freed on the way toward the leaves and no graph
 outlives its ``backward``. Each node keeps ``data`` and ``requires_grad``.
 A second ``backward`` that reaches a released node, on the same output or
 on a new one built from released nodes, raises ``GraphError``; run the
@@ -185,10 +186,10 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     The sums live in a dict owned by this call; no tensor attribute but the
     released links of the graph's own nodes is written. Traversal is a fixed
     topological order, so accumulation order (and hence the bit pattern of
-    every gradient) is deterministic. Intermediate gradients are held until
-    the call returns. Each node's links are released as its vjp runs (see
-    the module docstring); reaching an already released node raises
-    ``GraphError``.
+    every gradient) is deterministic. Each node leaves the order, and its
+    gradient the dict, as its vjp takes that gradient, and its links are
+    released (see the module docstring), so only the leaves' gradients are
+    left at the end. Reaching an already released node raises ``GraphError``.
     """
     if not output.requires_grad:
         raise GraphError(
@@ -219,15 +220,17 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
                 stack.append((p, False))
 
     grads = {output: np.ones_like(output.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         vjp = node._vjp
         if vjp is None:
             continue  # a leaf, possibly shared with other graphs: left as it is
         node._vjp, node._parents = None, ()
-        g = grads.get(node)
+        # A parent that adopted this gradient (``_accum``) keeps its array.
+        g = grads.pop(node, None)
         if g is not None:
             vjp(g, grads)
-    return {t: g for t, g in grads.items() if t.op == "leaf"}
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +639,9 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per block of adam_step: its two scratch buffers hold one block
+# each, not a copy of the parameter.
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -660,24 +666,32 @@ def adam_step(state: AdamState, params: Tensor, grads: np.ndarray) -> Tensor:
         state.v = np.zeros_like(params.data)
     state.step_count += 1
     t = state.step_count
-    # In place over two temporaries, with the association of
-    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    # In place, ADAM_BLOCK elements at a time over two scratch buffers, with
+    # the association of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     # update = (lr*m_hat) / (sqrt(v_hat) + eps); products commute exactly.
-    m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty_like(m))
-    m *= ADAM_BETA1
-    m += step
-    np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-    step *= g
-    v *= ADAM_BETA2
-    v += step
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
-    step *= state.lr
-    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=np.empty_like(v))
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    params.data -= step
+    # The C-order flat views of data, m and v write through (all three are
+    # C-contiguous); a gradient in another layout is flattened into a copy.
+    w, m, v, g = (a.reshape(-1) for a in (params.data, state.m, state.v, g))
+    step_buf = np.empty(min(w.size, ADAM_BLOCK))
+    denom_buf = np.empty_like(step_buf)
+    for lo in range(0, w.size, ADAM_BLOCK):
+        blk = slice(lo, lo + ADAM_BLOCK)
+        mb, vb, gb = m[blk], v[blk], g[blk]
+        step, denom = step_buf[:gb.size], denom_buf[:gb.size]
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+        mb *= ADAM_BETA1
+        mb += step
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=step)
+        step *= gb
+        vb *= ADAM_BETA2
+        vb += step
+        np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=step)
+        step *= state.lr
+        np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        w[blk] -= step
     return params
 
 

@@ -136,23 +136,10 @@ class ArchConfig:
         return cls(**d)
 
 
-def _init_layers(shapes: Sequence[tuple[int, int]], rng: np.random.Generator
-                 ) -> list[tuple[Tensor, Tensor]]:
-    layers = []
-    for fan_in, fan_out in shapes:
-        w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        layers.append((Tensor(w, requires_grad=True),
-                       Tensor(np.zeros(fan_out), requires_grad=True)))
-    return layers
-
-
-def _flat_field_init(arch: ArchConfig, rng: np.random.Generator) -> np.ndarray:
-    """A standard fan-in scaled draw of the whole field weight vector."""
-    parts = []
-    for fan_in, fan_out in arch.field_shapes:
-        parts.append(rng.standard_normal(fan_in * fan_out) / np.sqrt(fan_in))
-        parts.append(np.zeros(fan_out))
-    return np.concatenate(parts)
+def _fan_in_normal(w: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the (fan_in, fan_out) array ``w`` with standard normals over sqrt(fan_in)."""
+    rng.standard_normal(out=w)
+    w /= np.sqrt(w.shape[0])
 
 
 @dataclass
@@ -176,29 +163,49 @@ class ModelWeights:
     keypoint: list[tuple[Tensor, Tensor]]
 
     @classmethod
+    def zeros(cls, arch: ArchConfig) -> "ModelWeights":
+        """The layout of ``arch`` with every weight zero: what ``init`` draws
+        into and a checkpoint is read into."""
+        k, n, hd = arch.latent_dim, arch.feature_dim, arch.lstm_hidden
+
+        def param(*shape):
+            return Tensor(np.zeros(shape), requires_grad=True)
+
+        def layers(*widths):
+            return [(param(i, o), param(o)) for i, o in zip(widths, widths[1:])]
+
+        return cls(arch=arch, hyper=layers(k, arch.hyper_hidden, arch.field_param_count),
+                   raymarcher=RaymarcherWeights(LSTMParams(param(n + hd, 4 * hd), param(4 * hd)),
+                                                param(hd, 1), param(1)),
+                   rgb=layers(n, arch.rgb_hidden, 3),
+                   seg=layers(n, arch.seg_hidden, arch.n_classes),
+                   keypoint=layers(k, arch.kp_hidden, arch.kp_hidden, 3 * arch.n_keypoints))
+
+    @classmethod
     def init(cls, arch: ArchConfig, rng: np.random.Generator) -> "ModelWeights":
-        k, n = arch.latent_dim, arch.feature_dim
-        hyper = _init_layers([(k, arch.hyper_hidden)], rng)
+        """Random weights drawn from ``rng`` in a fixed order into
+        ``zeros(arch)``: fan-in scaled normal weights and zero biases, except
+        where noted below, and the LSTM from ``gc.lstm_init``."""
+        weights = cls.zeros(arch)
+        (w_in, _), (w_out, b_out) = weights.hyper
+        _fan_in_normal(w_in.data, rng)
         # Small final weights keep early fields near the bias point; the bias
         # itself is a standard field init so hidden units are not symmetric.
-        w_out = rng.standard_normal((arch.hyper_hidden, arch.field_param_count))
-        w_out *= arch.hyper_out_std  # in place: this is most of the model's memory
-        b_out = _flat_field_init(arch, rng)
-        hyper.append((Tensor(w_out, requires_grad=True), Tensor(b_out, requires_grad=True)))
+        rng.standard_normal(out=w_out.data)
+        w_out.data *= arch.hyper_out_std  # in place: this is most of the model's memory
+        off = 0
+        for fan_in, fan_out in arch.field_shapes:
+            _fan_in_normal(b_out.data[off:off + fan_in * fan_out].reshape(fan_in, fan_out), rng)
+            off += fan_in * fan_out + fan_out
 
-        lstm = gc.lstm_init(n, arch.lstm_hidden, rng)
-        step_w = Tensor(rng.standard_normal((arch.lstm_hidden, 1)) / np.sqrt(arch.lstm_hidden),
-                        requires_grad=True)
-        # softplus(step_b) == init_step
-        step_b = Tensor(np.array([np.log(np.expm1(arch.init_step))]), requires_grad=True)
+        rm = weights.raymarcher
+        rm.lstm = gc.lstm_init(arch.feature_dim, arch.lstm_hidden, rng)
+        _fan_in_normal(rm.step_w.data, rng)
+        rm.step_b.data[0] = np.log(np.expm1(arch.init_step))  # softplus(step_b) == init_step
 
-        rgb = _init_layers([(n, arch.rgb_hidden), (arch.rgb_hidden, 3)], rng)
-        seg = _init_layers([(n, arch.seg_hidden), (arch.seg_hidden, arch.n_classes)], rng)
-        kp = _init_layers([(k, arch.kp_hidden), (arch.kp_hidden, arch.kp_hidden),
-                           (arch.kp_hidden, 3 * arch.n_keypoints)], rng)
-        return cls(arch=arch, hyper=hyper,
-                   raymarcher=RaymarcherWeights(lstm, step_w, step_b),
-                   rgb=rgb, seg=seg, keypoint=kp)
+        for w, _ in weights.rgb + weights.seg + weights.keypoint:
+            _fan_in_normal(w.data, rng)
+        return weights
 
     def map_tensors(self, fn) -> "ModelWeights":
         """The same layout with ``fn(t)`` in place of every tensor ``t``."""

@@ -438,6 +438,14 @@ class GenConfig:
         return np.linspace(0.0, 1.0, self.n_articulations)
 
 
+def _check_counts(config, minimums: dict[str, int]) -> None:
+    """Raise ValueError naming the first config field below its minimum."""
+    for name, least in minimums.items():
+        if getattr(config, name) < least:
+            raise ValueError(f"{type(config).__name__}.{name} is {getattr(config, name)}, "
+                             f"must be at least {least}")
+
+
 @dataclass
 class DatasetManifest:
     root: Path
@@ -491,10 +499,13 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     manifest is serialized before any file is touched, the old one is removed
     before the first file is rewritten, and the new one is put in place after
     the last. A run that fails partway leaves the old dataset whole or no
-    manifest at all, never an old manifest over new files.
+    manifest at all, never an old manifest over new files. A config with a
+    count below 1, an image side below 8 or a negative seed raises
+    ValueError before any file is touched.
     """
+    _check_counts(config, {"n_objects": 1, "n_articulations": 1, "n_views": 1,
+                           "height": 8, "width": 8, "seed": 0})
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     q_grid = config.articulation_grid()
     models, objects, instances = [], [], []
     for oi in range(config.n_objects):
@@ -521,6 +532,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
         "objects": objects,
         "instances": instances,
     }
+    root.mkdir(parents=True, exist_ok=True)
     with atomic_open(root / "manifest.json") as manifest_file:
         json.dump(manifest, manifest_file, indent=1, sort_keys=True)
         (root / "manifest.json").unlink(missing_ok=True)

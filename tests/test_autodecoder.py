@@ -563,6 +563,20 @@ def test_checkpoint_roundtrip_bit_exact_render(tmp_path):
     assert img1.tobytes() == img2.tobytes()
 
 
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    """The loader's template comes from the arch alone: no generator is made."""
+    cp = _dummy_checkpoint()
+    save_checkpoint(cp, tmp_path / "cp.bin")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    cp2 = load_checkpoint(tmp_path / "cp.bin")
+    for (_, t1), (_, t2) in zip(cp.weights.named_parameters(), cp2.weights.named_parameters()):
+        assert t1.data.tobytes() == t2.data.tobytes()
+
+
 def test_checkpoint_truncated_file_rejected(tmp_path):
     cp = _dummy_checkpoint()
     path = tmp_path / "cp.bin"

@@ -11,6 +11,7 @@ from artifield import gradcore as gc
 from artifield.gradcore import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     Adam,
     AdamState,
@@ -172,6 +173,29 @@ def test_backward_releases_captured_activations():
     assert after_backward - before < 200_000
     assert loss._parents == () and loss._vjp is None
     assert set(grads) == {t for layer in layers for t in layer}
+
+
+def test_backward_frees_each_gradient_once_used():
+    """Along a chain of 40 tanh nodes, backward holds a few gradient-sized
+    arrays at a time, not one per node."""
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(3).standard_normal((400, 100)), requires_grad=True)
+    y = x
+    for _ in range(40):
+        y = tanh(y)
+    loss = tsum(y)
+    del y
+    tracemalloc.start()
+    try:
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_forward < 6 * x.data.nbytes
+    assert set(grads) == {x}
 
 
 def test_three_layer_mlp_gradient_vs_finite_differences():
@@ -659,20 +683,26 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_adam_step_bit_identical_to_reference_update():
-    """The in-place update keeps the association of the textbook formulas."""
+    """The in-place update keeps the association of the textbook formulas,
+    across ADAM_BLOCK boundaries and for a gradient in Fortran order."""
     rng = np.random.default_rng(6)
-    p = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
-    st = AdamState(lr=3e-3)
-    w, m, v = p.data.copy(), np.zeros((5, 7)), np.zeros((5, 7))
-    for t in range(1, 6):
-        g = rng.standard_normal((5, 7)) * 10.0 ** rng.uniform(-4, 2)
-        adam_step(st, p, g)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        w = w - st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        assert [a.tobytes() for a in (p.data, st.m, st.v)] == [a.tobytes() for a in (w, m, v)]
+    cases = [((5, 7), 5, False), ((7,), 20, False), ((), 20, False), ((128, 6496), 5, False),
+             ((3, ADAM_BLOCK + 1001), 20, False), ((5, 7), 20, True)]
+    for shape, steps, fortran in cases:
+        p = Tensor(rng.standard_normal(shape), requires_grad=True)
+        st = AdamState(lr=3e-3)
+        w, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, steps + 1):
+            g = rng.standard_normal(shape[::-1]).T if fortran else rng.standard_normal(shape)
+            g = g * 10.0 ** rng.uniform(-4, 2)
+            adam_step(st, p, g)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            w = w - st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert [a.tobytes() for a in (p.data, st.m, st.v)] == \
+                [a.tobytes() for a in (w, m, v)], (shape, fortran, t)
 
 
 def test_adam_converges_on_quadratic_bowl():

@@ -2,6 +2,7 @@
 checked against closed-form geometry oracles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,6 +338,24 @@ def test_generated_cameras_follow_the_camera_constants(tmp_path):
             lo, hi = wg.CAMERA_AZIM_RANGE_DEG
             assert lo - 1e-9 <= azim <= hi + 1e-9
             assert k[0, 0] == 0.5 * cfg.width / np.tan(np.deg2rad(wg.FOV_DEG) / 2.0)
+
+
+@pytest.mark.parametrize("field, value", [("n_objects", 0), ("n_articulations", 0),
+                                          ("n_views", 0), ("height", 4), ("width", 7),
+                                          ("seed", -1)])
+def test_generate_dataset_rejects_bad_config_before_touching_files(tmp_path, field, value):
+    """A count below 1, an image side below 8 or a negative seed is named in
+    a ValueError, and a dataset already in the directory keeps its manifest
+    byte for byte."""
+    cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=3)
+    wg.generate_dataset(cfg, tmp_path)
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(ValueError, match=f"GenConfig.{field} is {value}"):
+        wg.generate_dataset(replace(cfg, **{field: value}), tmp_path)
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    with pytest.raises(ValueError, match=field):
+        wg.generate_dataset(replace(cfg, **{field: value}), tmp_path / "new")
+    assert not (tmp_path / "new").exists()
 
 
 def test_generate_dataset_regeneration_is_byte_identical(tmp_path):
