@@ -43,6 +43,7 @@ from .neuralfield import (
     code_features_t,
     hyper_map,
     keypoint_head,
+    normalize_articulation,
 )
 from .raymarch import RayBatch, pixel_rays, render_image, render_rays
 from .worldgen import DatasetManifest, PosedView, _check_counts
@@ -102,15 +103,15 @@ class ViewSample:
 class InstanceBatch:
     """One (object, articulation) instance inside a minibatch.
 
-    z_art is a constant tensor during training (injected from ground truth)
-    and a trainable one during inference.
+    z_art lies on the unit circle: a constant tensor during training
+    (injected from ground truth) and ``gc.unit_circle`` of the fitted angle
+    during inference.
     """
 
     z_art: Tensor
     z_obj: Tensor
     sample: ViewSample
     target_keypoints: np.ndarray | None = None  # (N_kp, 3)
-    z_art_free: bool = False
 
 
 @dataclass
@@ -129,8 +130,7 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
     ``scales`` in its means, so every term gets the upstream gradient it gets
     in a graph over the whole batch.
     """
-    z_art, z_obj = inst.z_art, inst.z_obj
-    feats = code_features_t(z_art, z_obj)
+    feats = code_features_t(inst.z_art, inst.z_obj)
     theta = hyper_map(weights.hyper, feats)
     want_seg = lams["seg"] > 0
     sample = inst.sample
@@ -148,11 +148,7 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
             raise ValueError("keypoint loss requested but instance has no ground truth")
         pts = keypoint_head(weights.keypoint, feats, weights.arch)
         terms["kp"] = gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints)))
-    prior = gc.mul(gc.tsum(gc.square(z_obj)), 1.0 / weights.arch.k_obj)
-    if inst.z_art_free:
-        norm = gc.sqrt(gc.tsum(gc.square(z_art)))
-        prior = gc.add(prior, gc.square(gc.sub(norm, 1.0)))
-    terms["latent"] = prior
+    terms["latent"] = gc.mul(gc.tsum(gc.square(inst.z_obj)), 1.0 / weights.arch.k_obj)
 
     # image + latent * lam_latent, then + term * lam for depth, seg and kp in
     # that order, each term first scaled by its batch mean's factor.
@@ -331,10 +327,10 @@ def train(manifest: DatasetManifest, config: TrainConfig,
     weights = ModelWeights.init(arch, rng)
     codes = [Tensor(rng.normal(0.0, config.code_init_std, size=arch.k_obj),
                     requires_grad=True) for _ in range(n_obj)]
-    art_codes = {}  # articulation scalar -> constant tensor, shared
+    art_codes = {}  # articulation scalar -> constant tensor on the unit circle, shared
     for inst in instances:
         if inst.q not in art_codes:
-            art_codes[inst.q] = Tensor(articulation_to_code(inst.q))
+            art_codes[inst.q] = Tensor(normalize_articulation(articulation_to_code(inst.q))[0])
 
     opt_w = Adam(weights.named_parameters(), lr=config.lr_weights)
     opt_z = Adam([(f"codes.{i}", c) for i, c in enumerate(codes)], lr=config.lr_codes)
@@ -432,9 +428,8 @@ class InferResult:
     history: list[float]           # sampled-ray image loss per iteration
 
 
-def _full_frame_image_loss(weights: ModelWeights, z_art: np.ndarray,
-                           z_obj: np.ndarray, views: list[PosedView]) -> float:
-    code = LatentCode(z_art, z_obj)
+def _full_frame_image_loss(weights: ModelWeights, code: LatentCode,
+                           views: list[PosedView]) -> float:
     errs = []
     for view in views:
         img = render_image(weights, code, view.e, view.k, view.height, view.width)
@@ -446,39 +441,47 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
                  config: InferConfig) -> InferResult:
     """Fit a latent code to posed images with all network weights frozen.
 
-    Only the image term (plus the latent prior) is optimized: the
-    segmentation and keypoint weights are fixed at zero here. The object part
-    starts at the mean trained code and the articulation part at mid-range;
-    extra entries in q_inits run independent restarts, keeping the fit with
-    the lowest final loss. The checkpoint is left untouched: the march reads
-    its weight arrays through leaves that need no grad, so its tensors keep
-    their ``requires_grad``, the vjps skip the weight products, and several
-    threads may infer on one checkpoint at once.
+    Only the image term (plus the z_obj prior) is optimized: the
+    segmentation and keypoint weights are fixed at zero here. Adam descends
+    on an angle phi and on z_obj; z_art = (cos phi, sin phi) stays on the
+    unit circle by construction and is what the result holds. The object
+    part starts at the mean trained code and the angle at
+    phi0 = arccos(1 - 2 q0), the upper half circle's code of each q0 in
+    q_inits; each entry runs an independent restart, keeping the fit with the
+    lowest final loss. Raises ValueError if a q0 lies outside [0, 1]. The
+    checkpoint is left untouched: the march reads its weight arrays through
+    leaves that need no grad, so its tensors keep their ``requires_grad``,
+    the vjps skip the weight products, and several threads may infer on one
+    checkpoint at once.
     """
     _check_counts(config, {"iterations": 0, "rays_per_view": 1})
     if not views:
         raise ValueError("need at least one posed view")
     if not config.q_inits:
         raise ValueError("need at least one articulation start in q_inits")
+    bad = [q0 for q0 in config.q_inits if not 0.0 <= q0 <= 1.0]
+    if bad:
+        raise ValueError(f"q_inits {bad} outside [0, 1]")
     weights = checkpoint.weights.map_tensors(lambda t: Tensor(t.data))
     arch = checkpoint.arch
     best: InferResult | None = None
     for start_i, q0 in enumerate(config.q_inits):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
-        z_art = Tensor(articulation_to_code(q0), requires_grad=True)
+        phi = Tensor([np.arccos(1.0 - 2.0 * q0)], requires_grad=True)
         z_obj = Tensor(checkpoint.mean_object_code().copy(), requires_grad=True)
-        opt = Adam([("z_art", z_art), ("z_obj", z_obj)], lr=config.lr)
+        opt = Adam([("phi", phi), ("z_obj", z_obj)], lr=config.lr)
         history = []
         for _ in range(config.iterations):
             sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
-            inst = InstanceBatch(z_art=z_art, z_obj=z_obj, sample=sample, z_art_free=True)
+            inst = InstanceBatch(z_art=gc.unit_circle(phi), z_obj=z_obj, sample=sample)
             breakdown, grads = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
                                           lam_latent=config.lam_latent, lam_depth=0.0)
             opt.step(grads)
             history.append(breakdown.image)
-        final = _full_frame_image_loss(weights, z_art.data, z_obj.data, views)
-        result = InferResult(code=LatentCode(z_art.data.copy(), z_obj.data.copy()),
-                             final_image_loss=final,
+        code = LatentCode(np.concatenate([np.cos(phi.data), np.sin(phi.data)]),
+                          z_obj.data.copy())
+        result = InferResult(code=code,
+                             final_image_loss=_full_frame_image_loss(weights, code, views),
                              iterations=config.iterations, history=history)
         if best is None or result.final_image_loss < best.final_image_loss:
             best = result

@@ -71,11 +71,10 @@ class GraphError(RuntimeError):
 _node_counter = itertools.count()
 _grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled",
                                                                      default=True)
-# "risky": validate only ops that can produce non-finite values from
-# ordinary-magnitude inputs (div, sqrt); "all": every op. Training loops
-# additionally validate the loss and Adam validates gradients, so divergence
-# is caught either way.
-_finite_mode = "risky"
+# "off": no node is checked; "all": every node and every pre-activation
+# inside a fused op. Training loops validate the loss and Adam validates
+# gradients, so divergence is caught either way; "all" names the node.
+_finite_mode = "off"
 
 
 @contextmanager
@@ -90,11 +89,11 @@ def no_grad():
 
 
 def set_finite_checks(mode: str) -> None:
-    """Choose which nodes are checked for non-finite values: "risky" (the
-    default) checks div and sqrt, "all" checks every node and every
-    pre-activation inside a fused op, for debugging a divergence."""
+    """Choose which nodes are checked for non-finite values: "off" (the
+    default) checks none, "all" checks every node and every pre-activation
+    inside a fused op, for debugging a divergence."""
     global _finite_mode
-    if mode not in ("risky", "all"):
+    if mode not in ("off", "all"):
         raise ValueError(f"unknown finite-check mode {mode!r}")
     _finite_mode = mode
 
@@ -132,10 +131,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          vjp: Callable[[np.ndarray, dict], None], risky: bool = False) -> Tensor:
+          vjp: Callable[[np.ndarray, dict], None]) -> Tensor:
     out = Tensor(data)
-    if (_finite_mode == "all" or (risky and _finite_mode == "risky")) \
-            and not np.all(np.isfinite(data)):
+    if _finite_mode == "all" and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values in node #{out.node_id} ({op})")
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -198,7 +196,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
     if output.data.size != 1:
         raise ShapeMismatchError("backward needs a one-element output")
 
-    # Iterative post-order DFS; unrolled marches make recursion risky.
+    # Iterative post-order DFS; unrolled marches can exceed the recursion limit.
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(output, False)]
@@ -278,20 +276,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, "mul", (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    out_data = ad / bd
-
-    def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, _unbroadcast(g / bd, ad.shape))
-        if b.requires_grad:
-            _accum(grads, b, _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return _make(out_data, "div", (a, b), vjp, risky=True)
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
@@ -346,17 +330,6 @@ def relu(a) -> Tensor:
     return _make(y, "relu", (a,), vjp)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.sqrt(a.data)
-
-    def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * 0.5 / y)
-
-    return _make(y, "sqrt", (a,), vjp, risky=True)
-
-
 def square(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
@@ -383,6 +356,20 @@ def tsum(a) -> Tensor:
 def tmean(a) -> Tensor:
     a = as_tensor(a)
     return mul(tsum(a), 1.0 / a.data.size)
+
+
+def unit_circle(phi) -> Tensor:
+    """The point (cos phi, sin phi) of a (1,) angle, as a (2,) tensor."""
+    phi = as_tensor(phi)
+    if phi.data.shape != (1,):
+        raise ShapeMismatchError(f"unit_circle expects a (1,) angle, got {phi.data.shape}")
+    cos, sin = np.cos(phi.data), np.sin(phi.data)
+
+    def vjp(g, grads):
+        if phi.requires_grad:
+            _accum(grads, phi, g[1:] * cos - g[:1] * sin)
+
+    return _make(np.concatenate([cos, sin]), "unit_circle", (phi,), vjp)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:

@@ -2,11 +2,13 @@
 coordinate field and its output heads.
 
 The latent code z = [z_art; z_obj] splits into a 2-vector articulation part
-and a k_obj shape/appearance part. z_art is normalized onto the unit circle
-before any downstream use; the scalar articulation is recovered as
-q = (1 - x) / 2 from the normalized code, which is continuous everywhere on
-the circle and mirror symmetric between the two half circles, so gradient
-descent on z_art can never fall off a parameterization cliff.
+and a k_obj shape/appearance part. The learned maps take z_art on the unit
+circle: a ``LatentCode`` is projected onto it by ``code_features``, training
+injects codes that lie on it, and inference descends on an angle phi with
+z_art = (cos phi, sin phi), so the fit never leaves the circle. The scalar
+articulation is recovered as q = (1 - x) / 2 from the normalized code, which
+is continuous everywhere on the circle and mirror symmetric between the two
+half circles, so descent on phi never falls off a parameterization cliff.
 
 All learned maps run on gradcore tensors so they are differentiable with
 respect to both their weights and the latent code.
@@ -37,7 +39,7 @@ def normalize_articulation(z_art: np.ndarray) -> tuple[np.ndarray, float]:
     q = 0, instead of producing NaNs.
     """
     z_art = np.asarray(z_art, dtype=np.float64).reshape(2)
-    norm = np.linalg.norm(z_art)
+    norm = np.sqrt(np.sum(z_art * z_art))
     if norm < EPS_NORM:
         return np.array([1.0, 0.0]), 0.0
     z_hat = z_art / norm
@@ -50,14 +52,6 @@ def articulation_to_code(q: float) -> np.ndarray:
         raise ValueError(f"articulation q={q} outside [0, 1]")
     x = 1.0 - 2.0 * q
     return np.array([x, np.sqrt(max(0.0, 1.0 - x * x))])
-
-
-def normalize_articulation_t(z_art: Tensor) -> Tensor:
-    """Graph version of the unit-circle projection; returns z_hat as a (2,) tensor."""
-    if float(np.linalg.norm(z_art.data)) < EPS_NORM:
-        return Tensor(np.array([1.0, 0.0]))  # documented fallback, constant
-    norm = gc.sqrt(gc.tsum(gc.square(z_art)))
-    return gc.div(z_art, norm)
 
 
 @dataclass
@@ -239,13 +233,16 @@ class ModelWeights:
 # learned maps
 
 
-def code_features_t(z_art: Tensor | np.ndarray, z_obj: Tensor | np.ndarray) -> Tensor:
-    """concat(z_art / |z_art|, z_obj) as a (1, k) graph tensor: the form
-    the hypernetwork and keypoint head consume."""
-    z_art = gc.as_tensor(z_art)
-    z_obj = gc.as_tensor(z_obj)
-    z_hat = normalize_articulation_t(z_art)
+def code_features_t(z_hat: Tensor | np.ndarray, z_obj: Tensor | np.ndarray) -> Tensor:
+    """concat(z_hat, z_obj) as a (1, k) graph tensor: the form the
+    hypernetwork and keypoint head consume. ``z_hat`` is a z_art already on
+    the unit circle."""
     return gc.reshape(gc.concat([z_hat, z_obj], axis=0), (1, -1))
+
+
+def code_features(code: LatentCode) -> Tensor:
+    """``code_features_t`` of a code, its z_art projected onto the unit circle."""
+    return code_features_t(normalize_articulation(code.z_art)[0], code.z_obj)
 
 
 def hyper_map(hyper: Sequence[tuple[Tensor, Tensor]], feats: Tensor) -> Tensor:
@@ -301,6 +298,6 @@ def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:
         raise gc.ShapeMismatchError(
             f"object code has {code.z_obj.size} dims, expected {weights.arch.k_obj}")
     with gc.no_grad():
-        feats = code_features_t(Tensor(code.z_art), Tensor(code.z_obj))
+        feats = code_features(code)
         pts = keypoint_head(weights.keypoint, feats, weights.arch)
     return KeypointSet(weights.arch.keypoint_names, pts.data)

@@ -25,7 +25,7 @@ from .neuralfield import (
     LatentCode,
     ModelWeights,
     RaymarcherWeights,
-    code_features_t,
+    code_features,
     field_eval_layers,
     hyper_map,
     rgb_head,
@@ -33,6 +33,9 @@ from .neuralfield import (
     slice_field_weights,
 )
 from .worldgen import view_ray_grid
+
+# Rays per march of a full-frame render.
+RENDER_CHUNK = 4096
 
 
 @dataclass
@@ -107,33 +110,31 @@ def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
 
 
 def _theta_for(weights: ModelWeights, code: LatentCode) -> Tensor:
-    feats = code_features_t(Tensor(code.z_art), Tensor(code.z_obj))
-    return hyper_map(weights.hyper, feats)
+    return hyper_map(weights.hyper, code_features(code))
 
 
 def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
-                 k: np.ndarray, height: int, width: int, chunk: int = 4096
+                 k: np.ndarray, height: int, width: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-frame RGB (H, W, 3), class ids (H, W) uint8 and raw logits
     (H, W, C), no graph kept.
 
-    Rays are marched ``chunk`` at a time, each chunk once: both heads decode
-    the same landing features. Ties in the class argmax resolve to the lowest
-    class index (numpy argmax rule), so exactly uniform logits yield class 0.
-    Raises ValueError unless ``chunk``, ``height`` and ``width`` are at
-    least 1.
+    Rays are marched ``RENDER_CHUNK`` at a time, each chunk once: both heads
+    decode the same landing features. Ties in the class argmax resolve to the
+    lowest class index (numpy argmax rule), so exactly uniform logits yield
+    class 0. Raises ValueError unless ``height`` and ``width`` are at least 1.
     """
-    if chunk < 1 or height < 1 or width < 1:
-        raise ValueError(f"render_frame needs chunk, height and width of at least 1, "
-                         f"got chunk={chunk}, height={height}, width={width}")
+    if height < 1 or width < 1:
+        raise ValueError(f"render_frame needs height and width of at least 1, "
+                         f"got height={height}, width={width}")
     n_classes = weights.arch.n_classes
     with gc.no_grad():
         theta = _theta_for(weights, code)
         rgb = np.empty((height * width, 3))
         logits = np.empty((height * width, n_classes))
         grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
-        for lo in range(0, height * width, chunk):
-            hi = min(lo + chunk, height * width)
+        for lo in range(0, height * width, RENDER_CHUNK):
+            hi = min(lo + RENDER_CHUNK, height * width)
             sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
                            grid.d_near[lo:hi], grid.d_far[lo:hi])
             colors, chunk_logits, _ = render_rays(weights, theta, sub)
@@ -145,14 +146,12 @@ def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
 
 
 def render_image(weights: ModelWeights, code: LatentCode, e: np.ndarray,
-                 k: np.ndarray, height: int, width: int,
-                 chunk: int = 4096) -> np.ndarray:
+                 k: np.ndarray, height: int, width: int) -> np.ndarray:
     """The RGB frame of ``render_frame``."""
-    return render_frame(weights, code, e, k, height, width, chunk)[0]
+    return render_frame(weights, code, e, k, height, width)[0]
 
 
 def render_segmentation(weights: ModelWeights, code: LatentCode, e: np.ndarray,
-                        k: np.ndarray, height: int, width: int,
-                        chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+                        k: np.ndarray, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The class ids and logits of ``render_frame``."""
-    return render_frame(weights, code, e, k, height, width, chunk)[1:]
+    return render_frame(weights, code, e, k, height, width)[1:]

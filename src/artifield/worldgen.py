@@ -424,14 +424,6 @@ class GenConfig:
     width: int = 32
     seed: int = 0
 
-    @property
-    def n_instances(self) -> int:
-        return self.n_objects * self.n_articulations
-
-    @property
-    def n_files_expected(self) -> int:
-        return self.n_instances * self.n_views
-
     def articulation_grid(self) -> np.ndarray:
         if self.n_articulations == 1:
             return np.array([0.5])

@@ -182,7 +182,7 @@ def test_render_motion_marches_once_per_frame_and_chunk(tmp_path, monkeypatch, h
 
     monkeypatch.setattr(raymarch, "march", counted)
     render_motion(ckpt, codes, e, k, height, width, tmp_path / "frames")
-    chunks = -(-height * width // 4096)  # render_frame's default chunk
+    chunks = -(-height * width // raymarch.RENDER_CHUNK)
     assert len(marches) == len(codes) * chunks
     assert sum(marches) == len(codes) * height * width
 

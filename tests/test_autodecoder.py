@@ -66,7 +66,7 @@ def smoke_checkpoint(tmp_path_factory):
     return manifest, ckpt, history
 
 
-def _make_batch(manifest, weights, rng, z_art_free=False, seg=True, count=2):
+def _make_batch(manifest, weights, rng, seg=True, count=2):
     """``count`` instances, 32 rays from each of their views, optionally
     without segmentation targets."""
     instances = load_training_set(manifest)
@@ -76,9 +76,9 @@ def _make_batch(manifest, weights, rng, z_art_free=False, seg=True, count=2):
         if not seg:
             sample.target_seg = None
         batch.append(InstanceBatch(
-            z_art=Tensor(articulation_to_code(inst.q), requires_grad=z_art_free),
+            z_art=Tensor(articulation_to_code(inst.q)),
             z_obj=Tensor(rng.normal(size=weights.arch.k_obj) * 0.1, requires_grad=True),
-            sample=sample, target_keypoints=inst.keypoints, z_art_free=z_art_free))
+            sample=sample, target_keypoints=inst.keypoints))
     return batch
 
 
@@ -212,19 +212,19 @@ def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, mo
 
 def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
     """Two instances share one z_obj on two workers; the second also fits its
-    z_art, off the unit circle, and every one of its rays overshoots, so
-    every term reaches the checked leaves. The grads ``total_loss`` returns
-    match central differences of ``breakdown.total``."""
+    articulation angle phi through ``gc.unit_circle``, and every one of its
+    rays overshoots, so every term reaches the checked leaves. The grads
+    ``total_loss`` returns match central differences of ``breakdown.total``."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
     batch[1].z_obj = batch[0].z_obj
-    batch[1].z_art = Tensor(batch[1].z_art.data * 0.8, requires_grad=True)
-    batch[1].z_art_free = True
+    phi = Tensor([2.0], requires_grad=True)
+    batch[1].z_art = gc.unit_circle(phi)
     batch[1].sample.rays.d_far = batch[1].sample.rays.d_near.copy()
     lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
     params = dict(weights.named_parameters())
-    leaves = {"z_obj": batch[0].z_obj, "z_art": batch[1].z_art,
+    leaves = {"z_obj": batch[0].z_obj, "phi": phi,
               "raymarcher.step.b": params["raymarcher.step.b"],
               "hyper.1.b": params["hyper.1.b"]}
     bd, grads = total_loss(batch, weights, **lams)
@@ -235,6 +235,7 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         leaf.data.flat[i] = value
         try:
             with gc.no_grad():
+                batch[1].z_art = gc.unit_circle(phi)
                 return total_loss(batch, weights, **lams)[0].total
         finally:
             leaf.data.flat[i] = saved
@@ -398,9 +399,35 @@ def test_infer_zero_iterations_returns_initialization(smoke_checkpoint):
     manifest, ckpt, _ = smoke_checkpoint
     inst = load_training_set(manifest)[0]
     res = infer_latent(ckpt, inst.views, InferConfig(iterations=0, seed=0))
-    np.testing.assert_array_equal(res.code.z_art, articulation_to_code(0.5))
+    phi0 = np.arccos(1.0 - 2.0 * 0.5)
+    np.testing.assert_array_equal(res.code.z_art, [np.cos(phi0), np.sin(phi0)])
+    assert abs(res.code.q - 0.5) < 1e-15
     np.testing.assert_array_equal(res.code.z_obj, ckpt.mean_object_code())
     assert res.iterations == 0
+
+
+@pytest.mark.parametrize("q_inits", [(-0.1,), (0.5, 1.5), (float("nan"),)])
+def test_infer_rejects_articulation_start_outside_unit_interval(tiny_dataset, monkeypatch,
+                                                                q_inits):
+    """arccos of such a start would be NaN; it is refused before any fit runs."""
+    views = load_training_set(tiny_dataset)[0].views
+
+    def no_loss(*args, **kwargs):
+        raise AssertionError("a fit ran before the starts were checked")
+
+    monkeypatch.setattr(autodecoder, "total_loss", no_loss)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        infer_latent(_dummy_checkpoint(), views, InferConfig(iterations=2, q_inits=q_inits))
+
+
+@pytest.mark.parametrize("q_inits", [(0.0,), (1.0,), (0.2, 0.7)])
+def test_infer_articulation_stays_on_unit_circle(tiny_dataset, q_inits):
+    views = load_training_set(tiny_dataset)[0].views
+    for seed in (0, 1):
+        res = infer_latent(_dummy_checkpoint(seed), views,
+                           InferConfig(iterations=5, rays_per_view=16, lr=0.3, seed=seed,
+                                       q_inits=q_inits))
+        assert abs(np.linalg.norm(res.code.z_art) - 1.0) <= 1e-15
 
 
 def test_infer_requires_views(smoke_checkpoint):

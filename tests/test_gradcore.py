@@ -100,9 +100,13 @@ def test_forward_shape_mismatch_raises():
 
 def test_forward_nonfinite_reports_node():
     x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match="node #"):
-            gc.div(x, 0.0)
+    gc.set_finite_checks("all")
+    try:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="node #"):
+                gc.mul(x, np.inf)
+    finally:
+        gc.set_finite_checks("off")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,27 @@ def test_square_gradient():
     x = Tensor(np.array([[3.0]]), requires_grad=True)
     y = square(x)
     assert backward(y)[x].item() == 6.0
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 2, 2.5, np.pi, -1.2, 4.0])
+def test_unit_circle_value_and_gradient_vs_finite_differences(phi):
+    c = np.array([0.7, -1.3])
+
+    def loss_np(p):
+        return float(c @ np.array([np.cos(p[0]), np.sin(p[0])]))
+
+    x = Tensor(np.array([phi]), requires_grad=True)
+    u = gc.unit_circle(x)
+    assert u.data.tobytes() == np.array([np.cos(phi), np.sin(phi)]).tobytes()
+    analytic = backward(tsum(mul(u, c)))[x]
+    assert analytic.shape == (1,)
+    assert max_rel_err(analytic, finite_diff_grad(loss_np, np.array([phi]))) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (1, 1)])
+def test_unit_circle_rejects_angle_of_other_shape(shape):
+    with pytest.raises(ShapeMismatchError, match="unit_circle"):
+        gc.unit_circle(Tensor(np.zeros(shape), requires_grad=True))
 
 
 def test_linear_gradient_outer_product_structure():
@@ -633,7 +658,7 @@ def test_fused_ops_finite_check_sees_inner_overflow():
     x = Tensor(np.full((1, 2), big))
     state = lstm_zero_state(1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.all(np.isfinite(gc.mlp(x, layers).data))  # default "risky" mode
+        assert np.all(np.isfinite(gc.mlp(x, layers).data))  # default "off" mode
         assert np.all(np.isfinite(lstm_step(params, state, x)[1].data))
         gc.set_finite_checks("all")
         try:
@@ -642,14 +667,14 @@ def test_fused_ops_finite_check_sees_inner_overflow():
             with pytest.raises(NonFiniteError, match="lstm_step"):
                 lstm_step(params, state, x)
         finally:
-            gc.set_finite_checks("risky")
+            gc.set_finite_checks("off")
 
 
-@pytest.mark.parametrize("mode", ["off", True, False])
+@pytest.mark.parametrize("mode", ["risky", True, False])
 def test_set_finite_checks_rejects_unknown_mode(mode):
     with pytest.raises(ValueError, match="unknown finite-check mode"):
         gc.set_finite_checks(mode)
-    assert gc._finite_mode == "risky"
+    assert gc._finite_mode == "off"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from artifield.neuralfield import (
     LatentCode,
     ModelWeights,
     articulation_to_code,
+    code_features,
     code_features_t,
     field_eval_layers,
     hyper_map,
@@ -117,8 +118,8 @@ def test_hyper_scale_invariance_exact():
     w = _weights()
     z_obj = np.random.default_rng(1).normal(size=TINY.k_obj)
     z_art = np.array([0.6, -0.8])
-    th1 = hyper_map(w.hyper, code_features_t(Tensor(z_art), Tensor(z_obj)))
-    th2 = hyper_map(w.hyper, code_features_t(Tensor(4.0 * z_art), Tensor(z_obj)))
+    th1 = hyper_map(w.hyper, code_features(LatentCode(z_art, z_obj)))
+    th2 = hyper_map(w.hyper, code_features(LatentCode(4.0 * z_art, z_obj)))
     assert th1.data.tobytes() == th2.data.tobytes()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from artifield import gradcore as gc
+from artifield import raymarch
 from artifield import worldgen as wg
 from artifield.gradcore import Tensor, backward
 from artifield.neuralfield import (
@@ -14,6 +15,7 @@ from artifield.neuralfield import (
     LatentCode,
     ModelWeights,
     articulation_to_code,
+    code_features,
     code_features_t,
     hyper_map,
 )
@@ -253,25 +255,25 @@ def test_render_segmentation_argmax_shift_invariant():
 
 
 @pytest.mark.parametrize("render", [render_frame, render_image, render_segmentation])
-@pytest.mark.parametrize("height,width,chunk", [(8, 8, 0), (8, 8, -1), (-2, 8, 4096),
-                                                (8, 0, 4096)])
-def test_render_rejects_bad_chunk_or_frame_size(render, height, width, chunk):
+@pytest.mark.parametrize("height,width", [(-2, 8), (8, 0)])
+def test_render_rejects_bad_frame_size(render, height, width):
     code = LatentCode.from_articulation(0.5, np.zeros(TINY.k_obj))
     with pytest.raises(ValueError, match="at least 1"):
         render(tiny_weights(1), code, offset_identity_extrinsic(), wg.make_intrinsics(8, 8),
-               height, width, chunk=chunk)
+               height, width)
 
 
 @pytest.mark.parametrize("height,width,chunk", [(8, 8, 4096), (8, 8, 7), (17, 13, 4096),
                                                 (17, 13, 7)])
-def test_render_frame_equals_separate_renders(height, width, chunk):
+def test_render_frame_equals_separate_renders(height, width, chunk, monkeypatch):
+    monkeypatch.setattr(raymarch, "RENDER_CHUNK", chunk)
     w = tiny_weights(18)
     code = LatentCode.from_articulation(0.7, np.random.default_rng(19).normal(size=TINY.k_obj))
     m = wg.sample_scene(1, "closet")
     e, k = wg.sample_camera(np.random.default_rng(20), m, height, width)
-    rgb, classes, logits = render_frame(w, code, e, k, height, width, chunk=chunk)
-    img = render_image(w, code, e, k, height, width, chunk=chunk)
-    seg, seg_logits = render_segmentation(w, code, e, k, height, width, chunk=chunk)
+    rgb, classes, logits = render_frame(w, code, e, k, height, width)
+    img = render_image(w, code, e, k, height, width)
+    seg, seg_logits = render_segmentation(w, code, e, k, height, width)
     assert rgb.shape == (height, width, 3) and classes.dtype == np.uint8
     assert logits.shape == (height, width, TINY.n_classes)
     assert rgb.tobytes() == img.tobytes()
@@ -282,7 +284,7 @@ def test_render_frame_equals_separate_renders(height, width, chunk):
     grid = pixel_rays(e, k, height, width, scene_radius=TINY.scene_radius)
     ref_rgb, ref_logits = [], []
     with gc.no_grad():
-        theta = hyper_map(w.hyper, code_features_t(Tensor(code.z_art), Tensor(code.z_obj)))
+        theta = hyper_map(w.hyper, code_features(code))
         for lo in range(0, height * width, chunk):
             sub = RayBatch(*(a[lo:lo + chunk] for a in
                              (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
@@ -292,13 +294,14 @@ def test_render_frame_equals_separate_renders(height, width, chunk):
     assert logits.tobytes() == np.concatenate(ref_logits).tobytes()
 
 
-def test_render_rays_graph_chunking_consistency():
+def test_render_rays_graph_chunking_consistency(monkeypatch):
     w = tiny_weights(14)
     code = LatentCode.from_articulation(0.4, np.random.default_rng(15).normal(size=TINY.k_obj))
     e = offset_identity_extrinsic()
     k = wg.make_intrinsics(8, 8)
-    whole = render_image(w, code, e, k, 8, 8, chunk=4096)
-    pieces = render_image(w, code, e, k, 8, 8, chunk=7)
+    whole = render_image(w, code, e, k, 8, 8)
+    monkeypatch.setattr(raymarch, "RENDER_CHUNK", 7)
+    pieces = render_image(w, code, e, k, 8, 8)
     np.testing.assert_allclose(whole, pieces, rtol=1e-12, atol=1e-14)
 
 

@@ -299,13 +299,6 @@ def test_netpbm_impossible_header_rejected(tmp_path, blob):
 # dataset generation
 
 
-def test_paper_scale_config_instance_count():
-    cfg = wg.GenConfig(n_objects=1000, n_articulations=100, n_views=10,
-                       height=128, width=128)
-    assert cfg.n_instances == 100000
-    assert cfg.n_files_expected == 1000000
-
-
 def test_generate_dataset_counts_and_files(tmp_path):
     cfg = wg.GenConfig(n_objects=2, n_articulations=3, n_views=2,
                        height=8, width=8, seed=5)
