@@ -10,7 +10,8 @@ parts) is fit to the observed images alone.
 
 A checkpoint is an uncompressed ``.npz`` that ``np.load(path, allow_pickle=False)``
 reads: a 0-d string member ``header`` holding JSON (format tag, arch, arch hash,
-train config, iteration, rng state), then a float64 member per weight and ``codes``.
+train config, iteration, rng state), then a float64 member per weight, named and
+ordered as ``ArchConfig.param_shapes``, and ``codes``.
 The CRC-32 the zip keeps of each member catches a flipped bit.
 """
 
@@ -251,10 +252,10 @@ class TrainConfig:
 class Checkpoint:
     weights: ModelWeights
     codes: np.ndarray          # (N_obj, k_obj) trained object codes
-    arch: ArchConfig
     train_config: dict
     iteration: int
     rng_state: dict
+    arch = property(lambda self: self.weights.arch)  # read-only: the arch of the weights
 
     def object_code(self, index: int, q: float) -> LatentCode:
         return LatentCode.from_articulation(q, self.codes[index])
@@ -303,8 +304,7 @@ def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view
 
 
 def train(manifest: DatasetManifest, config: TrainConfig,
-          arch: ArchConfig | None = None, out_dir=None,
-          log_fn=None) -> tuple[Checkpoint, list[LossBreakdown]]:
+          arch: ArchConfig | None = None, out_dir=None) -> tuple[Checkpoint, list[LossBreakdown]]:
     """Fit codes and weights jointly with Adam; deterministic for a seed,
     whatever the number of worker threads ``total_loss`` runs. Each iteration
     takes one Adam step on the gradient dict ``total_loss`` returns and then
@@ -312,10 +312,14 @@ def train(manifest: DatasetManifest, config: TrainConfig,
 
     Writes periodic checkpoints and a per-iteration CSV log when out_dir is
     given. Divergence (non-finite loss or gradient) aborts with a
-    TrainingDivergedError pointing at the last good checkpoint.
+    TrainingDivergedError pointing at the last good checkpoint. A count below
+    its minimum, or a negative, NaN or infinite rate, loss weight or
+    ``code_init_std``, raises ValueError before any data is loaded.
     """
     _check_counts(config, {"iterations": 0, "batch_instances": 1,
-                           "views_per_instance": 1, "rays_per_view": 1})
+                           "views_per_instance": 1, "rays_per_view": 1,
+                           "lr_weights": 0.0, "lr_codes": 0.0, "lam_seg": 0.0, "lam_kp": 0.0,
+                           "lam_latent": 0.0, "lam_depth": 0.0, "code_init_std": 0.0})
     if arch is None:
         arch = ArchConfig(category=manifest.category)
     elif arch.category != manifest.category:
@@ -352,7 +356,7 @@ def train(manifest: DatasetManifest, config: TrainConfig,
     def make_checkpoint(iteration: int) -> Checkpoint:
         return Checkpoint(weights=weights,
                           codes=np.stack([c.data for c in codes]),
-                          arch=arch, train_config=config.to_dict(),
+                          train_config=config.to_dict(),
                           iteration=iteration,
                           rng_state=rng.bit_generator.state)
 
@@ -390,8 +394,6 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                 row.update(iteration=it, lr_weights=config.lr_weights,
                            lr_codes=config.lr_codes)
                 csv_writer.writerow(row)
-            if log_fn is not None and (it % 100 == 0 or it == 1):
-                log_fn(it, breakdown)
             if out_dir is not None and config.checkpoint_every > 0 \
                     and it % config.checkpoint_every == 0 and it < config.iterations:
                 last_ckpt_path = out_dir / f"checkpoint_{it:06d}.bin"
@@ -448,13 +450,14 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     part starts at the mean trained code and the angle at
     phi0 = arccos(1 - 2 q0), the upper half circle's code of each q0 in
     q_inits; each entry runs an independent restart, keeping the fit with the
-    lowest final loss. Raises ValueError if a q0 lies outside [0, 1]. The
-    checkpoint is left untouched: the march reads its weight arrays through
-    leaves that need no grad, so its tensors keep their ``requires_grad``,
-    the vjps skip the weight products, and several threads may infer on one
-    checkpoint at once.
+    lowest final loss. Raises ValueError if a q0 lies outside [0, 1], a count
+    is below its minimum, or ``lr`` or ``lam_latent`` is negative, NaN or
+    infinite. The checkpoint is left untouched: the march reads its weight
+    arrays through leaves that need no grad, so its tensors keep their
+    ``requires_grad``, the vjps skip the weight products, and several threads
+    may infer on one checkpoint at once.
     """
-    _check_counts(config, {"iterations": 0, "rays_per_view": 1})
+    _check_counts(config, {"iterations": 0, "rays_per_view": 1, "lr": 0.0, "lam_latent": 0.0})
     if not views:
         raise ValueError("need at least one posed view")
     if not config.q_inits:
@@ -462,8 +465,9 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     bad = [q0 for q0 in config.q_inits if not 0.0 <= q0 <= 1.0]
     if bad:
         raise ValueError(f"q_inits {bad} outside [0, 1]")
-    weights = checkpoint.weights.map_tensors(lambda t: Tensor(t.data))
     arch = checkpoint.arch
+    weights = ModelWeights(arch, {name: Tensor(t.data)
+                                  for name, t in checkpoint.weights.params.items()})
     best: InferResult | None = None
     for start_i, q0 in enumerate(config.q_inits):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
@@ -545,10 +549,11 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
 
     Raises CheckpointError unless the header has this format's tag, its arch
     hash and ``expected_arch`` (when given) match, the members are exactly
-    the header and each tensor in float64 with the architecture's shape
-    (``codes`` with at least one row), and every value is finite and passes
-    its member's CRC-32. Every name, shape and dtype is checked before any
-    value is read, and each value is read once, into its final array.
+    the header, ``codes`` with at least one row and each tensor of
+    ``arch.param_shapes`` with its shape, all in float64, and every value is
+    finite and passes its member's CRC-32. Every name, shape and dtype is
+    checked before the weights are allocated or any value is read, and each
+    value is read once, into its final array.
     """
     path = Path(path)
     file_size = path.stat().st_size
@@ -581,8 +586,7 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
                 diff = {k: (theirs[k], ours[k]) for k in ours if theirs.get(k) != ours[k]}
                 raise CheckpointError(f"{path.name}: architecture mismatch: {diff}")
 
-            weights = ModelWeights.zeros(arch)
-            shapes = {key: t.data.shape for key, t in weights.named_parameters()}
+            shapes = dict(arch.param_shapes)
             rows = members["codes"][1][:1] if "codes" in members else ()
             shapes["codes"] = (*rows, arch.k_obj)  # any number of rows
             for key, shape in shapes.items():
@@ -600,6 +604,7 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
 
             # The values go into the template's arrays, so the weights are
             # never held twice.
+            weights = ModelWeights.zeros(arch)
             arrays = [_read_into(members[key][0], t.data)
                       for key, t in weights.named_parameters()]
             codes = _read_into(members["codes"][0], np.empty(shapes["codes"]))
@@ -610,4 +615,4 @@ def load_checkpoint(path, expected_arch: ArchConfig | None = None) -> Checkpoint
         raise CheckpointError(f"{path.name}: corrupt or not a checkpoint file: {exc!r}") from exc
     if not all(np.isfinite(a).all() for a in [*arrays, codes]):
         raise CheckpointError(f"{path.name}: non-finite values in the payload")
-    return Checkpoint(weights=weights, codes=codes, arch=arch, **meta)
+    return Checkpoint(weights=weights, codes=codes, **meta)

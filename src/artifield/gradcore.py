@@ -526,36 +526,16 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
 # recurrent cell
 
 
-@dataclass
-class LSTMParams:
-    """Gate weights of one LSTM cell; gate order along columns is i, f, g, o."""
-
-    w: Tensor  # (input_dim + hidden_dim, 4 * hidden_dim)
-    b: Tensor  # (4 * hidden_dim,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.b.data.shape[0] // 4
-
-    @property
-    def input_dim(self) -> int:
-        return self.w.data.shape[0] - self.hidden_dim
-
-
-def lstm_init(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> LSTMParams:
-    w = rng.standard_normal((input_dim + hidden_dim, 4 * hidden_dim)) / np.sqrt(input_dim + hidden_dim)
-    b = np.zeros(4 * hidden_dim)
-    b[hidden_dim:2 * hidden_dim] = 1.0  # forget-gate bias
-    return LSTMParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-
-
 def lstm_zero_state(batch: int, hidden_dim: int) -> tuple[Tensor, Tensor]:
     z = np.zeros((batch, hidden_dim))
     return Tensor(z), Tensor(z.copy())
 
 
-def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tuple[Tensor, Tensor], Tensor]:
-    """One gated recurrent update; returns ((h', c'), output) with output = h'.
+def lstm_step(w: Tensor, b: Tensor, state: tuple[Tensor, Tensor],
+              x) -> tuple[tuple[Tensor, Tensor], Tensor]:
+    """One gated recurrent update of the cell ``w`` (I + H, 4H), ``b`` (4H,)
+    with gates i, f, g, o along the columns, as ``raymarcher.lstm.*`` in
+    ``ArchConfig.param_shapes``; returns ((h', c'), output) with output = h'.
 
     Builds two nodes, c' and h' (see the module docstring); their values and
     gradients equal those of sigmoid/tanh gates over
@@ -563,14 +543,14 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
     """
     h, c = state
     x = as_tensor(x)
-    w, b = params.w, params.b
-    hd = params.hidden_dim
+    hd = b.data.shape[0] // 4
+    in_dim = w.data.shape[0] - hd
     if x.data.ndim != 2 or h.data.ndim != 2:
         raise ShapeMismatchError("lstm_step expects (B, I) input and (B, H) state")
-    if x.data.shape[1] != params.input_dim or h.data.shape[1] != hd:
+    if x.data.shape[1] != in_dim or h.data.shape[1] != hd:
         raise ShapeMismatchError(
             f"lstm_step width mismatch: input {x.data.shape}, state {h.data.shape}, "
-            f"cell expects input_dim={params.input_dim}, hidden_dim={hd}")
+            f"cell expects input_dim={in_dim}, hidden_dim={hd}")
     wd, cd = w.data, c.data
     z = _affine_data(np.concatenate([x.data, h.data], axis=1), wd, b.data)
     _check_intermediate(z, "lstm_step gate pre-activations")
@@ -597,7 +577,6 @@ def lstm_step(params: LSTMParams, state: tuple[Tensor, Tensor], x) -> tuple[tupl
             dz[:, 3 * hd:] += go
         if x.requires_grad or h.requires_grad:
             dxh = dz @ wd.T
-            in_dim = x.data.shape[1]
             if x.requires_grad:
                 _accum(grads, x, dxh[:, :in_dim])
             if h.requires_grad:

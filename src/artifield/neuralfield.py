@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gradcore as gc
-from .gradcore import LSTMParams, Tensor
+from .gradcore import Tensor
 from .worldgen import KeypointSet, SEG_CLASSES, keypoint_names
 
 EPS_NORM = 1e-8
@@ -122,6 +122,25 @@ class ArchConfig:
     def field_param_count(self) -> int:
         return sum(i * o + o for i, o in self.field_shapes)
 
+    @property
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every trainable tensor by name and shape, in the one fixed order
+        that ``ModelWeights``, Adam and checkpoints follow: the hypernetwork,
+        the rgb, seg and keypoint heads, each as ``{group}.{layer}.w`` (in,
+        out) and ``.b`` (out,), then the raymarcher's LSTM cell (gate columns
+        i, f, g, o) and its step head."""
+        k, n, hd = self.latent_dim, self.feature_dim, self.lstm_hidden
+        out = []
+        for group, widths in (("hyper", (k, self.hyper_hidden, self.field_param_count)),
+                              ("rgb", (n, self.rgb_hidden, 3)),
+                              ("seg", (n, self.seg_hidden, self.n_classes)),
+                              ("keypoint", (k, self.kp_hidden, self.kp_hidden,
+                                            3 * self.n_keypoints))):
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+                out += [(f"{group}.{i}.w", (fan_in, fan_out)), (f"{group}.{i}.b", (fan_out,))]
+        return out + [("raymarcher.lstm.w", (n + hd, 4 * hd)), ("raymarcher.lstm.b", (4 * hd,)),
+                      ("raymarcher.step.w", (hd, 1)), ("raymarcher.step.b", (1,))]
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -137,96 +156,63 @@ def _fan_in_normal(w: np.ndarray, rng: np.random.Generator) -> None:
 
 
 @dataclass
-class RaymarcherWeights:
-    """Recurrent step-length predictor: LSTM cell plus softplus step head."""
-
-    lstm: LSTMParams
-    step_w: Tensor  # (hidden, 1)
-    step_b: Tensor  # (1,)
-
-
-@dataclass
 class ModelWeights:
-    """Every trainable weight vector of the model, by role."""
+    """Every trainable tensor of the model: ``params`` holds one per entry of
+    ``arch.param_shapes``, under its name and in its order."""
 
     arch: ArchConfig
-    hyper: list[tuple[Tensor, Tensor]]     # latent features -> field weights
-    raymarcher: RaymarcherWeights
-    rgb: list[tuple[Tensor, Tensor]]
-    seg: list[tuple[Tensor, Tensor]]
-    keypoint: list[tuple[Tensor, Tensor]]
+    params: dict[str, Tensor]
 
     @classmethod
     def zeros(cls, arch: ArchConfig) -> "ModelWeights":
         """The layout of ``arch`` with every weight zero: what ``init`` draws
         into and a checkpoint is read into."""
-        k, n, hd = arch.latent_dim, arch.feature_dim, arch.lstm_hidden
-
-        def param(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        def layers(*widths):
-            return [(param(i, o), param(o)) for i, o in zip(widths, widths[1:])]
-
-        return cls(arch=arch, hyper=layers(k, arch.hyper_hidden, arch.field_param_count),
-                   raymarcher=RaymarcherWeights(LSTMParams(param(n + hd, 4 * hd), param(4 * hd)),
-                                                param(hd, 1), param(1)),
-                   rgb=layers(n, arch.rgb_hidden, 3),
-                   seg=layers(n, arch.seg_hidden, arch.n_classes),
-                   keypoint=layers(k, arch.kp_hidden, arch.kp_hidden, 3 * arch.n_keypoints))
+        return cls(arch, {name: Tensor(np.zeros(shape), requires_grad=True)
+                          for name, shape in arch.param_shapes})
 
     @classmethod
     def init(cls, arch: ArchConfig, rng: np.random.Generator) -> "ModelWeights":
-        """Random weights drawn from ``rng`` in a fixed order into
-        ``zeros(arch)``: fan-in scaled normal weights and zero biases, except
-        where noted below, and the LSTM from ``gc.lstm_init``."""
+        """Random weights drawn from ``rng`` into ``zeros(arch)``: fan-in
+        scaled normal weights and zero biases, except where noted below. The
+        draws run in the order hyper, raymarcher (LSTM cell, then step head),
+        rgb, seg, keypoint."""
         weights = cls.zeros(arch)
-        (w_in, _), (w_out, b_out) = weights.hyper
-        _fan_in_normal(w_in.data, rng)
+        p = {name: t.data for name, t in weights.params.items()}
+        _fan_in_normal(p["hyper.0.w"], rng)
         # Small final weights keep early fields near the bias point; the bias
         # itself is a standard field init so hidden units are not symmetric.
-        rng.standard_normal(out=w_out.data)
-        w_out.data *= arch.hyper_out_std  # in place: this is most of the model's memory
+        w_out, b_out = p["hyper.1.w"], p["hyper.1.b"]
+        rng.standard_normal(out=w_out)
+        w_out *= arch.hyper_out_std  # in place: this is most of the model's memory
         off = 0
         for fan_in, fan_out in arch.field_shapes:
-            _fan_in_normal(b_out.data[off:off + fan_in * fan_out].reshape(fan_in, fan_out), rng)
+            _fan_in_normal(b_out[off:off + fan_in * fan_out].reshape(fan_in, fan_out), rng)
             off += fan_in * fan_out + fan_out
 
-        rm = weights.raymarcher
-        rm.lstm = gc.lstm_init(arch.feature_dim, arch.lstm_hidden, rng)
-        _fan_in_normal(rm.step_w.data, rng)
-        rm.step_b.data[0] = np.log(np.expm1(arch.init_step))  # softplus(step_b) == init_step
+        hd = arch.lstm_hidden
+        _fan_in_normal(p["raymarcher.lstm.w"], rng)
+        p["raymarcher.lstm.b"][hd:2 * hd] = 1.0  # forget-gate bias
+        _fan_in_normal(p["raymarcher.step.w"], rng)
+        p["raymarcher.step.b"][0] = np.log(np.expm1(arch.init_step))  # softplus(b) == init_step
 
-        for w, _ in weights.rgb + weights.seg + weights.keypoint:
-            _fan_in_normal(w.data, rng)
+        for name, w in p.items():
+            if name.startswith(("rgb.", "seg.", "keypoint.")) and name.endswith(".w"):
+                _fan_in_normal(w, rng)
         return weights
 
-    def map_tensors(self, fn) -> "ModelWeights":
-        """The same layout with ``fn(t)`` in place of every tensor ``t``."""
-        def layers(ls):
-            return [(fn(w), fn(b)) for w, b in ls]
+    def _layers(self, group: str) -> list[tuple[Tensor, Tensor]]:
+        """The (w, b) pair of each layer of ``group``, in layer order."""
+        ts = [t for name, t in self.params.items() if name.startswith(group + ".")]
+        return list(zip(ts[0::2], ts[1::2]))
 
-        rm = self.raymarcher
-        return ModelWeights(arch=self.arch, hyper=layers(self.hyper),
-                            raymarcher=RaymarcherWeights(LSTMParams(fn(rm.lstm.w), fn(rm.lstm.b)),
-                                                         fn(rm.step_w), fn(rm.step_b)),
-                            rgb=layers(self.rgb), seg=layers(self.seg),
-                            keypoint=layers(self.keypoint))
+    hyper = property(lambda self: self._layers("hyper"))  # latent features -> field weights
+    rgb = property(lambda self: self._layers("rgb"))
+    seg = property(lambda self: self._layers("seg"))
+    keypoint = property(lambda self: self._layers("keypoint"))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Fixed, documented order: serialization and Adam both rely on it."""
-        out: list[tuple[str, Tensor]] = []
-        for group, layers in (("hyper", self.hyper), ("rgb", self.rgb),
-                              ("seg", self.seg), ("keypoint", self.keypoint)):
-            for i, (w, b) in enumerate(layers):
-                out.append((f"{group}.{i}.w", w))
-                out.append((f"{group}.{i}.b", b))
-        rm = self.raymarcher
-        out.append(("raymarcher.lstm.w", rm.lstm.w))
-        out.append(("raymarcher.lstm.b", rm.lstm.b))
-        out.append(("raymarcher.step.w", rm.step_w))
-        out.append(("raymarcher.step.b", rm.step_b))
-        return out
+        """The order of ``arch.param_shapes``: serialization and Adam both rely on it."""
+        return list(self.params.items())
 
 
 # ---------------------------------------------------------------------------

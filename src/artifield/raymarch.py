@@ -21,10 +21,8 @@ import numpy as np
 from . import gradcore as gc
 from .gradcore import Tensor
 from .neuralfield import (
-    ArchConfig,
     LatentCode,
     ModelWeights,
-    RaymarcherWeights,
     code_features,
     field_eval_layers,
     hyper_map,
@@ -78,10 +76,11 @@ def pixel_rays(e: np.ndarray, k: np.ndarray, height: int, width: int,
                     d_near=np.full((r, 1), near), d_far=np.full((r, 1), far))
 
 
-def march(theta: Tensor, rm: RaymarcherWeights, rays: RayBatch,
-          arch: ArchConfig) -> MarchResult:
-    """Recurrent raymarch: query the field, step by softplus(linear(h)),
-    repeat n_march times, then evaluate features at the landing points."""
+def march(theta: Tensor, weights: ModelWeights, rays: RayBatch) -> MarchResult:
+    """Recurrent raymarch with the ``raymarcher.*`` tensors of ``weights``: query
+    the field, step by softplus(linear(h)), repeat n_march times, then evaluate
+    features at the landing points."""
+    arch, p = weights.arch, weights.params
     field_layers = slice_field_weights(theta, arch)
     r = rays.count
     origins = Tensor(rays.origins)
@@ -91,8 +90,8 @@ def march(theta: Tensor, rm: RaymarcherWeights, rays: RayBatch,
     for _ in range(arch.n_march):
         x = gc.add(origins, gc.mul(d, dirs))
         v = field_eval_layers(field_layers, x)
-        state, h = gc.lstm_step(rm.lstm, state, v)
-        delta = gc.softplus(gc.affine(h, rm.step_w, rm.step_b))
+        state, h = gc.lstm_step(p["raymarcher.lstm.w"], p["raymarcher.lstm.b"], state, v)
+        delta = gc.softplus(gc.affine(h, p["raymarcher.step.w"], p["raymarcher.step.b"]))
         d = gc.add(d, delta)
     x_final = gc.add(origins, gc.mul(d, dirs))
     v_final = field_eval_layers(field_layers, x_final)
@@ -103,7 +102,7 @@ def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
                 want_seg: bool = True) -> tuple[Tensor, Tensor | None, MarchResult]:
     """March a ray batch and decode its features into RGB and, with
     ``want_seg``, seg logits."""
-    result = march(theta, weights.raymarcher, rays, weights.arch)
+    result = march(theta, weights, rays)
     rgb = rgb_head(weights.rgb, result.v_final)
     logits = seg_head(weights.seg, result.v_final) if want_seg else None
     return rgb, logits, result

@@ -430,12 +430,14 @@ class GenConfig:
         return np.linspace(0.0, 1.0, self.n_articulations)
 
 
-def _check_counts(config, minimums: dict[str, int]) -> None:
-    """Raise ValueError naming the first config field below its minimum."""
+def _check_counts(config, minimums: dict[str, float]) -> None:
+    """Raise ValueError naming the first config field below its minimum,
+    NaN or infinite."""
     for name, least in minimums.items():
-        if getattr(config, name) < least:
-            raise ValueError(f"{type(config).__name__}.{name} is {getattr(config, name)}, "
-                             f"must be at least {least}")
+        value = getattr(config, name)
+        if not least <= value < np.inf:
+            raise ValueError(f"{type(config).__name__}.{name} is {value}, "
+                             f"must be at least {least} and finite")
 
 
 @dataclass
@@ -551,6 +553,11 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a dataset's manifest.json. Raises ValueError unless ``objects``
+    lists objects 0 to n_objects - 1 in order, each instance's ``object`` is
+    one of them and its ``q`` lies in [0, 1], and the views number
+    n_objects * n_articulations * n_views; FileNotFoundError if a listed file
+    is missing."""
     path = Path(path)
     with open(path) as f:
         d = json.load(f)
@@ -559,6 +566,17 @@ def load_manifest(path) -> DatasetManifest:
         n_articulations=d["n_articulations"], n_views=d["n_views"],
         height=d["height"], width=d["width"], seed=d["seed"],
         objects=d["objects"], instances=d["instances"])
+    indices = [obj["index"] for obj in manifest.objects]
+    if indices != list(range(manifest.n_objects)):
+        raise ValueError(f"manifest objects are indexed {indices}, "
+                         f"expected 0 to {manifest.n_objects - 1} in order")
+    for i, inst in enumerate(manifest.instances):
+        if not (isinstance(inst["object"], int) and 0 <= inst["object"] < manifest.n_objects):
+            raise ValueError(f"manifest instance {i}: object {inst['object']!r} is not an "
+                             f"index in [0, {manifest.n_objects})")
+        if not (isinstance(inst["q"], (int, float)) and 0.0 <= inst["q"] <= 1.0):
+            raise ValueError(f"manifest instance {i}: q {inst['q']!r} is not a number "
+                             f"in [0, 1]")
     n_images = sum(len(inst["views"]) for inst in manifest.instances)
     listed = [obj["scene_file"] for obj in manifest.objects]
     for inst in manifest.instances:

@@ -32,7 +32,7 @@ def tiny_checkpoint(seed=0):
     rng = np.random.default_rng(seed)
     return Checkpoint(weights=ModelWeights.init(TINY, rng),
                       codes=rng.normal(size=(3, TINY.k_obj)) * 0.1,
-                      arch=TINY, train_config=TrainConfig().to_dict(),
+                      train_config=TrainConfig().to_dict(),
                       iteration=0, rng_state=rng.bit_generator.state)
 
 

@@ -69,7 +69,7 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
 def test_checkpoint_write_failure_keeps_previous(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     cp = Checkpoint(weights=ModelWeights.init(TINY, rng), codes=rng.normal(size=(3, TINY.k_obj)),
-                    arch=TINY, train_config=TrainConfig(iterations=1).to_dict(),
+                    train_config=TrainConfig(iterations=1).to_dict(),
                     iteration=1, rng_state=rng.bit_generator.state)
     path = tmp_path / "cp.bin"
     save_checkpoint(cp, path)

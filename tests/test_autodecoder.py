@@ -375,9 +375,15 @@ def test_training_rejects_wrong_category_arch(tiny_dataset):
 @pytest.mark.parametrize("entry,field,value", [
     ("train", "rays_per_view", 0), ("train", "batch_instances", 0),
     ("train", "views_per_instance", 0), ("train", "iterations", -1),
-    ("infer", "rays_per_view", 0), ("infer", "iterations", -1)])
+    ("infer", "rays_per_view", 0), ("infer", "iterations", -1),
+    ("train", "lr_weights", float("nan")), ("train", "lr_codes", -1),
+    ("train", "lam_seg", float("inf")), ("train", "lam_kp", -1e-9),
+    ("train", "lam_latent", float("nan")), ("train", "lam_depth", -0.1),
+    ("train", "code_init_std", float("-inf")),
+    ("infer", "lr", -0.01), ("infer", "lam_latent", float("inf"))])
 def test_config_counts_checked_at_entry(tiny_dataset, monkeypatch, entry, field, value):
-    """A count below its minimum fails by name before any data is loaded."""
+    """A count below its minimum, or a negative, NaN or infinite rate, loss
+    weight or code scale, fails by name before any data is loaded."""
     views = load_training_set(tiny_dataset)[0].views
 
     def no_loading(manifest):
@@ -566,7 +572,7 @@ def _dummy_checkpoint(seed=0, arch=TINY):
     rng = np.random.default_rng(seed)
     weights = ModelWeights.init(arch, rng)
     codes = rng.normal(size=(3, arch.k_obj))
-    return Checkpoint(weights=weights, codes=codes, arch=arch,
+    return Checkpoint(weights=weights, codes=codes,
                       train_config=TrainConfig(iterations=1).to_dict(),
                       iteration=1, rng_state=rng.bit_generator.state)
 
@@ -676,7 +682,7 @@ def test_checkpoint_members_read_with_np_load(tmp_path):
     save_checkpoint(cp, tmp_path / "cp.bin")
     with np.load(tmp_path / "cp.bin", allow_pickle=False) as z:
         header = json.loads(str(z["header"]))
-        assert z.files == ["header", *(name for name, _ in autodecoder._checkpoint_tensors(cp))]
+        assert z.files == ["header", *(name for name, _ in TINY.param_shapes), "codes"]
         np.testing.assert_array_equal(z["codes"], cp.codes)
     assert header["arch"] == cp.arch.to_dict() and header["iteration"] == cp.iteration
 

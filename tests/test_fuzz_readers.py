@@ -48,7 +48,7 @@ def originals(tmp_path_factory):
     rng = np.random.default_rng(0)
     weights = ModelWeights.init(TINY, rng)
     checkpoint = Checkpoint(weights=weights, codes=rng.normal(size=(2, TINY.k_obj)),
-                            arch=TINY, train_config=TrainConfig(iterations=1).to_dict(),
+                            train_config=TrainConfig(iterations=1).to_dict(),
                             iteration=1, rng_state=rng.bit_generator.state)
     ppm = _saved(tmp_path_factory, "x.ppm", write_ppm, rng.uniform(size=(3, 4, 3)))
     pgm = _saved(tmp_path_factory, "x.pgm", write_pgm,

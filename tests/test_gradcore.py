@@ -16,7 +16,6 @@ from artifield.gradcore import (
     Adam,
     AdamState,
     GraphError,
-    LSTMParams,
     NonFiniteError,
     ShapeMismatchError,
     Tensor,
@@ -25,7 +24,6 @@ from artifield.gradcore import (
     backward,
     concat,
     cross_entropy_logits,
-    lstm_init,
     lstm_step,
     lstm_zero_state,
     mul,
@@ -358,12 +356,20 @@ def test_cross_entropy_uniform_logits_value_and_gradient():
 # lstm
 
 
+def _lstm_cell(in_dim, hd, rng):
+    """(w, b) leaves of a cell: fan-in scaled normal weights, forget-gate bias 1."""
+    w = rng.standard_normal((in_dim + hd, 4 * hd)) / np.sqrt(in_dim + hd)
+    b = np.zeros(4 * hd)
+    b[hd:2 * hd] = 1.0
+    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+
+
 def test_lstm_zero_params_zero_output():
-    params = LSTMParams(Tensor(np.zeros((7, 12)), requires_grad=True),
-                        Tensor(np.zeros(12), requires_grad=True))
+    w = Tensor(np.zeros((7, 12)), requires_grad=True)
+    b = Tensor(np.zeros(12), requires_grad=True)
     state = lstm_zero_state(3, 3)
     x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-    (h, c), out = lstm_step(params, state, x)
+    (h, c), out = lstm_step(w, b, state, x)
     np.testing.assert_array_equal(out.data, np.zeros((3, 3)))
     np.testing.assert_array_equal(c.data, np.zeros((3, 3)))
 
@@ -374,18 +380,19 @@ def test_lstm_saturated_forget_preserves_cell():
     b = np.zeros(4 * hd)
     b[hd:2 * hd] = 50.0    # forget gate saturated open
     b[0:hd] = -50.0        # input gate closed
-    params = LSTMParams(Tensor(w), Tensor(b))
     c0 = np.array([[0.3, -1.2]])
     state = (Tensor(np.zeros((1, hd))), Tensor(c0))
-    (h, c), _ = lstm_step(params, state, Tensor(np.ones((1, 3))))
+    (h, c), _ = lstm_step(Tensor(w), Tensor(b), state, Tensor(np.ones((1, 3))))
     np.testing.assert_allclose(c.data, c0, atol=1e-12)
 
 
 def test_lstm_width_mismatch_raises():
-    params = lstm_init(4, 3, np.random.default_rng(0))
-    state = lstm_zero_state(2, 3)
-    with pytest.raises(ShapeMismatchError):
-        lstm_step(params, state, Tensor(np.zeros((2, 5))))
+    """The widths come from the shapes of w (I + H, 4H) and b (4H,)."""
+    w, b = _lstm_cell(4, 3, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatchError, match="input_dim=4, hidden_dim=3"):
+        lstm_step(w, b, lstm_zero_state(2, 3), Tensor(np.zeros((2, 5))))
+    with pytest.raises(ShapeMismatchError, match="input_dim=4, hidden_dim=3"):
+        lstm_step(w, b, lstm_zero_state(2, 2), Tensor(np.zeros((2, 4))))
 
 
 def test_lstm_unrolled_gradient_vs_finite_differences():
@@ -408,26 +415,26 @@ def test_lstm_unrolled_gradient_vs_finite_differences():
             h = sig(o) * np.tanh(c)
         return float((h ** 2).sum())
 
-    params = LSTMParams(Tensor(w0.reshape(in_dim + hd, 4 * hd), requires_grad=True),
-                        Tensor(b0, requires_grad=True))
+    w = Tensor(w0.reshape(in_dim + hd, 4 * hd), requires_grad=True)
+    b = Tensor(b0, requires_grad=True)
     state = lstm_zero_state(batch, hd)
     out = None
     for x in xs:
-        state, out = lstm_step(params, state, Tensor(x))
+        state, out = lstm_step(w, b, state, Tensor(x))
     grads = backward(tsum(square(out)))
-    analytic = np.concatenate([grads[params.w].ravel(), grads[params.b]])
+    analytic = np.concatenate([grads[w].ravel(), grads[b]])
     fd = finite_diff_grad(loss_np, np.concatenate([w0, b0]))
     assert max_rel_err(analytic, fd) < 1e-4
 
 
 def test_lstm_determinism():
     rng = np.random.default_rng(11)
-    params = lstm_init(4, 3, np.random.default_rng(5))
+    w, b = _lstm_cell(4, 3, np.random.default_rng(5))
     x = rng.standard_normal((2, 4))
     outs = []
     for _ in range(2):
         state = lstm_zero_state(2, 3)
-        _, out = lstm_step(params, state, Tensor(x))
+        _, out = lstm_step(w, b, state, Tensor(x))
         outs.append(out.data.copy())
     assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -445,10 +452,10 @@ def unfused_mlp(x, layers):
     return h
 
 
-def unfused_lstm_step(params, state, x):
+def unfused_lstm_step(w, b, state, x):
     h, c = state
-    hd = params.hidden_dim
-    z = affine(concat([x, h], axis=1), params.w, params.b)
+    hd = b.data.shape[0] // 4
+    z = affine(concat([x, h], axis=1), w, b)
     i = sigmoid(narrow(z, 1, 0, hd))
     f = sigmoid(narrow(z, 1, hd, hd))
     g = tanh(narrow(z, 1, 2 * hd, hd))
@@ -491,12 +498,12 @@ def test_mlp_bit_identical_to_unfused_layers():
 
 
 def _lstm_graph(step_fn, w0, b0, xs0, from_cell_only=False):
-    params = LSTMParams(Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True))
+    w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
     xs = [Tensor(x, requires_grad=True) for x in xs0]
     state = lstm_zero_state(xs0[0].shape[0], b0.size // 4)
     outs = []
     for x in xs:
-        state, h = step_fn(params, state, x)
+        state, h = step_fn(w, b, state, x)
         outs += [h, state[1]]
     loss = tsum(square(state[1]))
     if not from_cell_only:
@@ -504,7 +511,7 @@ def _lstm_graph(step_fn, w0, b0, xs0, from_cell_only=False):
         for t, h in enumerate(outs[0::2]):
             loss = gc.add(loss, tsum(mul(h, float(t + 1))))
     grads = backward(loss)
-    return [t.data for t in outs] + [grads[t] for t in (params.w, params.b, *xs)]
+    return [t.data for t in outs] + [grads[t] for t in (w, b, *xs)]
 
 
 @pytest.mark.parametrize("from_cell_only", [False, True])
@@ -557,10 +564,10 @@ def test_fused_ops_record_no_graph_under_no_grad():
     rng = np.random.default_rng(2)
     layers = [(Tensor(rng.standard_normal((3, 4)), requires_grad=True),
                Tensor(np.zeros(4), requires_grad=True))]
-    params = lstm_init(4, 2, rng)
+    w, b = _lstm_cell(4, 2, rng)
     with gc.no_grad():
         v = gc.mlp(Tensor(rng.standard_normal((2, 3)), requires_grad=True), layers)
-        (h, c), _ = lstm_step(params, lstm_zero_state(2, 2), v)
+        (h, c), _ = lstm_step(w, b, lstm_zero_state(2, 2), v)
     for t in (v, h, c):
         assert not t.requires_grad
         assert t._parents == () and t._vjp is None
@@ -579,14 +586,14 @@ def test_backward_on_two_threads_over_shared_leaves():
     layers = [(Tensor(rng.standard_normal((i, o)) * 0.5, requires_grad=True),
                Tensor(rng.standard_normal(o) * 0.1, requires_grad=True))
               for i, o in [(3, 16), (16, 16), (16, 2)]]
-    params = lstm_init(2, 4, np.random.default_rng(10))
-    leaves = [t for layer in layers for t in layer] + [params.w, params.b]
+    w, b = _lstm_cell(2, 4, np.random.default_rng(10))
+    leaves = [t for layer in layers for t in layer] + [w, b]
     inputs = [rng.standard_normal((32, 3)) for _ in range(2)]
 
     def grads_of(x):
         state, out = lstm_zero_state(32, 4), None
         for _ in range(6):
-            state, out = lstm_step(params, state, gc.mlp(Tensor(x), layers))
+            state, out = lstm_step(w, b, state, gc.mlp(Tensor(x), layers))
         return backward(tsum(square(out)))
 
     before = [_leaf_state(t) for t in leaves]
@@ -654,18 +661,18 @@ def test_fused_ops_finite_check_sees_inner_overflow():
     big = 1e200
     layers = [(Tensor(np.full((2, 2), big), requires_grad=True), Tensor(np.zeros(2))),
               (Tensor(np.eye(2)), Tensor(np.zeros(2)))]
-    params = LSTMParams(Tensor(np.full((2 + 1, 4), big), requires_grad=True), Tensor(np.zeros(4)))
+    cell = (Tensor(np.full((2 + 1, 4), big), requires_grad=True), Tensor(np.zeros(4)))
     x = Tensor(np.full((1, 2), big))
     state = lstm_zero_state(1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.all(np.isfinite(gc.mlp(x, layers).data))  # default "off" mode
-        assert np.all(np.isfinite(lstm_step(params, state, x)[1].data))
+        assert np.all(np.isfinite(lstm_step(*cell, state, x)[1].data))
         gc.set_finite_checks("all")
         try:
             with pytest.raises(NonFiniteError, match="mlp layer 0"):
                 gc.mlp(x, layers)
             with pytest.raises(NonFiniteError, match="lstm_step"):
-                lstm_step(params, state, x)
+                lstm_step(*cell, state, x)
         finally:
             gc.set_finite_checks("off")
 

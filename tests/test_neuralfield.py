@@ -321,3 +321,36 @@ def test_named_parameters_fixed_order():
     assert names[-1] == "raymarcher.step.b"
     assert len(names) == len(set(names))
     assert names == [n for n, _ in w.named_parameters()]
+    assert [(n, t.data.shape) for n, t in w.named_parameters()] == TINY.param_shapes
+
+
+@pytest.mark.parametrize("arch", [TINY, ArchConfig()], ids=["tiny", "default"])
+def test_init_equals_reference_draw(arch):
+    """``init`` draws from one generator in the documented order: hyper,
+    the LSTM cell and the step head, then the rgb, seg and keypoint weights."""
+    rng = np.random.default_rng(31)
+
+    def fan_in_normal(name):
+        shape = dict(arch.param_shapes)[name]
+        return rng.standard_normal(shape) / np.sqrt(shape[0])
+
+    ref = {name: np.zeros(shape) for name, shape in arch.param_shapes}
+    ref["hyper.0.w"] = fan_in_normal("hyper.0.w")
+    ref["hyper.1.w"] = rng.standard_normal(ref["hyper.1.w"].shape) * arch.hyper_out_std
+    off = 0
+    for i, o in arch.field_shapes:
+        ref["hyper.1.b"][off:off + i * o] = (rng.standard_normal((i, o)) / np.sqrt(i)).ravel()
+        off += i * o + o
+    ref["raymarcher.lstm.w"] = fan_in_normal("raymarcher.lstm.w")
+    ref["raymarcher.lstm.b"][arch.lstm_hidden:2 * arch.lstm_hidden] = 1.0
+    ref["raymarcher.step.w"] = fan_in_normal("raymarcher.step.w")
+    ref["raymarcher.step.b"][0] = np.log(np.expm1(arch.init_step))
+    for name in ("rgb.0.w", "rgb.1.w", "seg.0.w", "seg.1.w",
+                 "keypoint.0.w", "keypoint.1.w", "keypoint.2.w"):
+        ref[name] = fan_in_normal(name)
+
+    got = ModelWeights.init(arch, np.random.default_rng(31))
+    assert [name for name, _ in got.named_parameters()] == list(ref)
+    for name, t in got.named_parameters():
+        assert t.data.tobytes() == ref[name].tobytes(), name
+        assert t.requires_grad

@@ -139,14 +139,12 @@ def _ray_batch(n=5, seed=0):
 
 def test_march_zero_weights_fixed_bias_step():
     w = tiny_weights()
-    rm = w.raymarcher
-    rm.lstm.w.data[:] = 0.0
-    rm.lstm.b.data[:] = 0.0
-    rm.step_w.data[:] = 0.0
-    rm.step_b.data[:] = 0.0
+    for name in ("raymarcher.lstm.w", "raymarcher.lstm.b", "raymarcher.step.w",
+                 "raymarcher.step.b"):
+        w.params[name].data[:] = 0.0
     theta = Tensor(np.zeros(TINY.field_param_count))
     rays = _ray_batch()
-    result = march(theta, rm, rays, TINY)
+    result = march(theta, w, rays)
     # every step is softplus(0) = ln 2
     expected = 0.5 + TINY.n_march * np.log(2.0)
     np.testing.assert_allclose(result.d_final.data, expected, atol=1e-12)
@@ -160,7 +158,7 @@ def test_march_deterministic_for_identical_rays():
     theta = hyper_map(w.hyper, feats)
     rays = _ray_batch(2, seed=7)
     rays.dirs[1] = rays.dirs[0]
-    result = march(theta, w.raymarcher, rays, TINY)
+    result = march(theta, w, rays)
     assert result.d_final.data[0] == result.d_final.data[1]
     np.testing.assert_array_equal(result.v_final.data[0], result.v_final.data[1])
 
@@ -173,18 +171,18 @@ def test_march_depths_monotone():
     rays = _ray_batch(4, seed=9)
     prev = rays.d_near
     for k in range(1, 5):
-        d = march(theta, w.raymarcher, rays, replace(TINY, n_march=k)).d_final.data
+        d = march(theta, ModelWeights(replace(TINY, n_march=k), w.params), rays).d_final.data
         assert np.all(d > prev)
         prev = d
 
 
 def test_march_gradient_wrt_raymarcher_params():
     w = tiny_weights(4)
-    rm = w.raymarcher
     theta = Tensor(np.random.default_rng(5).normal(size=TINY.field_param_count) * 0.2)
     rays = _ray_batch(3, seed=11)
 
-    packs = [rm.lstm.w, rm.lstm.b, rm.step_w, rm.step_b]
+    packs = [w.params[name] for name in ("raymarcher.lstm.w", "raymarcher.lstm.b",
+                                         "raymarcher.step.w", "raymarcher.step.b")]
     flat0 = np.concatenate([p.data.ravel() for p in packs])
     sizes = [p.data.size for p in packs]
 
@@ -195,13 +193,13 @@ def test_march_gradient_wrt_raymarcher_params():
             p.data = flat[off:off + n].reshape(p.data.shape)
             off += n
         try:
-            res = march(theta, rm, rays, TINY)
+            res = march(theta, w, rays)
             return float(res.d_final.data.sum())
         finally:
             for p, s in zip(packs, saved):
                 p.data = s
 
-    res = march(theta, rm, rays, TINY)
+    res = march(theta, w, rays)
     grads = backward(gc.tsum(res.d_final))
     analytic = np.concatenate([grads[p].ravel() for p in packs])
     fd = finite_diff_grad(loss_np, flat0)

@@ -412,6 +412,35 @@ def test_manifest_detects_missing_keypoints_or_scene(tmp_path, listing, key):
         wg.load_manifest(tmp_path / "ds" / "manifest.json")
 
 
+def _set_instance(index, key, value):
+    return lambda record: record["instances"][index].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_instance(0, "object", -1), r"instance 0: object -1 is not an index in \[0, 2\)"),
+    (_set_instance(1, "object", 2), "instance 1: object 2 is not"),
+    (_set_instance(0, "object", "0"), "object '0' is not"),
+    (_set_instance(1, "q", 1.5), r"instance 1: q 1.5 is not a number in \[0, 1\]"),
+    (_set_instance(0, "q", -0.25), "q -0.25 is not"),
+    (_set_instance(0, "q", float("nan")), "q nan is not"),
+    (_set_instance(0, "q", float("inf")), "q inf is not"),
+    (lambda record: record["objects"].pop(), r"objects are indexed \[0\], expected 0 to 1"),
+    (lambda record: record["objects"].reverse(), r"objects are indexed \[1, 0\]"),
+], ids=["object-negative", "object-past-end", "object-string", "q-above-1", "q-negative",
+        "q-nan", "q-inf", "objects-short", "objects-out-of-order"])
+def test_manifest_rejects_inconsistent_records(tmp_path, edit, message):
+    """An instance must name one of the listed objects and hold a q in
+    [0, 1], and objects must list indices 0 to n_objects - 1 in order."""
+    cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
+    wg.generate_dataset(cfg, tmp_path)
+    path = tmp_path / "manifest.json"
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=message):
+        wg.load_manifest(path)
+
+
 def test_manifest_detects_missing_file(tmp_path):
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
