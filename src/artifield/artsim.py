@@ -99,7 +99,10 @@ def render_motion(checkpoint: Checkpoint, codes: list[LatentCode],
                   e: np.ndarray, k: np.ndarray, height: int, width: int,
                   out_dir) -> list[tuple[Path, Path]]:
     """One RGB + segmentation frame per code, written as step-indexed files;
-    both come from a single march of each code."""
+    both come from a single march of each code. Raises ValueError, before
+    ``out_dir`` is created, if there is no code."""
+    if not codes:
+        raise ValueError("need at least one latent code")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []

@@ -8,7 +8,9 @@ gradients in a dict of its own and writes no leaf attribute, so graphs
 that share leaves may run on several threads at once. Repeated runs with
 identical inputs are bit-identical. ``no_grad`` holds per context: it
 switches off recording in the thread (or ``contextvars`` context) that
-enters it only. ``set_finite_checks`` stays process-wide.
+enters it only. The module keeps no other state. Nodes are not checked
+for non-finite values: ``adam_step`` rejects a non-finite gradient and
+the training loop rejects a non-finite loss.
 
 ``backward`` releases the graph as it runs: once a node's vjp has been
 taken, the node drops its parents and its closure, and ``backward`` drops
@@ -41,14 +43,11 @@ unfused composition of primitive ops:
   between forward and backward: c''s vjp rebuilds it from ``x.data`` and
   ``h.data``, the same values in the same layout, so the product's bits are
   the same.
-- Under ``set_finite_checks("all")`` the fused forward checks every
-  pre-activation the unfused chain recorded as a node.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,13 +67,8 @@ class GraphError(RuntimeError):
     pass
 
 
-_node_counter = itertools.count()
 _grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled",
                                                                      default=True)
-# "off": no node is checked; "all": every node and every pre-activation
-# inside a fused op. Training loops validate the loss and Adam validates
-# gradients, so divergence is caught either way; "all" names the node.
-_finite_mode = "off"
 
 
 @contextmanager
@@ -88,16 +82,6 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-def set_finite_checks(mode: str) -> None:
-    """Choose which nodes are checked for non-finite values: "off" (the
-    default) checks none, "all" checks every node and every pre-activation
-    inside a fused op, for debugging a divergence."""
-    global _finite_mode
-    if mode not in ("off", "all"):
-        raise ValueError(f"unknown finite-check mode {mode!r}")
-    _finite_mode = mode
-
-
 class Tensor:
     """Dense float64 array plus the bookkeeping for reverse-mode autodiff.
 
@@ -109,7 +93,7 @@ class Tensor:
     tensor itself.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id", "op", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "op", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -117,13 +101,12 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
-        self.node_id = next(_node_counter)
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray, dict], None] | None = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, op={self.op!r}, id={self.node_id})"
+        return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
 
 def as_tensor(x) -> Tensor:
@@ -133,20 +116,12 @@ def as_tensor(x) -> Tensor:
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
           vjp: Callable[[np.ndarray, dict], None]) -> Tensor:
     out = Tensor(data)
-    if _finite_mode == "all" and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values in node #{out.node_id} ({op})")
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def _check_intermediate(data: np.ndarray, what: str) -> None:
-    """The "all" finite check for a value a fused op keeps inside one node."""
-    if _finite_mode == "all" and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values in {what}")
 
 
 def _accum(grads: dict[Tensor, np.ndarray], t: Tensor, g) -> None:
@@ -198,24 +173,25 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
     # Iterative post-order DFS; unrolled marches can exceed the recursion limit.
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(output, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if node.node_id in visited:
+        if node in visited:
             continue
         if node.op != "leaf" and node._vjp is None:
             raise GraphError(
-                f"graph through node #{node.node_id} ({node.op}) was released by an "
-                "earlier backward; run the forward pass again")
-        visited.add(node.node_id)
+                f"graph through a {node.op!r} node was released by an earlier "
+                "backward; run the forward pass again")
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and p.node_id not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
+    del visited  # it holds every node; the loop below must drop each one as it passes
 
     grads = {output: np.ones_like(output.data)}
     while topo:
@@ -465,7 +441,6 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
     for l, (w, b) in enumerate(params):
         y = _affine_data(acts[-1], w.data, b.data)
         if l < last:
-            _check_intermediate(y, f"mlp layer {l} pre-activation")
             y = np.tanh(y)
             acts.append(y)
         wants.append((x.requires_grad if l == 0 else wants[-1])
@@ -553,7 +528,6 @@ def lstm_step(w: Tensor, b: Tensor, state: tuple[Tensor, Tensor],
             f"cell expects input_dim={in_dim}, hidden_dim={hd}")
     wd, cd = w.data, c.data
     z = _affine_data(np.concatenate([x.data, h.data], axis=1), wd, b.data)
-    _check_intermediate(z, "lstm_step gate pre-activations")
     gates = _sigmoid_np(z)
     gates[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
     i, f, g, o = (gates[:, k * hd:(k + 1) * hd] for k in range(4))

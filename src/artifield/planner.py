@@ -96,10 +96,12 @@ class RobotTrajectory:
 
 @dataclass
 class ValidationReport:
+    """A plan passes when its grasp error and its largest path deviation are
+    both below ``threshold`` (meters)."""
+
     grasp_error: float
     max_path_deviation: float
-    threshold_grasp: float
-    threshold_deviation: float
+    threshold: float
     passed: bool
     per_step: list[dict]
     place_error: float | None = None
@@ -107,8 +109,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {"grasp_error": self.grasp_error,
                 "max_path_deviation": self.max_path_deviation,
-                "threshold_grasp": self.threshold_grasp,
-                "threshold_deviation": self.threshold_deviation,
+                "threshold": self.threshold,
                 "passed": self.passed,
                 "place_error": self.place_error,
                 "per_step": self.per_step}
@@ -116,9 +117,8 @@ class ValidationReport:
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         extra = f", place error {self.place_error:.4f} m" if self.place_error is not None else ""
-        return (f"{state}: grasp error {self.grasp_error:.4f} m "
-                f"(limit {self.threshold_grasp:.4f}), max path deviation "
-                f"{self.max_path_deviation:.4f} m (limit {self.threshold_deviation:.4f}){extra}")
+        return (f"{state}: grasp error {self.grasp_error:.4f} m, max path deviation "
+                f"{self.max_path_deviation:.4f} m (limit {self.threshold:.4f} m each){extra}")
 
 
 def build_problem(traj: KeypointTrajectory, task: str, home: np.ndarray,
@@ -258,5 +258,5 @@ def validate(trajectory: RobotTrajectory, oracle: SceneModel) -> ValidationRepor
         place_error = float(np.linalg.norm(trajectory.positions[-1] - oracle.goal))
     passed = grasp_error < threshold and max_dev < threshold
     return ValidationReport(grasp_error=grasp_error, max_path_deviation=max_dev,
-                            threshold_grasp=threshold, threshold_deviation=threshold,
-                            passed=passed, per_step=per_step, place_error=place_error)
+                            threshold=threshold, passed=passed, per_step=per_step,
+                            place_error=place_error)

@@ -555,9 +555,9 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset's manifest.json. Raises ValueError unless ``objects``
     lists objects 0 to n_objects - 1 in order, each instance's ``object`` is
-    one of them and its ``q`` lies in [0, 1], and the views number
-    n_objects * n_articulations * n_views; FileNotFoundError if a listed file
-    is missing."""
+    one of them, its ``q`` lies in [0, 1] and it lists exactly n_views views,
+    and the instances number n_objects * n_articulations; FileNotFoundError if
+    a listed file is missing."""
     path = Path(path)
     with open(path) as f:
         d = json.load(f)
@@ -577,7 +577,9 @@ def load_manifest(path) -> DatasetManifest:
         if not (isinstance(inst["q"], (int, float)) and 0.0 <= inst["q"] <= 1.0):
             raise ValueError(f"manifest instance {i}: q {inst['q']!r} is not a number "
                              f"in [0, 1]")
-    n_images = sum(len(inst["views"]) for inst in manifest.instances)
+        if len(inst["views"]) != manifest.n_views:
+            raise ValueError(f"manifest instance {i} lists {len(inst['views'])} views, "
+                             f"expected {manifest.n_views}")
     listed = [obj["scene_file"] for obj in manifest.objects]
     for inst in manifest.instances:
         listed += [inst["keypoints_file"], *(rec[key] for rec in inst["views"]
@@ -585,9 +587,9 @@ def load_manifest(path) -> DatasetManifest:
     for name in listed:
         if not (manifest.root / name).exists():
             raise FileNotFoundError(f"dataset file missing: {name}")
-    expected = manifest.n_objects * manifest.n_articulations * manifest.n_views
-    if n_images != expected:
-        raise ValueError(f"manifest lists {n_images} views, expected {expected}")
+    expected = manifest.n_objects * manifest.n_articulations
+    if manifest.n_instances != expected:
+        raise ValueError(f"manifest lists {manifest.n_instances} instances, expected {expected}")
     return manifest
 
 

@@ -154,6 +154,14 @@ def test_render_motion_one_frame_pair_per_code(tmp_path):
     assert frames[2][1].name == "frame_0002_seg.pgm"
 
 
+def test_render_motion_rejects_empty_codes_before_touching_out_dir(tmp_path):
+    e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
+    with pytest.raises(ValueError, match="at least one latent code"):
+        render_motion(tiny_checkpoint(), [], e, wg.make_intrinsics(8, 8), 8, 8,
+                      tmp_path / "frames")
+    assert not (tmp_path / "frames").exists()
+
+
 def test_render_motion_reversed_codes_reverse_frames(tmp_path):
     ckpt = tiny_checkpoint(4)
     code = LatentCode.from_articulation(0.0, ckpt.codes[0])

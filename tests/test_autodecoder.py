@@ -366,6 +366,18 @@ def test_training_writes_log_and_checkpoint(tiny_dataset, tmp_path):
     assert "image" in header and "total" in header
 
 
+def test_training_divergence_names_the_iteration(tiny_dataset, tmp_path):
+    """Codes drawn at 1e200 overflow the latent term, so the first loss is
+    not finite; training stops there, before any checkpoint was written."""
+    tc = TrainConfig(iterations=3, rays_per_view=16, batch_instances=2,
+                     views_per_instance=1, seed=1, code_init_std=1e200)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(autodecoder.TrainingDivergedError,
+                          match="diverged at iteration 1: total loss is not finite") as err:
+        train(tiny_dataset, tc, arch=TINY, out_dir=tmp_path)
+    assert err.value.last_checkpoint is None
+
+
 def test_training_rejects_wrong_category_arch(tiny_dataset):
     arch = ArchConfig(category="drawer")
     with pytest.raises(ValueError, match="category"):

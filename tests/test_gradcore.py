@@ -3,6 +3,7 @@ central finite differences, determinism, Adam behaviour."""
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,15 +97,17 @@ def test_forward_shape_mismatch_raises():
         affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
-def test_forward_nonfinite_reports_node():
-    x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-    gc.set_finite_checks("all")
-    try:
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NonFiniteError, match="node #"):
-                gc.mul(x, np.inf)
-    finally:
-        gc.set_finite_checks("off")
+def test_gradcore_keeps_no_module_state():
+    """No function rebinds a module global and no module-level counter
+    stamps the nodes, so graphs built on several threads share nothing."""
+    import ast
+    tree = ast.parse(Path(gc.__file__).read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    counters = [n for stmt in tree.body if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and n.attr == "count"
+                and isinstance(n.value, ast.Name) and n.value.id == "itertools"]
+    assert not counters
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,8 @@ def test_backward_through_released_nodes_raises():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = tanh(x)
     backward(tsum(y))
-    with pytest.raises(GraphError, match="released by an earlier backward"):
+    assert repr(y) == "Tensor(shape=(2,), op='tanh')"
+    with pytest.raises(GraphError, match="'tanh' node was released by an earlier backward"):
         backward(tsum(mul(y, 3.0)))
 
 
@@ -200,24 +204,32 @@ def test_backward_releases_captured_activations():
 
 def test_backward_frees_each_gradient_once_used():
     """Along a chain of 40 tanh nodes, backward holds a few gradient-sized
-    arrays at a time, not one per node."""
+    arrays at a time, not one per node, and drops each node it has passed:
+    when the first node's vjp runs, the outputs of the 39 above it are free."""
     import tracemalloc
 
     x = Tensor(np.random.default_rng(3).standard_normal((400, 100)), requires_grad=True)
-    y = x
-    for _ in range(40):
-        y = tanh(y)
-    loss = tsum(y)
-    del y
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = first = tanh(x)
+        for _ in range(39):
+            y = tanh(y)
+        loss = tsum(y)
+        at_first_vjp = []
+        vjp = first._vjp
+        first._vjp = lambda g, grads: (at_first_vjp.append(tracemalloc.get_traced_memory()[0]),
+                                       vjp(g, grads))
+        del y, first
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         grads = backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert after_forward - before > 40 * x.data.nbytes
     assert peak - after_forward < 6 * x.data.nbytes
+    assert at_first_vjp[0] - before < 4 * x.data.nbytes
     assert set(grads) == {x}
 
 
@@ -656,8 +668,9 @@ def test_no_grad_in_another_thread_leaves_recording_on_here():
 
 
 def test_fused_ops_finite_check_sees_inner_overflow():
-    """The overflow sits in a pre-activation; tanh and sigmoid saturate it,
-    so only the "all" check on the pre-activation can report it."""
+    """An overflowing pre-activation inside a fused op saturates in its tanh
+    or sigmoid: the op returns finite values and raises nothing. Divergence
+    is caught where a run acts on it, in the loss and in Adam."""
     big = 1e200
     layers = [(Tensor(np.full((2, 2), big), requires_grad=True), Tensor(np.zeros(2))),
               (Tensor(np.eye(2)), Tensor(np.zeros(2)))]
@@ -665,23 +678,8 @@ def test_fused_ops_finite_check_sees_inner_overflow():
     x = Tensor(np.full((1, 2), big))
     state = lstm_zero_state(1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.all(np.isfinite(gc.mlp(x, layers).data))  # default "off" mode
+        assert np.all(np.isfinite(gc.mlp(x, layers).data))
         assert np.all(np.isfinite(lstm_step(*cell, state, x)[1].data))
-        gc.set_finite_checks("all")
-        try:
-            with pytest.raises(NonFiniteError, match="mlp layer 0"):
-                gc.mlp(x, layers)
-            with pytest.raises(NonFiniteError, match="lstm_step"):
-                lstm_step(*cell, state, x)
-        finally:
-            gc.set_finite_checks("off")
-
-
-@pytest.mark.parametrize("mode", ["risky", True, False])
-def test_set_finite_checks_rejects_unknown_mode(mode):
-    with pytest.raises(ValueError, match="unknown finite-check mode"):
-        gc.set_finite_checks(mode)
-    assert gc._finite_mode == "off"
 
 
 # ---------------------------------------------------------------------------

@@ -426,11 +426,16 @@ def _set_instance(index, key, value):
     (_set_instance(0, "q", float("inf")), "q inf is not"),
     (lambda record: record["objects"].pop(), r"objects are indexed \[0\], expected 0 to 1"),
     (lambda record: record["objects"].reverse(), r"objects are indexed \[1, 0\]"),
+    (lambda record: record["instances"][1]["views"].append(record["instances"][0]["views"].pop()),
+     "instance 0 lists 0 views, expected 1"),
+    (lambda record: record["instances"].pop(), "lists 1 instances, expected 2"),
 ], ids=["object-negative", "object-past-end", "object-string", "q-above-1", "q-negative",
-        "q-nan", "q-inf", "objects-short", "objects-out-of-order"])
+        "q-nan", "q-inf", "objects-short", "objects-out-of-order", "view-moved",
+        "instance-dropped"])
 def test_manifest_rejects_inconsistent_records(tmp_path, edit, message):
-    """An instance must name one of the listed objects and hold a q in
-    [0, 1], and objects must list indices 0 to n_objects - 1 in order."""
+    """An instance must name one of the listed objects, hold a q in [0, 1]
+    and list n_views views, and objects must list indices 0 to n_objects - 1
+    in order."""
     cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
     wg.generate_dataset(cfg, tmp_path)
     path = tmp_path / "manifest.json"
