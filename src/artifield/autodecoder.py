@@ -175,7 +175,7 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     """Weighted training objective over a minibatch: returns its float
     breakdown, which satisfies the composition identity, and the gradient of
     ``breakdown.total`` for every leaf that receives one, as the dict
-    ``gc.backward`` returns (empty under ``no_grad``).
+    ``gc.backward`` returns (empty when no leaf requires grad).
 
     Each instance runs its forward and backward on a worker thread (one per
     usable CPU, up to the batch size; a single worker is the calling thread)
@@ -210,7 +210,9 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
             take(run(inst))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            # One context copy per task: a context runs in one thread at a time.
+            # numpy's errstate is a context variable: a copy of the caller's
+            # context per task (one thread at a time may run a context)
+            # carries a caller's np.errstate(over="raise") into the workers.
             futures = collections.deque(pool.submit(contextvars.copy_context().run, run, inst)
                                         for inst in batch)
             while futures:
@@ -276,10 +278,9 @@ def load_training_set(manifest: DatasetManifest) -> list[LoadedInstance]:
     """Pull the whole dataset into memory (desk scale: tens of MB)."""
     out = []
     for inst in manifest.instances:
-        q, kps = manifest.keypoints(inst)
         views = [manifest.load_view(rec) for rec in inst["views"]]
-        out.append(LoadedInstance(object_index=inst["object"], q=q,
-                                  keypoints=kps.positions, views=views))
+        out.append(LoadedInstance(object_index=inst["object"], q=inst["q"],
+                                  keypoints=manifest.keypoints(inst).positions, views=views))
     return out
 
 
@@ -290,7 +291,7 @@ def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view
     every view has a segmentation."""
     flats = [rng.choice(v.height * v.width, size=min(rays_per_view, v.height * v.width),
                         replace=False) for v in views]
-    rays = [pixel_rays(v.e, v.k, v.height, v.width, flat_pixels=f, scene_radius=scene_radius)
+    rays = [pixel_rays(v.e, v.k, v.height, v.width, scene_radius, flat_pixels=f)
             for v, f in zip(views, flats)]
     rgb = np.concatenate([v.image.reshape(-1, 3)[f] for v, f in zip(views, flats)])
     seg = None
@@ -452,10 +453,10 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     q_inits; each entry runs an independent restart, keeping the fit with the
     lowest final loss. Raises ValueError if a q0 lies outside [0, 1], a count
     is below its minimum, or ``lr`` or ``lam_latent`` is negative, NaN or
-    infinite. The checkpoint is left untouched: the march reads its weight
-    arrays through leaves that need no grad, so its tensors keep their
-    ``requires_grad``, the vjps skip the weight products, and several threads
-    may infer on one checkpoint at once.
+    infinite. The checkpoint is left untouched: the march reads its
+    ``weights.detached()``, so its tensors keep their ``requires_grad``, the
+    vjps skip the weight products, and several threads may infer on one
+    checkpoint at once.
     """
     _check_counts(config, {"iterations": 0, "rays_per_view": 1, "lr": 0.0, "lam_latent": 0.0})
     if not views:
@@ -465,9 +466,7 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
     bad = [q0 for q0 in config.q_inits if not 0.0 <= q0 <= 1.0]
     if bad:
         raise ValueError(f"q_inits {bad} outside [0, 1]")
-    arch = checkpoint.arch
-    weights = ModelWeights(arch, {name: Tensor(t.data)
-                                  for name, t in checkpoint.weights.params.items()})
+    weights = checkpoint.weights.detached()
     best: InferResult | None = None
     for start_i, q0 in enumerate(config.q_inits):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
@@ -476,7 +475,7 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
         opt = Adam([("phi", phi), ("z_obj", z_obj)], lr=config.lr)
         history = []
         for _ in range(config.iterations):
-            sample = _sample_rays(views, rng, config.rays_per_view, arch.scene_radius)
+            sample = _sample_rays(views, rng, config.rays_per_view, weights.arch.scene_radius)
             inst = InstanceBatch(z_art=gc.unit_circle(phi), z_obj=z_obj, sample=sample)
             breakdown, grads = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
                                           lam_latent=config.lam_latent, lam_depth=0.0)

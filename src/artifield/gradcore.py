@@ -1,16 +1,17 @@
 """Minimal reverse-mode automatic differentiation on dense float64 arrays.
 
-A Tensor is a node in a define-by-run graph: every operation records its
+A Tensor is a node in a define-by-run graph: an operation records its
 parents and a closure that propagates the output gradient back to them.
 Graphs are rebuilt per minibatch. All arithmetic is float64. One graph is
 built and backpropagated by one thread. ``backward`` returns the leaf
 gradients in a dict of its own and writes no leaf attribute, so graphs
 that share leaves may run on several threads at once. Repeated runs with
-identical inputs are bit-identical. ``no_grad`` holds per context: it
-switches off recording in the thread (or ``contextvars`` context) that
-enters it only. The module keeps no other state. Nodes are not checked
-for non-finite values: ``adam_step`` rejects a non-finite gradient and
-the training loop rejects a non-finite loss.
+identical inputs are bit-identical. The module keeps no state: an op
+records a node exactly when one of its inputs requires grad, so a forward
+pass over leaves that need none (``ModelWeights.detached()``) builds no
+graph and computes the same bits. Nodes are not checked for non-finite
+values: ``adam_step`` rejects a non-finite gradient and the training loop
+rejects a non-finite loss.
 
 ``backward`` releases the graph as it runs: once a node's vjp has been
 taken, the node drops its parents and its closure, and ``backward`` drops
@@ -47,8 +48,6 @@ unfused composition of primitive ops:
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,21 +64,6 @@ class NonFiniteError(ArithmeticError):
 
 class GraphError(RuntimeError):
     pass
-
-
-_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled",
-                                                                     default=True)
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction inside the block (pure evaluation mode),
-    in the current context only: other threads keep recording."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -116,7 +100,7 @@ def as_tensor(x) -> Tensor:
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
           vjp: Callable[[np.ndarray, dict], None]) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
         out._parents = parents

@@ -200,6 +200,11 @@ class ModelWeights:
                 _fan_in_normal(w, rng)
         return weights
 
+    def detached(self) -> "ModelWeights":
+        """The same arrays behind leaves that need no grad: a forward pass
+        over them records no graph, and ``self`` is left as it is."""
+        return ModelWeights(self.arch, {name: Tensor(t.data) for name, t in self.params.items()})
+
     def _layers(self, group: str) -> list[tuple[Tensor, Tensor]]:
         """The (w, b) pair of each layer of ``group``, in layer order."""
         ts = [t for name, t in self.params.items() if name.startswith(group + ".")]
@@ -279,11 +284,10 @@ def keypoint_head(kp_layers: Sequence[tuple[Tensor, Tensor]], feats: Tensor,
 
 
 def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:
-    """Named keypoints for a latent code (plain arrays, fixed name order)."""
+    """Named keypoints for a latent code (plain arrays, fixed name order),
+    no graph recorded."""
     if code.z_obj.size != weights.arch.k_obj:
         raise gc.ShapeMismatchError(
             f"object code has {code.z_obj.size} dims, expected {weights.arch.k_obj}")
-    with gc.no_grad():
-        feats = code_features(code)
-        pts = keypoint_head(weights.keypoint, feats, weights.arch)
+    pts = keypoint_head(weights.detached().keypoint, code_features(code), weights.arch)
     return KeypointSet(weights.arch.keypoint_names, pts.data)

@@ -64,11 +64,11 @@ def march_bounds(origin: np.ndarray, scene_radius: float) -> tuple[float, float]
     return max(0.05, d_mid - scene_radius), d_mid + scene_radius
 
 
-def pixel_rays(e: np.ndarray, k: np.ndarray, height: int, width: int,
-               flat_pixels: np.ndarray | None = None,
-               scene_radius: float = 1.5) -> RayBatch:
-    """Rays through pixel centers, scanline order, with their march interval;
-    optionally a subset given as flat indices into that order."""
+def pixel_rays(e: np.ndarray, k: np.ndarray, height: int, width: int, scene_radius: float,
+               flat_pixels: np.ndarray | None = None) -> RayBatch:
+    """Rays through pixel centers, scanline order, with their march interval
+    (``march_bounds`` of ``scene_radius``); optionally a subset given as flat
+    indices into that order."""
     origin, dirs = view_ray_grid(e, k, height, width, flat_pixels)
     near, far = march_bounds(origin, scene_radius)
     r = dirs.shape[0]
@@ -108,15 +108,11 @@ def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
     return rgb, logits, result
 
 
-def _theta_for(weights: ModelWeights, code: LatentCode) -> Tensor:
-    return hyper_map(weights.hyper, code_features(code))
-
-
 def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
                  k: np.ndarray, height: int, width: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-frame RGB (H, W, 3), class ids (H, W) uint8 and raw logits
-    (H, W, C), no graph kept.
+    (H, W, C), marched over ``weights.detached()``: no graph is recorded.
 
     Rays are marched ``RENDER_CHUNK`` at a time, each chunk once: both heads
     decode the same landing features. Ties in the class argmax resolve to the
@@ -127,18 +123,18 @@ def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
         raise ValueError(f"render_frame needs height and width of at least 1, "
                          f"got height={height}, width={width}")
     n_classes = weights.arch.n_classes
-    with gc.no_grad():
-        theta = _theta_for(weights, code)
-        rgb = np.empty((height * width, 3))
-        logits = np.empty((height * width, n_classes))
-        grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
-        for lo in range(0, height * width, RENDER_CHUNK):
-            hi = min(lo + RENDER_CHUNK, height * width)
-            sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
-                           grid.d_near[lo:hi], grid.d_far[lo:hi])
-            colors, chunk_logits, _ = render_rays(weights, theta, sub)
-            rgb[lo:hi] = colors.data
-            logits[lo:hi] = chunk_logits.data
+    weights = weights.detached()
+    theta = hyper_map(weights.hyper, code_features(code))
+    rgb = np.empty((height * width, 3))
+    logits = np.empty((height * width, n_classes))
+    grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)
+    for lo in range(0, height * width, RENDER_CHUNK):
+        hi = min(lo + RENDER_CHUNK, height * width)
+        sub = RayBatch(grid.origins[lo:hi], grid.dirs[lo:hi],
+                       grid.d_near[lo:hi], grid.d_far[lo:hi])
+        colors, chunk_logits, _ = render_rays(weights, theta, sub)
+        rgb[lo:hi] = colors.data
+        logits[lo:hi] = chunk_logits.data
     classes = np.argmax(logits, axis=1).astype(np.uint8)
     return (rgb.reshape(height, width, 3), classes.reshape(height, width),
             logits.reshape(height, width, n_classes))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -45,6 +46,7 @@ ALBEDO_RANGE = (0.1, 0.9)
 DOOR_THICKNESS_RANGE = (0.015, 0.03)
 DEFAULT_LIGHT_DIR = (0.35, -0.45, 0.82)  # unit-normalized below, toward the light
 AMBIENT = 0.35
+RAY_HIT_EPS = 1e-9  # a ray hits a box only if it enters it farther than this
 
 
 def keypoint_names(category: str) -> tuple[str, ...]:
@@ -273,8 +275,8 @@ def sample_camera(rng: np.random.Generator, model: SceneModel, height: int, widt
 # raycasting
 
 
-def ray_aabb(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ray_aabb(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slab-method ray/AABB intersection, vectorized over rays.
 
     Returns (t_enter, hit_mask, normals). Axis-parallel rays are handled
@@ -293,7 +295,7 @@ def ray_aabb(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarr
     tmax_ax = np.where(par, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
     t_enter = tmin_ax.max(axis=1)
     t_exit = tmax_ax.min(axis=1)
-    hit = (t_exit >= t_enter) & (t_exit > eps) & (t_enter > eps)
+    hit = (t_exit >= t_enter) & (t_exit > RAY_HIT_EPS) & (t_enter > RAY_HIT_EPS)
     axis = np.argmax(tmin_ax, axis=1)
     normals = np.zeros_like(dirs)
     rows = np.arange(dirs.shape[0])
@@ -431,10 +433,13 @@ class GenConfig:
 
 
 def _check_counts(config, minimums: dict[str, float]) -> None:
-    """Raise ValueError naming the first config field below its minimum,
-    NaN or infinite."""
+    """Raise ValueError naming the first config field that is not an integer
+    where its minimum is an int, or is below its minimum, NaN or infinite."""
     for name, least in minimums.items():
         value = getattr(config, name)
+        if isinstance(least, int) and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{type(config).__name__}.{name} is {value!r}, must be an integer")
         if not least <= value < np.inf:
             raise ValueError(f"{type(config).__name__}.{name} is {value}, "
                              f"must be at least {least} and finite")
@@ -462,10 +467,10 @@ class DatasetManifest:
         with open(self.root / rec["scene_file"]) as f:
             return SceneModel.from_dict(json.load(f))
 
-    def keypoints(self, instance: dict) -> tuple[float, KeypointSet]:
+    def keypoints(self, instance: dict) -> KeypointSet:
         with open(self.root / instance["keypoints_file"]) as f:
             d = json.load(f)
-        return instance["q"], KeypointSet.from_dict(keypoint_names(self.category), d["points"])
+        return KeypointSet.from_dict(keypoint_names(self.category), d["points"])
 
     def load_view(self, view_rec: dict) -> PosedView:
         image = read_ppm(self.root / view_rec["image"])
@@ -475,6 +480,11 @@ class DatasetManifest:
         return PosedView(image=image, seg=seg,
                          e=np.array(cam["E"], dtype=np.float64),
                          k=np.array(cam["K"], dtype=np.float64))
+
+
+# The least value of each count in a GenConfig and in a manifest header.
+_GEN_MINIMUMS = {"n_objects": 1, "n_articulations": 1, "n_views": 1,
+                 "height": 8, "width": 8, "seed": 0}
 
 
 def _derived_seed(*parts: int) -> int:
@@ -494,11 +504,10 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     before the first file is rewritten, and the new one is put in place after
     the last. A run that fails partway leaves the old dataset whole or no
     manifest at all, never an old manifest over new files. A config with a
-    count below 1, an image side below 8 or a negative seed raises
-    ValueError before any file is touched.
+    count below 1, an image side below 8, a negative seed or a count that is
+    not an integer raises ValueError before any file is touched.
     """
-    _check_counts(config, {"n_objects": 1, "n_articulations": 1, "n_views": 1,
-                           "height": 8, "width": 8, "seed": 0})
+    _check_counts(config, _GEN_MINIMUMS)
     root = Path(out_dir)
     q_grid = config.articulation_grid()
     models, objects, instances = [], [], []
@@ -553,11 +562,12 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a dataset's manifest.json. Raises ValueError unless ``objects``
-    lists objects 0 to n_objects - 1 in order, each instance's ``object`` is
-    one of them, its ``q`` lies in [0, 1] and it lists exactly n_views views,
-    and the instances number n_objects * n_articulations; FileNotFoundError if
-    a listed file is missing."""
+    """Read a dataset's manifest.json. Raises ValueError unless the header's
+    counts pass ``generate_dataset``'s checks, ``objects`` lists objects 0 to
+    n_objects - 1 in order, each instance's ``object`` is one of them, its
+    ``q`` lies in [0, 1] and it lists exactly n_views views, the instances
+    number n_objects * n_articulations, and every listed file is a relative
+    path inside the dataset; FileNotFoundError if a listed file is missing."""
     path = Path(path)
     with open(path) as f:
         d = json.load(f)
@@ -566,6 +576,7 @@ def load_manifest(path) -> DatasetManifest:
         n_articulations=d["n_articulations"], n_views=d["n_views"],
         height=d["height"], width=d["width"], seed=d["seed"],
         objects=d["objects"], instances=d["instances"])
+    _check_counts(manifest, _GEN_MINIMUMS)
     indices = [obj["index"] for obj in manifest.objects]
     if indices != list(range(manifest.n_objects)):
         raise ValueError(f"manifest objects are indexed {indices}, "
@@ -585,6 +596,8 @@ def load_manifest(path) -> DatasetManifest:
         listed += [inst["keypoints_file"], *(rec[key] for rec in inst["views"]
                                              for key in ("image", "seg", "camera"))]
     for name in listed:
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ValueError(f"manifest lists {name!r}, a path outside the dataset")
         if not (manifest.root / name).exists():
             raise FileNotFoundError(f"dataset file missing: {name}")
     expected = manifest.n_objects * manifest.n_articulations

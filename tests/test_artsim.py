@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from artifield import gradcore as gc
 from artifield import raymarch
 from artifield import worldgen as wg
 from artifield.artsim import (
@@ -193,6 +194,31 @@ def test_render_motion_marches_once_per_frame_and_chunk(tmp_path, monkeypatch, h
     chunks = -(-height * width // raymarch.RENDER_CHUNK)
     assert len(marches) == len(codes) * chunks
     assert sum(marches) == len(codes) * height * width
+
+
+def test_evaluation_over_trainable_weights_records_no_graph(tmp_path, monkeypatch):
+    """``render_frame``, ``keypoint_predict`` and ``render_motion`` read
+    trainable weights through ``detached()``: no op they run records a node,
+    and every weight still requires grad afterwards."""
+    ckpt = tiny_checkpoint(7)
+    assert all(t.requires_grad for _, t in ckpt.weights.named_parameters())
+    code = LatentCode.from_articulation(0.3, ckpt.codes[0])
+    e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
+    k = wg.make_intrinsics(8, 8)
+    made = []  # for every node an op makes: does it hold a vjp?
+    make = gc._make
+
+    def spy(*args, **kwargs):
+        out = make(*args, **kwargs)
+        made.append(out._vjp is not None)
+        return out
+
+    monkeypatch.setattr(gc, "_make", spy)
+    raymarch.render_frame(ckpt.weights, code, e, k, 8, 8)
+    keypoint_predict(ckpt.weights, code)
+    render_motion(ckpt, interpolate_codes(code, 0.9, 2), e, k, 8, 8, tmp_path / "frames")
+    assert made and not any(made)
+    assert all(t.requires_grad for _, t in ckpt.weights.named_parameters())
 
 
 def test_render_motion_files_match_separate_renders(tmp_path):

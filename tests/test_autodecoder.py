@@ -158,24 +158,40 @@ def test_loss_rejects_an_empty_batch():
         total_loss([], weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
 
 
-def test_loss_workers_record_no_graph_under_no_grad(tiny_dataset, monkeypatch):
+def test_loss_workers_record_no_graph_over_detached_weights(tiny_dataset, monkeypatch):
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    for inst in batch:
+        inst.z_obj = Tensor(inst.z_obj.data)
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
-    made = []  # (thread, recording) for every node an op makes
+    made = []  # (thread, recorded) for every node an op makes
     make = gc._make
 
     def spy(*args, **kwargs):
-        made.append((threading.get_ident(), gc._grad_enabled.get()))
-        return make(*args, **kwargs)
+        out = make(*args, **kwargs)
+        made.append((threading.get_ident(), out._vjp is not None))
+        return out
 
     monkeypatch.setattr(gc, "_make", spy)
-    with gc.no_grad():
-        _, grads = total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3,
-                              lam_depth=0.1)
+    _, grads = total_loss(batch, weights.detached(), lam_seg=0.5, lam_kp=1.0,
+                          lam_latent=1e-3, lam_depth=0.1)
     assert {thread for thread, _ in made} - {threading.get_ident()}, "no worker thread ran"
-    assert not any(recording for _, recording in made)
+    assert made and not any(recorded for _, recorded in made)
     assert grads == {}
+    assert all(t.requires_grad for _, t in weights.named_parameters())
+
+
+def test_loss_workers_keep_the_callers_errstate(tiny_dataset, monkeypatch):
+    """A caller's ``np.errstate(over="raise")`` holds on every worker: the
+    overflowing latent prior of a huge z_obj raises there, where numpy's
+    default would only warn."""
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    for inst in batch:
+        inst.z_obj = Tensor(np.full(TINY.k_obj, 1e200), requires_grad=True)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
 
 
 def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_dataset,
@@ -234,9 +250,8 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         saved = leaf.data.flat[i]
         leaf.data.flat[i] = value
         try:
-            with gc.no_grad():
-                batch[1].z_art = gc.unit_circle(phi)
-                return total_loss(batch, weights, **lams)[0].total
+            batch[1].z_art = gc.unit_circle(phi)
+            return total_loss(batch, weights, **lams)[0].total
         finally:
             leaf.data.flat[i] = saved
 
@@ -407,6 +422,23 @@ def test_config_counts_checked_at_entry(tiny_dataset, monkeypatch, entry, field,
             train(tiny_dataset, replace(TrainConfig(), **{field: value}), arch=TINY)
         else:
             infer_latent(_dummy_checkpoint(), views, replace(InferConfig(), **{field: value}))
+
+
+@pytest.mark.parametrize("entry,field,value", [
+    ("train", "iterations", 2.5), ("train", "batch_instances", 2.0),
+    ("train", "rays_per_view", True), ("infer", "iterations", 1.5),
+    ("infer", "rays_per_view", 4.0)])
+def test_config_counts_must_be_integers(tiny_dataset, tmp_path, entry, field, value):
+    """A count that is not an integer fails by name before ``train`` creates
+    its output directory or its log."""
+    views = load_training_set(tiny_dataset)[0].views
+    with pytest.raises(ValueError, match=f"{field} is {value}, must be an integer"):
+        if entry == "train":
+            train(tiny_dataset, replace(TrainConfig(), **{field: value}), arch=TINY,
+                  out_dir=tmp_path / "run")
+        else:
+            infer_latent(_dummy_checkpoint(), views, replace(InferConfig(), **{field: value}))
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,27 @@ def test_forward_shape_mismatch_raises():
 
 
 def test_gradcore_keeps_no_module_state():
-    """No function rebinds a module global and no module-level counter
-    stamps the nodes, so graphs built on several threads share nothing."""
+    """No function rebinds a module global, no module-level counter stamps
+    the nodes and no context variable switches recording, so graphs built on
+    several threads share nothing and the leaves alone decide what is
+    recorded."""
     import ast
     tree = ast.parse(Path(gc.__file__).read_text())
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Global)]
-    counters = [n for stmt in tree.body if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                for n in ast.walk(stmt)
+    module_level = [n for stmt in tree.body
+                    if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    for n in ast.walk(stmt)]
+    counters = [n for n in module_level
                 if isinstance(n, ast.Attribute) and n.attr == "count"
                 and isinstance(n.value, ast.Name) and n.value.id == "itertools"]
     assert not counters
+    imported = {alias.name.split(".")[0] for n in ast.walk(tree)
+                if isinstance(n, ast.Import) for alias in n.names}
+    imported |= {n.module.split(".")[0] for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module}
+    assert not imported & {"contextvars", "contextlib"}
+    assert "ContextVar" not in {getattr(n, "id", getattr(n, "attr", None))
+                                for n in module_level}
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +583,29 @@ def test_mlp_gradient_vs_finite_differences():
     assert max_rel_err(analytic, finite_diff_grad(loss_np, flat0)) < 1e-4
 
 
-def test_fused_ops_record_no_graph_under_no_grad():
+def test_fused_ops_record_no_graph_over_leaves_that_need_none():
+    """The fused ops over detached copies of trainable leaves (the same
+    arrays, no grad) record no node, and give the recorded values bit for
+    bit."""
     rng = np.random.default_rng(2)
     layers = [(Tensor(rng.standard_normal((3, 4)), requires_grad=True),
                Tensor(np.zeros(4), requires_grad=True))]
     w, b = _lstm_cell(4, 2, rng)
-    with gc.no_grad():
-        v = gc.mlp(Tensor(rng.standard_normal((2, 3)), requires_grad=True), layers)
+    x = rng.standard_normal((2, 3))
+
+    def run(layers, w, b):
+        v = gc.mlp(Tensor(x), layers)
         (h, c), _ = lstm_step(w, b, lstm_zero_state(2, 2), v)
-    for t in (v, h, c):
+        return v, h, c
+
+    recorded = run(layers, w, b)
+    detached = run([(Tensor(lw.data), Tensor(lb.data)) for lw, lb in layers],
+                   Tensor(w.data), Tensor(b.data))
+    for rec, t in zip(recorded, detached):
+        assert rec.requires_grad and rec._vjp is not None
         assert not t.requires_grad
         assert t._parents == () and t._vjp is None
+        assert t.data.tobytes() == rec.data.tobytes()
 
 
 def _leaf_state(t):
@@ -634,37 +657,6 @@ def test_backward_on_two_threads_over_shared_leaves():
             assert set(grads) == set(leaves)
             assert all(grads[t].tobytes() == want[t].tobytes() for t in leaves)
     assert [_leaf_state(t) for t in leaves] == before
-
-
-def test_no_grad_in_another_thread_leaves_recording_on_here():
-    """Two threads nest no_grad so that the first leaves before the second:
-    with one process-wide flag the second's exit restored False for good."""
-    x = Tensor(np.ones(2), requires_grad=True)
-    steps = [threading.Event() for _ in range(4)]
-
-    def hold(enter, leave, done):
-        with gc.no_grad():
-            steps[enter].set()
-            assert steps[leave].wait(5)
-        steps[done].set()
-
-    a = threading.Thread(target=hold, args=(0, 1, 2))
-    b = threading.Thread(target=hold, args=(3, 2, 2))
-    a.start()
-    try:
-        assert steps[0].wait(5)
-        b.start()
-        assert steps[3].wait(5)
-        assert square(x).requires_grad  # both threads inside no_grad
-    finally:
-        steps[1].set()  # a leaves first, then b
-        a.join(5)
-        if b.is_alive():
-            b.join(5)
-    assert not a.is_alive() and not b.is_alive()
-    assert square(x).requires_grad
-    with gc.no_grad():
-        assert not square(x).requires_grad
 
 
 def test_fused_ops_finite_check_sees_inner_overflow():

@@ -55,7 +55,7 @@ def test_principal_ray_points_forward():
     h = w = 17  # odd: center pixel's center coincides with the principal point
     k = wg.make_intrinsics(h, w)
     e = offset_identity_extrinsic()
-    ray = pixel_rays(e, k, h, w, flat_pixels=[(h // 2) * w + w // 2])
+    ray = pixel_rays(e, k, h, w, TINY.scene_radius, flat_pixels=[(h // 2) * w + w // 2])
     np.testing.assert_allclose(ray.dirs[0], [0.0, 0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(ray.origins[0], [0.0, 0.0, -2.0], atol=1e-12)
 
@@ -64,7 +64,7 @@ def test_all_rays_unit_norm():
     m = wg.sample_scene(0, "closet")
     rng = np.random.default_rng(1)
     e, k = wg.sample_camera(rng, m, 128, 128)
-    batch = pixel_rays(e, k, 128, 128)
+    batch = pixel_rays(e, k, 128, 128, TINY.scene_radius)
     np.testing.assert_allclose(np.linalg.norm(batch.dirs, axis=1), 1.0, atol=1e-12)
     assert batch.count == 128 * 128
 
@@ -73,7 +73,7 @@ def test_singular_intrinsics_rejected():
     e = offset_identity_extrinsic()
     k = np.array([[0.0, 0.0, 8.0], [0.0, 10.0, 8.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
-        pixel_rays(e, k, 8, 8, flat_pixels=[3 * 8 + 3])
+        pixel_rays(e, k, 8, 8, TINY.scene_radius, flat_pixels=[3 * 8 + 3])
 
 
 def test_projection_ray_round_trip():
@@ -91,7 +91,7 @@ def test_projection_ray_round_trip():
         u, v = int(uv[0, 0]), int(uv[0, 1])
         if not (0 <= u < 64 and 0 <= v < 64) or z[0] <= 0:
             continue
-        direction = pixel_rays(e, k, 64, 64, flat_pixels=[v * 64 + u]).dirs[0]
+        direction = pixel_rays(e, k, 64, 64, TINY.scene_radius, flat_pixels=[v * 64 + u]).dirs[0]
         to_p = p - origin
         dist_along = to_p @ direction
         perp = np.linalg.norm(to_p - dist_along * direction)
@@ -113,7 +113,7 @@ def test_keypoint_pixel_ray_round_trip():
         u, v = int(uv[0, 0]), int(uv[0, 1])
         if not (0 <= u < 96 and 0 <= v < 96):
             continue
-        ray = pixel_rays(e, k, 96, 96, flat_pixels=[v * 96 + u])
+        ray = pixel_rays(e, k, 96, 96, TINY.scene_radius, flat_pixels=[v * 96 + u])
         to_p = kp - ray.origins[0]
         perp = np.linalg.norm(to_p - (to_p @ ray.dirs[0]) * ray.dirs[0])
         assert perp <= z[0] * np.sqrt(2.0) / k[0, 0] / 2.0 + 1e-12
@@ -281,13 +281,13 @@ def test_render_frame_equals_separate_renders(height, width, chunk, monkeypatch)
     # renders did before they shared a march.
     grid = pixel_rays(e, k, height, width, scene_radius=TINY.scene_radius)
     ref_rgb, ref_logits = [], []
-    with gc.no_grad():
-        theta = hyper_map(w.hyper, code_features(code))
-        for lo in range(0, height * width, chunk):
-            sub = RayBatch(*(a[lo:lo + chunk] for a in
-                             (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
-            ref_rgb.append(render_rays(w, theta, sub, want_seg=False)[0].data)
-            ref_logits.append(render_rays(w, theta, sub)[1].data)
+    wd = w.detached()
+    theta = hyper_map(wd.hyper, code_features(code))
+    for lo in range(0, height * width, chunk):
+        sub = RayBatch(*(a[lo:lo + chunk] for a in
+                         (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
+        ref_rgb.append(render_rays(wd, theta, sub, want_seg=False)[0].data)
+        ref_logits.append(render_rays(wd, theta, sub)[1].data)
     assert rgb.tobytes() == np.concatenate(ref_rgb).tobytes()
     assert logits.tobytes() == np.concatenate(ref_logits).tobytes()
 
@@ -313,12 +313,11 @@ def test_full_render_gradient_wrt_latent_code():
     e = offset_identity_extrinsic()
     k = wg.make_intrinsics(4, 4)
     rays = pixel_rays(e, k, 4, 4, scene_radius=TINY.scene_radius)
+    wd = w.detached()
 
     def loss_np(z):
-        with gc.no_grad():
-            feats = code_features_t(Tensor(z[:2]), Tensor(z[2:]))
-            theta = hyper_map(w.hyper, feats)
-            rgb, _, _ = render_rays(w, theta, rays, want_seg=False)
+        theta = hyper_map(wd.hyper, code_features_t(Tensor(z[:2]), Tensor(z[2:])))
+        rgb, _, _ = render_rays(wd, theta, rays, want_seg=False)
         return float(((rgb.data - target) ** 2).mean())
 
     za = Tensor(z0[:2], requires_grad=True)

@@ -335,11 +335,12 @@ def test_generated_cameras_follow_the_camera_constants(tmp_path):
 
 @pytest.mark.parametrize("field, value", [("n_objects", 0), ("n_articulations", 0),
                                           ("n_views", 0), ("height", 4), ("width", 7),
-                                          ("seed", -1)])
+                                          ("seed", -1), ("n_views", 1.5), ("height", 8.0),
+                                          ("n_objects", True)])
 def test_generate_dataset_rejects_bad_config_before_touching_files(tmp_path, field, value):
-    """A count below 1, an image side below 8 or a negative seed is named in
-    a ValueError, and a dataset already in the directory keeps its manifest
-    byte for byte."""
+    """A count below 1, an image side below 8, a negative seed or a count
+    that is not an integer is named in a ValueError, and a dataset already in
+    the directory keeps its manifest byte for byte."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=3)
     wg.generate_dataset(cfg, tmp_path)
     before = (tmp_path / "manifest.json").read_bytes()
@@ -379,7 +380,7 @@ def test_dataset_digest_covers_keypoint_files(tmp_path):
     record = json.loads(path.read_text())
     record["points"]["handle"][0] += 0.25
     path.write_text(json.dumps(record))
-    assert manifest.keypoints(manifest.instances[1])[1].positions[0, 0] \
+    assert manifest.keypoints(manifest.instances[1]).positions[0, 0] \
         == record["points"]["handle"][0]
     assert wg.dataset_digest(manifest) != before
 
@@ -398,7 +399,6 @@ def test_dataset_digest_covers_the_manifest(tmp_path, section, index, key, value
     manifest = wg.load_manifest(path)
     assert wg.dataset_digest(manifest) != before
     for inst in manifest.instances:
-        assert manifest.keypoints(inst)[0] == inst["q"]
         assert "q" not in json.loads((tmp_path / inst["keypoints_file"]).read_text())
 
 
@@ -446,6 +446,42 @@ def test_manifest_rejects_inconsistent_records(tmp_path, edit, message):
         wg.load_manifest(path)
 
 
+def _set_header(key, value):
+    return lambda record, outside: record.__setitem__(key, value)
+
+
+def _set_view_path(path):
+    return lambda record, outside: record["instances"][0]["views"][0].__setitem__(
+        "image", path(outside))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_view_path(str), "manifest lists '/.*outside.ppm', a path outside the dataset"),
+    (_set_view_path(lambda p: "../outside.ppm"), r"lists '\.\./outside.ppm', a path outside"),
+    (_set_header("height", 0), "DatasetManifest.height is 0, must be at least 8"),
+    (_set_header("width", -3), "DatasetManifest.width is -3, must be at least 8"),
+    (_set_header("seed", -1), "DatasetManifest.seed is -1, must be at least 0"),
+    (_set_header("n_objects", 2.0), "DatasetManifest.n_objects is 2.0, must be an integer"),
+    (_set_header("n_views", "1"), "DatasetManifest.n_views is '1', must be an integer"),
+], ids=["absolute-path", "parent-path", "height-0", "width-negative", "seed-negative",
+        "n_objects-float", "n_views-string"])
+def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, message):
+    """A listed file outside the dataset root, absolute or through ``..``,
+    is refused even though it exists, so ``load_view`` and ``dataset_digest``
+    never read it; so is a header count that ``generate_dataset`` would
+    refuse."""
+    cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
+    wg.generate_dataset(cfg, tmp_path / "ds")
+    outside = tmp_path / "outside.ppm"
+    outside.write_bytes((tmp_path / "ds" / "obj_000" / "art_00" / "view_00.ppm").read_bytes())
+    path = tmp_path / "ds" / "manifest.json"
+    record = json.loads(path.read_text())
+    edit(record, outside)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=message):
+        wg.load_manifest(path)
+
+
 def test_manifest_detects_missing_file(tmp_path):
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
@@ -460,8 +496,9 @@ def test_manifest_keypoints_and_scene_roundtrip(tmp_path):
                        n_views=1, height=8, width=8, seed=2)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
     model = manifest.scene(0)
-    q, kps = manifest.keypoints(manifest.instances[1])
-    expected = wg.keypoints_analytic(model, q)
+    inst = manifest.instances[1]
+    expected = wg.keypoints_analytic(model, inst["q"])
+    kps = manifest.keypoints(inst)
     np.testing.assert_allclose(kps.positions, expected.positions, atol=1e-12)
 
 
