@@ -1,13 +1,12 @@
 """Forward simulation of object motion by latent-code manipulation.
 
-Movement is simulated purely in latent space: the articulation part of the
-code walks from the current articulation to a target along the unit circle
-while the object part stays fixed, and each intermediate code is decoded
-into keypoints, images and segmentation maps; a frame's image and map come
-from one march of its code (``raymarch.render_frame``). Interpolation is
-linear in the articulation scalar q (a geodesic on the normalized circle);
-interpolating the raw 2-vector instead could leave the circle and alias
-through the normalization.
+Movement is simulated purely in latent space: the articulation angle of the
+code walks from the current articulation to a target while the object part
+stays fixed, and each intermediate code is decoded into keypoints, images
+and segmentation maps; a frame's image and map come from one march of its
+code (``raymarch.render_frame``). The walk is linear in the articulation
+scalar q, and each step's code is ``LatentCode.from_articulation`` of its q,
+so every frame's z_art lies on the upper half circle.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .autodecoder import Checkpoint
-from .neuralfield import LatentCode, articulation_to_code, keypoint_predict
+from .neuralfield import LatentCode, keypoint_predict
 from .netpbm import write_pgm, write_ppm
-from .raymarch import render_frame
+from .raymarch import _check_frame_size, render_frame
 from .worldgen import KeypointSet
 
 
@@ -76,8 +75,7 @@ def interpolate_codes(z_current: LatentCode, q_target: float, t_steps: int
     codes = []
     for t in range(t_steps + 1):
         q_t = q_current + (t / t_steps) * (q_target - q_current)
-        codes.append(LatentCode(articulation_to_code(min(1.0, max(0.0, q_t))),
-                                z_current.z_obj))
+        codes.append(LatentCode.from_articulation(min(1.0, max(0.0, q_t)), z_current.z_obj))
     return codes
 
 
@@ -100,9 +98,11 @@ def render_motion(checkpoint: Checkpoint, codes: list[LatentCode],
                   out_dir) -> list[tuple[Path, Path]]:
     """One RGB + segmentation frame per code, written as step-indexed files;
     both come from a single march of each code. Raises ValueError, before
-    ``out_dir`` is created, if there is no code."""
+    ``out_dir`` is created, if there is no code or the frame size is not
+    integers of at least 1."""
     if not codes:
         raise ValueError("need at least one latent code")
+    _check_frame_size(height, width)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []

@@ -40,11 +40,10 @@ from .neuralfield import (
     ArchConfig,
     LatentCode,
     ModelWeights,
-    articulation_to_code,
-    code_features_t,
+    articulation_angle,
+    code_features,
     hyper_map,
     keypoint_head,
-    normalize_articulation,
 )
 from .raymarch import RayBatch, pixel_rays, render_image, render_rays
 from .worldgen import DatasetManifest, PosedView, _check_counts
@@ -104,12 +103,11 @@ class ViewSample:
 class InstanceBatch:
     """One (object, articulation) instance inside a minibatch.
 
-    z_art lies on the unit circle: a constant tensor during training
-    (injected from ground truth) and ``gc.unit_circle`` of the fitted angle
-    during inference.
+    ``phi`` is the (1,) articulation angle: a constant tensor during training
+    (injected from the ground-truth q) and a fitted leaf during inference.
     """
 
-    z_art: Tensor
+    phi: Tensor
     z_obj: Tensor
     sample: ViewSample
     target_keypoints: np.ndarray | None = None  # (N_kp, 3)
@@ -131,7 +129,7 @@ def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, 
     ``scales`` in its means, so every term gets the upstream gradient it gets
     in a graph over the whole batch.
     """
-    feats = code_features_t(inst.z_art, inst.z_obj)
+    feats = code_features(inst.phi, inst.z_obj)
     theta = hyper_map(weights.hyper, feats)
     want_seg = lams["seg"] > 0
     sample = inst.sample
@@ -313,12 +311,13 @@ def train(manifest: DatasetManifest, config: TrainConfig,
 
     Writes periodic checkpoints and a per-iteration CSV log when out_dir is
     given. Divergence (non-finite loss or gradient) aborts with a
-    TrainingDivergedError pointing at the last good checkpoint. A count below
-    its minimum, or a negative, NaN or infinite rate, loss weight or
-    ``code_init_std``, raises ValueError before any data is loaded.
+    TrainingDivergedError pointing at the last good checkpoint. A seed or
+    count that is not an integer or is below its minimum, or a rate, loss
+    weight or ``code_init_std`` that is not a number or is negative, NaN or
+    infinite, raises ValueError before any data is loaded.
     """
-    _check_counts(config, {"iterations": 0, "batch_instances": 1,
-                           "views_per_instance": 1, "rays_per_view": 1,
+    _check_counts(config, {"iterations": 0, "seed": 0, "batch_instances": 1,
+                           "views_per_instance": 1, "rays_per_view": 1, "checkpoint_every": 0,
                            "lr_weights": 0.0, "lr_codes": 0.0, "lam_seg": 0.0, "lam_kp": 0.0,
                            "lam_latent": 0.0, "lam_depth": 0.0, "code_init_std": 0.0})
     if arch is None:
@@ -332,10 +331,6 @@ def train(manifest: DatasetManifest, config: TrainConfig,
     weights = ModelWeights.init(arch, rng)
     codes = [Tensor(rng.normal(0.0, config.code_init_std, size=arch.k_obj),
                     requires_grad=True) for _ in range(n_obj)]
-    art_codes = {}  # articulation scalar -> constant tensor on the unit circle, shared
-    for inst in instances:
-        if inst.q not in art_codes:
-            art_codes[inst.q] = Tensor(normalize_articulation(articulation_to_code(inst.q))[0])
 
     opt_w = Adam(weights.named_parameters(), lr=config.lr_weights)
     opt_z = Adam([(f"codes.{i}", c) for i, c in enumerate(codes)], lr=config.lr_codes)
@@ -372,7 +367,7 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                 view_idx = rng.choice(len(inst.views), size=n_views, replace=False)
                 sample = _sample_rays([inst.views[v] for v in view_idx], rng,
                                       config.rays_per_view, arch.scene_radius)
-                batch.append(InstanceBatch(z_art=art_codes[inst.q],
+                batch.append(InstanceBatch(phi=Tensor([articulation_angle(inst.q)]),
                                            z_obj=codes[inst.object_index],
                                            sample=sample,
                                            target_keypoints=inst.keypoints))
@@ -446,43 +441,40 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
 
     Only the image term (plus the z_obj prior) is optimized: the
     segmentation and keypoint weights are fixed at zero here. Adam descends
-    on an angle phi and on z_obj; z_art = (cos phi, sin phi) stays on the
-    unit circle by construction and is what the result holds. The object
-    part starts at the mean trained code and the angle at
-    phi0 = arccos(1 - 2 q0), the upper half circle's code of each q0 in
-    q_inits; each entry runs an independent restart, keeping the fit with the
-    lowest final loss. Raises ValueError if a q0 lies outside [0, 1], a count
-    is below its minimum, or ``lr`` or ``lam_latent`` is negative, NaN or
-    infinite. The checkpoint is left untouched: the march reads its
-    ``weights.detached()``, so its tensors keep their ``requires_grad``, the
-    vjps skip the weight products, and several threads may infer on one
-    checkpoint at once.
+    on the articulation angle phi and on z_obj, and the result holds the
+    fitted phi itself. The object part starts at the mean trained code and
+    the angle at ``articulation_angle(q0)`` of each q0 in q_inits; each entry
+    runs an independent restart, keeping the fit with the lowest final loss.
+    Raises ValueError, before any fit runs, if a q0 lies outside [0, 1], the
+    seed or a count is below its minimum or not an integer, or ``lr`` or
+    ``lam_latent`` is not a number or is negative, NaN or infinite. The
+    checkpoint is left untouched: the march reads its ``weights.detached()``,
+    so its tensors keep their ``requires_grad``, the vjps skip the weight
+    products, and several threads may infer on one checkpoint at once.
     """
-    _check_counts(config, {"iterations": 0, "rays_per_view": 1, "lr": 0.0, "lam_latent": 0.0})
+    _check_counts(config, {"iterations": 0, "seed": 0, "rays_per_view": 1, "lr": 0.0,
+                           "lam_latent": 0.0})
     if not views:
         raise ValueError("need at least one posed view")
     if not config.q_inits:
         raise ValueError("need at least one articulation start in q_inits")
-    bad = [q0 for q0 in config.q_inits if not 0.0 <= q0 <= 1.0]
-    if bad:
-        raise ValueError(f"q_inits {bad} outside [0, 1]")
+    phi_inits = [articulation_angle(q0) for q0 in config.q_inits]
     weights = checkpoint.weights.detached()
     best: InferResult | None = None
-    for start_i, q0 in enumerate(config.q_inits):
+    for start_i, phi0 in enumerate(phi_inits):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
-        phi = Tensor([np.arccos(1.0 - 2.0 * q0)], requires_grad=True)
+        phi = Tensor([phi0], requires_grad=True)
         z_obj = Tensor(checkpoint.mean_object_code().copy(), requires_grad=True)
         opt = Adam([("phi", phi), ("z_obj", z_obj)], lr=config.lr)
         history = []
         for _ in range(config.iterations):
             sample = _sample_rays(views, rng, config.rays_per_view, weights.arch.scene_radius)
-            inst = InstanceBatch(z_art=gc.unit_circle(phi), z_obj=z_obj, sample=sample)
+            inst = InstanceBatch(phi=phi, z_obj=z_obj, sample=sample)
             breakdown, grads = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
                                           lam_latent=config.lam_latent, lam_depth=0.0)
             opt.step(grads)
             history.append(breakdown.image)
-        code = LatentCode(np.concatenate([np.cos(phi.data), np.sin(phi.data)]),
-                          z_obj.data.copy())
+        code = LatentCode(phi.data[0], z_obj.data.copy())
         result = InferResult(code=code,
                              final_image_loss=_full_frame_image_loss(weights, code, views),
                              iterations=config.iterations, history=history)

@@ -1,14 +1,14 @@
 """Learned scene representation: structured latent code, hypernetwork,
 coordinate field and its output heads.
 
-The latent code z = [z_art; z_obj] splits into a 2-vector articulation part
-and a k_obj shape/appearance part. The learned maps take z_art on the unit
-circle: a ``LatentCode`` is projected onto it by ``code_features``, training
-injects codes that lie on it, and inference descends on an angle phi with
-z_art = (cos phi, sin phi), so the fit never leaves the circle. The scalar
-articulation is recovered as q = (1 - x) / 2 from the normalized code, which
-is continuous everywhere on the circle and mirror symmetric between the two
-half circles, so descent on phi never falls off a parameterization cliff.
+The latent code z = [z_art; z_obj] splits into an articulation part and a
+k_obj shape/appearance part. The articulation is one angle phi everywhere:
+datasets hold q, training injects phi = arccos(1 - 2q), inference descends
+on phi, and simulation walks it. z_art = (cos phi, sin phi) is built in one
+place, ``gc.unit_circle`` inside ``code_features``, so it lies on the unit
+circle by construction. The scalar articulation q = (1 - cos phi) / 2 is
+continuous in phi and mirror symmetric between the two half circles, so
+descent on phi never falls off a parameterization cliff.
 
 All learned maps run on gradcore tensors so they are differentiable with
 respect to both their weights and the latent code.
@@ -25,53 +25,45 @@ from . import gradcore as gc
 from .gradcore import Tensor
 from .worldgen import KeypointSet, SEG_CLASSES, keypoint_names
 
-EPS_NORM = 1e-8
-
 
 # ---------------------------------------------------------------------------
-# articulation code algebra
+# articulation code
 
 
-def normalize_articulation(z_art: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project a raw 2-vector onto the unit circle and read off q.
-
-    Near-zero inputs (norm < 1e-8) fall back to the closed pose (1, 0),
-    q = 0, instead of producing NaNs.
-    """
-    z_art = np.asarray(z_art, dtype=np.float64).reshape(2)
-    norm = np.sqrt(np.sum(z_art * z_art))
-    if norm < EPS_NORM:
-        return np.array([1.0, 0.0]), 0.0
-    z_hat = z_art / norm
-    return z_hat, float((1.0 - z_hat[0]) / 2.0)
-
-
-def articulation_to_code(q: float) -> np.ndarray:
-    """Inverse map onto the canonical upper half circle: q -> (1-2q, sin(acos(1-2q)))."""
-    if not (0.0 <= q <= 1.0):
+def articulation_angle(q: float) -> float:
+    """The angle phi = arccos(1 - 2q) in [0, pi] of articulation q, on the
+    upper half circle; raises ValueError unless 0 <= q <= 1."""
+    if not 0.0 <= q <= 1.0:
         raise ValueError(f"articulation q={q} outside [0, 1]")
-    x = 1.0 - 2.0 * q
-    return np.array([x, np.sqrt(max(0.0, 1.0 - x * x))])
+    return float(np.arccos(1.0 - 2.0 * q))
 
 
 @dataclass
 class LatentCode:
-    """z = [z_art; z_obj] and the articulation q that z_art encodes."""
+    """z = [z_art; z_obj] with z_art = (cos phi, sin phi) of the articulation
+    angle phi; raises ValueError if phi or z_obj is not finite."""
 
-    z_art: np.ndarray  # (2,)
+    phi: float
     z_obj: np.ndarray  # (k_obj,)
 
     def __post_init__(self):
-        self.z_art = np.asarray(self.z_art, dtype=np.float64).reshape(2)
+        self.phi = float(self.phi)
         self.z_obj = np.asarray(self.z_obj, dtype=np.float64).ravel()
+        if not (np.isfinite(self.phi) and np.isfinite(self.z_obj).all()):
+            raise ValueError(f"latent code is not finite: phi={self.phi}, "
+                             f"z_obj={self.z_obj}")
 
     @property
     def q(self) -> float:
-        return normalize_articulation(self.z_art)[1]
+        return float((1.0 - np.cos(self.phi)) / 2.0)
+
+    @property
+    def z_art(self) -> np.ndarray:
+        return gc.unit_circle([self.phi]).data
 
     @classmethod
     def from_articulation(cls, q: float, z_obj: np.ndarray) -> "LatentCode":
-        return cls(articulation_to_code(q), np.asarray(z_obj, dtype=np.float64))
+        return cls(articulation_angle(q), z_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +216,10 @@ class ModelWeights:
 # learned maps
 
 
-def code_features_t(z_hat: Tensor | np.ndarray, z_obj: Tensor | np.ndarray) -> Tensor:
-    """concat(z_hat, z_obj) as a (1, k) graph tensor: the form the
-    hypernetwork and keypoint head consume. ``z_hat`` is a z_art already on
-    the unit circle."""
-    return gc.reshape(gc.concat([z_hat, z_obj], axis=0), (1, -1))
-
-
-def code_features(code: LatentCode) -> Tensor:
-    """``code_features_t`` of a code, its z_art projected onto the unit circle."""
-    return code_features_t(normalize_articulation(code.z_art)[0], code.z_obj)
+def code_features(phi: Tensor | Sequence[float], z_obj: Tensor | np.ndarray) -> Tensor:
+    """concat(unit_circle(phi), z_obj) as a (1, k) graph tensor: the form the
+    hypernetwork and keypoint head consume, for a (1,) angle ``phi``."""
+    return gc.reshape(gc.concat([gc.unit_circle(phi), z_obj], axis=0), (1, -1))
 
 
 def hyper_map(hyper: Sequence[tuple[Tensor, Tensor]], feats: Tensor) -> Tensor:
@@ -289,5 +275,6 @@ def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:
     if code.z_obj.size != weights.arch.k_obj:
         raise gc.ShapeMismatchError(
             f"object code has {code.z_obj.size} dims, expected {weights.arch.k_obj}")
-    pts = keypoint_head(weights.detached().keypoint, code_features(code), weights.arch)
+    pts = keypoint_head(weights.detached().keypoint, code_features([code.phi], code.z_obj),
+                        weights.arch)
     return KeypointSet(weights.arch.keypoint_names, pts.data)

@@ -17,6 +17,7 @@ with the KKT conditions met.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,11 @@ class TrajectoryProblem:
     task: str = "open"
 
     def validate(self) -> None:
+        steps = [s for s, _ in self.constraints]
+        odd = [s for s in [self.horizon, *steps]
+               if isinstance(s, bool) or not isinstance(s, numbers.Integral)]
+        if odd:
+            raise ValueError(f"horizon and constraint steps must be integers, got {odd}")
         if self.horizon < 1:
             raise ValueError(f"horizon {self.horizon} must be at least 1")
         if not (np.all(self.start >= self.bounds_lo) and np.all(self.start <= self.bounds_hi)):
@@ -59,7 +65,6 @@ class TrajectoryProblem:
         if bad:
             raise InfeasibleProblemError(
                 f"constraint targets outside workspace bounds at steps {bad}")
-        steps = [s for s, _ in self.constraints]
         for s in steps:
             if not (0 < s <= self.horizon):
                 raise ValueError(f"constraint step {s} outside horizon {self.horizon}")

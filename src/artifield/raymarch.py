@@ -14,6 +14,7 @@ decode that march's landing features; ``render_image`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,13 @@ def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
     return rgb, logits, result
 
 
+def _check_frame_size(height: int, width: int) -> None:
+    """Raise ValueError unless ``height`` and ``width`` are integers of at least 1."""
+    for name, value in (("height", height), ("width", width)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"frame {name} is {value!r}, must be an integer of at least 1")
+
+
 def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
                  k: np.ndarray, height: int, width: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,14 +125,13 @@ def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
     Rays are marched ``RENDER_CHUNK`` at a time, each chunk once: both heads
     decode the same landing features. Ties in the class argmax resolve to the
     lowest class index (numpy argmax rule), so exactly uniform logits yield
-    class 0. Raises ValueError unless ``height`` and ``width`` are at least 1.
+    class 0. Raises ValueError unless ``height`` and ``width`` are integers
+    of at least 1.
     """
-    if height < 1 or width < 1:
-        raise ValueError(f"render_frame needs height and width of at least 1, "
-                         f"got height={height}, width={width}")
+    _check_frame_size(height, width)
     n_classes = weights.arch.n_classes
     weights = weights.detached()
-    theta = hyper_map(weights.hyper, code_features(code))
+    theta = hyper_map(weights.hyper, code_features([code.phi], code.z_obj))
     rgb = np.empty((height * width, 3))
     logits = np.empty((height * width, n_classes))
     grid = pixel_rays(e, k, height, width, scene_radius=weights.arch.scene_radius)

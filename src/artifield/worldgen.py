@@ -434,12 +434,14 @@ class GenConfig:
 
 def _check_counts(config, minimums: dict[str, float]) -> None:
     """Raise ValueError naming the first config field that is not an integer
-    where its minimum is an int, or is below its minimum, NaN or infinite."""
+    where its minimum is an int, not a number where it is a float (a bool is
+    neither), or is below its minimum, NaN or infinite."""
     for name, least in minimums.items():
         value = getattr(config, name)
-        if isinstance(least, int) and (isinstance(value, bool)
-                                       or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{type(config).__name__}.{name} is {value!r}, must be an integer")
+        kind, noun = ((numbers.Integral, "an integer") if isinstance(least, int)
+                      else (numbers.Real, "a number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{type(config).__name__}.{name} is {value!r}, must be {noun}")
         if not least <= value < np.inf:
             raise ValueError(f"{type(config).__name__}.{name} is {value}, "
                              f"must be at least {least} and finite")

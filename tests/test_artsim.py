@@ -20,9 +20,7 @@ from artifield.neuralfield import (
     ArchConfig,
     LatentCode,
     ModelWeights,
-    articulation_to_code,
     keypoint_predict,
-    normalize_articulation,
 )
 
 TINY = ArchConfig(k_obj=4, feature_dim=6, field_hidden=8, hyper_hidden=10,
@@ -81,8 +79,8 @@ def test_interpolate_monotone_articulations():
 def test_interpolate_mirror_path_equivalence():
     """Starting from the mirrored half circle yields the same q sequence."""
     z_obj = np.zeros(4)
-    upper = LatentCode(articulation_to_code(0.3), z_obj)
-    mirrored = LatentCode(upper.z_art * np.array([1.0, -1.0]), z_obj)
+    upper = LatentCode.from_articulation(0.3, z_obj)
+    mirrored = LatentCode(-upper.phi, z_obj)
     q_up = [c.q for c in interpolate_codes(upper, 0.8, 6)]
     q_mi = [c.q for c in interpolate_codes(mirrored, 0.8, 6)]
     assert q_up == q_mi
@@ -159,6 +157,17 @@ def test_render_motion_rejects_empty_codes_before_touching_out_dir(tmp_path):
     e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
     with pytest.raises(ValueError, match="at least one latent code"):
         render_motion(tiny_checkpoint(), [], e, wg.make_intrinsics(8, 8), 8, 8,
+                      tmp_path / "frames")
+    assert not (tmp_path / "frames").exists()
+
+
+@pytest.mark.parametrize("height,width", [(0, 8), (8, 2.5)])
+def test_render_motion_rejects_bad_frame_size_before_touching_out_dir(tmp_path, height,
+                                                                       width):
+    e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
+    code = LatentCode.from_articulation(0.5, np.zeros(TINY.k_obj))
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        render_motion(tiny_checkpoint(), [code], e, wg.make_intrinsics(8, 8), height, width,
                       tmp_path / "frames")
     assert not (tmp_path / "frames").exists()
 

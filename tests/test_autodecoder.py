@@ -4,6 +4,7 @@ checkpoint round trips (tiny configs throughout)."""
 import hashlib
 import io
 import json
+import re
 import struct
 import sys
 import threading
@@ -34,7 +35,7 @@ from artifield.autodecoder import (
     train,
 )
 from artifield.gradcore import Adam, Tensor
-from artifield.neuralfield import ArchConfig, LatentCode, ModelWeights, articulation_to_code
+from artifield.neuralfield import ArchConfig, LatentCode, ModelWeights, articulation_angle
 from artifield.raymarch import pixel_rays, render_image
 
 from test_gradcore import max_rel_err
@@ -76,7 +77,7 @@ def _make_batch(manifest, weights, rng, seg=True, count=2):
         if not seg:
             sample.target_seg = None
         batch.append(InstanceBatch(
-            z_art=Tensor(articulation_to_code(inst.q)),
+            phi=Tensor([articulation_angle(inst.q)]),
             z_obj=Tensor(rng.normal(size=weights.arch.k_obj) * 0.1, requires_grad=True),
             sample=sample, target_keypoints=inst.keypoints))
     return batch
@@ -102,10 +103,10 @@ def test_loss_zero_when_prediction_equals_target(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(2))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(3), seg=False)
     # overwrite targets with the model's own render of those rays
-    from artifield.neuralfield import code_features_t, hyper_map
+    from artifield.neuralfield import code_features, hyper_map
     from artifield.raymarch import render_rays
     for inst in batch:
-        theta = hyper_map(weights.hyper, code_features_t(inst.z_art, inst.z_obj))
+        theta = hyper_map(weights.hyper, code_features(inst.phi, inst.z_obj))
         rgb, _, _ = render_rays(weights, theta, inst.sample.rays, want_seg=False)
         inst.sample.target_rgb = rgb.data.copy()
     bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
@@ -228,15 +229,15 @@ def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, mo
 
 def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
     """Two instances share one z_obj on two workers; the second also fits its
-    articulation angle phi through ``gc.unit_circle``, and every one of its
-    rays overshoots, so every term reaches the checked leaves. The grads
-    ``total_loss`` returns match central differences of ``breakdown.total``."""
+    articulation angle phi, and every one of its rays overshoots, so every
+    term reaches the checked leaves. The grads ``total_loss`` returns match
+    central differences of ``breakdown.total``."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
     batch[1].z_obj = batch[0].z_obj
     phi = Tensor([2.0], requires_grad=True)
-    batch[1].z_art = gc.unit_circle(phi)
+    batch[1].phi = phi
     batch[1].sample.rays.d_far = batch[1].sample.rays.d_near.copy()
     lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
     params = dict(weights.named_parameters())
@@ -250,7 +251,6 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         saved = leaf.data.flat[i]
         leaf.data.flat[i] = value
         try:
-            batch[1].z_art = gc.unit_circle(phi)
             return total_loss(batch, weights, **lams)[0].total
         finally:
             leaf.data.flat[i] = saved
@@ -406,7 +406,8 @@ def test_training_rejects_wrong_category_arch(tiny_dataset):
     ("train", "lr_weights", float("nan")), ("train", "lr_codes", -1),
     ("train", "lam_seg", float("inf")), ("train", "lam_kp", -1e-9),
     ("train", "lam_latent", float("nan")), ("train", "lam_depth", -0.1),
-    ("train", "code_init_std", float("-inf")),
+    ("train", "code_init_std", float("-inf")), ("train", "seed", -1),
+    ("train", "checkpoint_every", -1), ("infer", "seed", -1),
     ("infer", "lr", -0.01), ("infer", "lam_latent", float("inf"))])
 def test_config_counts_checked_at_entry(tiny_dataset, monkeypatch, entry, field, value):
     """A count below its minimum, or a negative, NaN or infinite rate, loss
@@ -426,13 +427,30 @@ def test_config_counts_checked_at_entry(tiny_dataset, monkeypatch, entry, field,
 
 @pytest.mark.parametrize("entry,field,value", [
     ("train", "iterations", 2.5), ("train", "batch_instances", 2.0),
-    ("train", "rays_per_view", True), ("infer", "iterations", 1.5),
-    ("infer", "rays_per_view", 4.0)])
+    ("train", "rays_per_view", True), ("train", "seed", 1.5),
+    ("train", "checkpoint_every", 1.5), ("infer", "iterations", 1.5),
+    ("infer", "rays_per_view", 4.0), ("infer", "seed", 1.5)])
 def test_config_counts_must_be_integers(tiny_dataset, tmp_path, entry, field, value):
     """A count that is not an integer fails by name before ``train`` creates
     its output directory or its log."""
     views = load_training_set(tiny_dataset)[0].views
     with pytest.raises(ValueError, match=f"{field} is {value}, must be an integer"):
+        if entry == "train":
+            train(tiny_dataset, replace(TrainConfig(), **{field: value}), arch=TINY,
+                  out_dir=tmp_path / "run")
+        else:
+            infer_latent(_dummy_checkpoint(), views, replace(InferConfig(), **{field: value}))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("entry,field,value", [
+    ("train", "lr_weights", "0.1"), ("train", "lam_kp", True), ("train", "code_init_std", None),
+    ("infer", "lr", "0.01"), ("infer", "lam_latent", False)])
+def test_config_rates_must_be_numbers(tiny_dataset, tmp_path, entry, field, value):
+    """A rate, loss weight or code scale that is not a number (a bool is not
+    one) fails by name before ``train`` creates its output directory."""
+    views = load_training_set(tiny_dataset)[0].views
+    with pytest.raises(ValueError, match=re.escape(f"{field} is {value!r}, must be a number")):
         if entry == "train":
             train(tiny_dataset, replace(TrainConfig(), **{field: value}), arch=TINY,
                   out_dir=tmp_path / "run")
@@ -450,6 +468,7 @@ def test_infer_zero_iterations_returns_initialization(smoke_checkpoint):
     inst = load_training_set(manifest)[0]
     res = infer_latent(ckpt, inst.views, InferConfig(iterations=0, seed=0))
     phi0 = np.arccos(1.0 - 2.0 * 0.5)
+    assert res.code.phi == phi0
     np.testing.assert_array_equal(res.code.z_art, [np.cos(phi0), np.sin(phi0)])
     assert abs(res.code.q - 0.5) < 1e-15
     np.testing.assert_array_equal(res.code.z_obj, ckpt.mean_object_code())
@@ -554,7 +573,7 @@ def test_infer_on_one_checkpoint_from_two_threads(tiny_dataset):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for code, want in zip(got, serial):
-        assert code.z_art.tobytes() == want.z_art.tobytes()
+        assert code.phi == want.phi
         assert code.z_obj.tobytes() == want.z_obj.tobytes()
     assert all(t.requires_grad for _, t in ckpt.weights.named_parameters())
 

@@ -26,6 +26,18 @@ def test_fingerprint_prints_one_sha256(capsys):
     assert re.fullmatch(r"[0-9a-f]{64}\n", capsys.readouterr().out)
 
 
+def test_fingerprint_repeats_for_one_tree(capsys):
+    """The whole recipe is bit-deterministic for its seeds: two runs on one
+    tree print one digest."""
+    module = _load_fingerprint()
+    digests = []
+    for _ in range(2):
+        assert module.main([]) == 0
+        digests.append(capsys.readouterr().out)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
+    assert digests[0] == digests[1]
+
+
 def test_fingerprint_rejects_a_directory_without_the_package(tmp_path):
     with pytest.raises(SystemExit):
         _load_fingerprint().main(["--src", str(tmp_path)])

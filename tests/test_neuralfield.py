@@ -11,14 +11,12 @@ from artifield.neuralfield import (
     ArchConfig,
     LatentCode,
     ModelWeights,
-    articulation_to_code,
+    articulation_angle,
     code_features,
-    code_features_t,
     field_eval_layers,
     hyper_map,
     keypoint_head,
     keypoint_predict,
-    normalize_articulation,
     rgb_head,
     seg_head,
     slice_field_weights,
@@ -28,80 +26,81 @@ from test_gradcore import finite_diff_grad, max_rel_err
 
 TINY = ArchConfig(k_obj=4, feature_dim=6, field_hidden=8, hyper_hidden=10,
                   rgb_hidden=6, seg_hidden=6, kp_hidden=8, lstm_hidden=4, n_march=3)
+Z_OBJ = np.zeros(TINY.k_obj)
 
 
 # ---------------------------------------------------------------------------
-# articulation code
+# articulation code: the angle phi, its q = (1 - cos phi) / 2 and its z_art
 
 
 def test_normalize_closed_pose():
-    z_hat, q = normalize_articulation(np.array([2.0, 0.0]))
-    np.testing.assert_array_equal(z_hat, [1.0, 0.0])
-    assert q == 0.0
+    code = LatentCode(0.0, Z_OBJ)
+    np.testing.assert_array_equal(code.z_art, [1.0, 0.0])
+    assert code.q == 0.0
 
 
 def test_normalize_antipode_fully_open():
-    z_hat, q = normalize_articulation(np.array([-3.0, 0.0]))
-    np.testing.assert_array_equal(z_hat, [-1.0, 0.0])
-    assert q == 1.0
+    code = LatentCode(np.pi, Z_OBJ)
+    assert code.z_art[0] == -1.0
+    assert code.q == 1.0
 
 
 def test_normalize_mirror_halves_agree():
-    _, q_up = normalize_articulation(np.array([0.0, 1.0]))
-    _, q_dn = normalize_articulation(np.array([0.0, -1.0]))
-    assert q_up == q_dn == 0.5
+    q_up, q_dn = LatentCode(np.pi / 2, Z_OBJ).q, LatentCode(-np.pi / 2, Z_OBJ).q
+    assert q_up == q_dn
+    assert abs(q_up - 0.5) < 1e-15
 
 
 def test_normalize_mirror_symmetry_exact_property():
     rng = np.random.default_rng(0)
-    for _ in range(500):
-        x, y = rng.normal(size=2)
-        if abs(x) + abs(y) < 1e-6:
-            continue
-        _, q1 = normalize_articulation(np.array([x, y]))
-        _, q2 = normalize_articulation(np.array([x, -y]))
-        assert q1 == q2
-
-
-def test_normalize_degenerate_fallback():
-    z_hat, q = normalize_articulation(np.array([1e-12, -1e-12]))
-    np.testing.assert_array_equal(z_hat, [1.0, 0.0])
-    assert q == 0.0
+    for phi in rng.uniform(-2 * np.pi, 2 * np.pi, size=500):
+        assert LatentCode(phi, Z_OBJ).q == LatentCode(-phi, Z_OBJ).q
 
 
 def test_normalize_continuity_lipschitz():
     # |q(phi) - q(phi + d)| <= d/2 along the circle
     phis = np.linspace(0, 2 * np.pi, 2000)
-    qs = np.array([normalize_articulation(np.array([np.cos(p), np.sin(p)]))[1]
-                   for p in phis])
+    qs = np.array([LatentCode(p, Z_OBJ).q for p in phis])
     dq = np.abs(np.diff(qs))
     dphi = np.diff(phis)
     assert np.all(dq <= dphi / 2.0 + 1e-12)
 
 
 def test_articulation_code_endpoints():
-    np.testing.assert_array_equal(articulation_to_code(0.0), [1.0, 0.0])
-    np.testing.assert_array_equal(articulation_to_code(1.0), [-1.0, 0.0])
+    assert articulation_angle(0.0) == 0.0
+    assert articulation_angle(1.0) == np.pi
+    np.testing.assert_array_equal(LatentCode.from_articulation(0.0, Z_OBJ).z_art, [1.0, 0.0])
+    assert LatentCode.from_articulation(1.0, Z_OBJ).z_art[0] == -1.0
 
 
 def test_articulation_code_out_of_range():
-    with pytest.raises(ValueError):
-        articulation_to_code(-0.01)
-    with pytest.raises(ValueError):
-        articulation_to_code(1.01)
+    for q in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            articulation_angle(q)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            LatentCode.from_articulation(q, Z_OBJ)
 
 
 def test_articulation_round_trip_101_values():
     for q in np.linspace(0.0, 1.0, 101):
-        _, q_back = normalize_articulation(articulation_to_code(float(q)))
-        assert abs(q_back - q) < 1e-12
+        assert abs(LatentCode.from_articulation(float(q), Z_OBJ).q - q) < 1e-12
+
+
+@pytest.mark.parametrize("phi,z_obj", [(float("nan"), Z_OBJ), (float("inf"), Z_OBJ),
+                                       (0.3, np.array([0.0, np.nan, 0.0, 0.0])),
+                                       (0.3, np.array([0.0, 0.0, -np.inf, 0.0]))],
+                         ids=["phi-nan", "phi-inf", "z_obj-nan", "z_obj-inf"])
+def test_latent_code_rejects_non_finite(phi, z_obj):
+    with pytest.raises(ValueError, match="not finite"):
+        LatentCode(phi, z_obj)
 
 
 def test_latent_code_features_layout():
     code = LatentCode.from_articulation(0.25, np.arange(4.0))
-    features = code_features_t(code.z_art, code.z_obj).data[0]
+    features = code_features([code.phi], code.z_obj).data[0]
     assert features.shape == (6,)
-    np.testing.assert_allclose(features[:2], articulation_to_code(0.25))
+    assert features[:2].tobytes() == code.z_art.tobytes()
+    np.testing.assert_allclose(features[:2], [0.5, np.sqrt(0.75)], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(features[2:], np.arange(4.0))
     assert abs(code.q - 0.25) < 1e-12
 
@@ -114,39 +113,29 @@ def _weights(seed=0, arch=TINY):
     return ModelWeights.init(arch, np.random.default_rng(seed))
 
 
-def test_hyper_scale_invariance_exact():
-    w = _weights()
-    z_obj = np.random.default_rng(1).normal(size=TINY.k_obj)
-    z_art = np.array([0.6, -0.8])
-    th1 = hyper_map(w.hyper, code_features(LatentCode(z_art, z_obj)))
-    th2 = hyper_map(w.hyper, code_features(LatentCode(4.0 * z_art, z_obj)))
-    assert th1.data.tobytes() == th2.data.tobytes()
-
-
 def test_hyper_zeroed_final_layer_returns_bias():
     w = _weights()
     w.hyper[-1][0].data[:] = 0.0
     bias = w.hyper[-1][1].data
     for q in (0.0, 0.4, 1.0):
         code = LatentCode.from_articulation(q, np.random.default_rng(2).normal(size=TINY.k_obj))
-        th = hyper_map(w.hyper, code_features_t(Tensor(code.z_art), Tensor(code.z_obj)))
+        th = hyper_map(w.hyper, code_features([code.phi], code.z_obj))
         np.testing.assert_array_equal(th.data, bias)
 
 
 def test_hyper_gradient_wrt_latent_code():
     w = _weights(3)
-    z0 = np.random.default_rng(4).normal(size=TINY.latent_dim)
+    z0 = np.random.default_rng(4).normal(size=1 + TINY.k_obj)  # [phi; z_obj]
 
     def loss_np(z):
-        za, zo = Tensor(z[:2]), Tensor(z[2:])
-        th = hyper_map(w.hyper, code_features_t(za, zo))
+        th = hyper_map(w.hyper, code_features(Tensor(z[:1]), Tensor(z[1:])))
         return float((th.data ** 2).sum())
 
-    za = Tensor(z0[:2], requires_grad=True)
-    zo = Tensor(z0[2:], requires_grad=True)
-    th = hyper_map(w.hyper, code_features_t(za, zo))
+    phi = Tensor(z0[:1], requires_grad=True)
+    zo = Tensor(z0[1:], requires_grad=True)
+    th = hyper_map(w.hyper, code_features(phi, zo))
     grads = backward(gc.tsum(gc.square(th)))
-    analytic = np.concatenate([grads[za], grads[zo]])
+    analytic = np.concatenate([grads[phi], grads[zo]])
     fd = finite_diff_grad(loss_np, z0)
     assert max_rel_err(analytic, fd) < 1e-4
 
@@ -157,8 +146,7 @@ def test_hyper_gradient_wrt_latent_code():
 
 def test_field_eval_deterministic_and_batched():
     w = _weights(5)
-    feats = code_features_t(Tensor(articulation_to_code(0.3)),
-                            Tensor(np.zeros(TINY.k_obj)))
+    feats = code_features([articulation_angle(0.3)], Z_OBJ)
     theta = hyper_map(w.hyper, feats)
     pts = np.random.default_rng(6).normal(size=(100, 3))
     layers = slice_field_weights(theta, TINY)
@@ -174,8 +162,7 @@ def test_field_eval_deterministic_and_batched():
 
 def test_field_gradient_wrt_position():
     w = _weights(7)
-    theta = hyper_map(w.hyper, code_features_t(
-        Tensor(articulation_to_code(0.5)), Tensor(np.zeros(TINY.k_obj))))
+    theta = hyper_map(w.hyper, code_features([articulation_angle(0.5)], Z_OBJ))
     layers = slice_field_weights(theta, TINY)
     x0 = np.array([0.2, -0.4, 0.1])
 
@@ -256,14 +243,6 @@ def test_seg_cross_entropy_gradient():
 # keypoint head
 
 
-def test_keypoint_scale_invariance():
-    w = _weights(16)
-    z_obj = np.random.default_rng(17).normal(size=TINY.k_obj)
-    k1 = keypoint_predict(w, LatentCode(np.array([0.3, 0.4]), z_obj))
-    k2 = keypoint_predict(w, LatentCode(np.array([0.6, 0.8]), z_obj))
-    assert k1.positions.tobytes() == k2.positions.tobytes()
-
-
 def test_keypoint_predict_deterministic_and_named():
     w = _weights(18)
     code = LatentCode.from_articulation(0.7, np.zeros(TINY.k_obj))
@@ -276,27 +255,27 @@ def test_keypoint_predict_deterministic_and_named():
 def test_keypoint_dimension_mismatch():
     w = _weights(19)
     with pytest.raises(gc.ShapeMismatchError):
-        keypoint_predict(w, LatentCode(np.array([1.0, 0.0]), np.zeros(TINY.k_obj + 3)))
+        keypoint_predict(w, LatentCode(0.0, np.zeros(TINY.k_obj + 3)))
 
 
 def test_keypoint_gradient_wrt_weights_and_code():
     w = _weights(20)
     target = np.random.default_rng(21).normal(size=(TINY.n_keypoints, 3))
-    z0 = np.random.default_rng(22).normal(size=TINY.latent_dim)
+    z0 = np.random.default_rng(22).normal(size=1 + TINY.k_obj)  # [phi; z_obj]
     kw0, kb0 = w.keypoint[0][0].data.copy(), None
 
     def loss_np(z):
-        feats = code_features_t(Tensor(z[:2]), Tensor(z[2:]))
+        feats = code_features(Tensor(z[:1]), Tensor(z[1:]))
         pts = keypoint_head(w.keypoint, feats, TINY).data
         return float(((pts - target) ** 2).sum())
 
-    za = Tensor(z0[:2], requires_grad=True)
-    zo = Tensor(z0[2:], requires_grad=True)
-    pts = keypoint_head(w.keypoint, code_features_t(za, zo), TINY)
+    phi = Tensor(z0[:1], requires_grad=True)
+    zo = Tensor(z0[1:], requires_grad=True)
+    pts = keypoint_head(w.keypoint, code_features(phi, zo), TINY)
     loss = gc.tsum(gc.square(gc.sub(pts, target)))
     grads = backward(loss)
     fd = finite_diff_grad(loss_np, z0)
-    assert max_rel_err(np.concatenate([grads[za], grads[zo]]), fd) < 1e-4
+    assert max_rel_err(np.concatenate([grads[phi], grads[zo]]), fd) < 1e-4
     # weight gradient on the first layer too
     g_first = grads.get(w.keypoint[0][0])
     assert g_first is not None
@@ -304,7 +283,7 @@ def test_keypoint_gradient_wrt_weights_and_code():
     def loss_np_w(flat):
         w.keypoint[0][0].data = flat.reshape(kw0.shape)
         try:
-            feats = code_features_t(Tensor(z0[:2]), Tensor(z0[2:]))
+            feats = code_features(Tensor(z0[:1]), Tensor(z0[1:]))
             pts = keypoint_head(w.keypoint, feats, TINY).data
             return float(((pts - target) ** 2).sum())
         finally:

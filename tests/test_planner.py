@@ -261,6 +261,26 @@ def test_horizon_below_one_rejected(horizon):
         solve(prob)
 
 
+@pytest.mark.parametrize("horizon,step", [(5.5, 3), (6, 3.0), (True, 1)],
+                         ids=["horizon", "step", "bool-horizon"])
+def test_non_integer_steps_rejected(horizon, step):
+    prob = TrajectoryProblem(horizon=horizon, start=np.zeros(3),
+                             constraints=[(step, np.full(3, 0.5))],
+                             bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
+    with pytest.raises(ValueError, match="must be integers"):
+        prob.validate()
+    with pytest.raises(ValueError, match="must be integers"):
+        solve(prob)
+
+
+def test_build_problem_rejects_fractional_step_counts():
+    traj = oracle_trajectory(wg.sample_scene(0, "closet"), t_steps=2)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_problem(traj, "open", HOME, approach_steps=2.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_problem(traj, "place", HOME, place_steps=1.5)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -14,9 +14,8 @@ from artifield.neuralfield import (
     ArchConfig,
     LatentCode,
     ModelWeights,
-    articulation_to_code,
+    articulation_angle,
     code_features,
-    code_features_t,
     hyper_map,
 )
 from artifield.raymarch import (
@@ -154,7 +153,7 @@ def test_march_zero_weights_fixed_bias_step():
 
 def test_march_deterministic_for_identical_rays():
     w = tiny_weights(1)
-    feats = code_features_t(Tensor(articulation_to_code(0.3)), Tensor(np.zeros(TINY.k_obj)))
+    feats = code_features([articulation_angle(0.3)], np.zeros(TINY.k_obj))
     theta = hyper_map(w.hyper, feats)
     rays = _ray_batch(2, seed=7)
     rays.dirs[1] = rays.dirs[0]
@@ -253,10 +252,10 @@ def test_render_segmentation_argmax_shift_invariant():
 
 
 @pytest.mark.parametrize("render", [render_frame, render_image, render_segmentation])
-@pytest.mark.parametrize("height,width", [(-2, 8), (8, 0)])
+@pytest.mark.parametrize("height,width", [(-2, 8), (8, 0), (2.5, 8), (8, True)])
 def test_render_rejects_bad_frame_size(render, height, width):
     code = LatentCode.from_articulation(0.5, np.zeros(TINY.k_obj))
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="integer of at least 1"):
         render(tiny_weights(1), code, offset_identity_extrinsic(), wg.make_intrinsics(8, 8),
                height, width)
 
@@ -282,7 +281,7 @@ def test_render_frame_equals_separate_renders(height, width, chunk, monkeypatch)
     grid = pixel_rays(e, k, height, width, scene_radius=TINY.scene_radius)
     ref_rgb, ref_logits = [], []
     wd = w.detached()
-    theta = hyper_map(wd.hyper, code_features(code))
+    theta = hyper_map(wd.hyper, code_features([code.phi], code.z_obj))
     for lo in range(0, height * width, chunk):
         sub = RayBatch(*(a[lo:lo + chunk] for a in
                          (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
@@ -304,11 +303,11 @@ def test_render_rays_graph_chunking_consistency(monkeypatch):
 
 
 def test_full_render_gradient_wrt_latent_code():
-    """End-to-end differentiability: 4x4 render, loss gradient wrt z within
+    """End-to-end differentiability: 4x4 render, loss gradient wrt z = [phi; z_obj] within
     1e-3 of finite differences (deep unrolled graph, looser tolerance)."""
     w = tiny_weights(16)
     rng = np.random.default_rng(17)
-    z0 = np.concatenate([articulation_to_code(0.3), rng.normal(size=TINY.k_obj) * 0.3])
+    z0 = np.concatenate([[articulation_angle(0.3)], rng.normal(size=TINY.k_obj) * 0.3])
     target = rng.uniform(0, 1, size=(16, 3))
     e = offset_identity_extrinsic()
     k = wg.make_intrinsics(4, 4)
@@ -316,16 +315,16 @@ def test_full_render_gradient_wrt_latent_code():
     wd = w.detached()
 
     def loss_np(z):
-        theta = hyper_map(wd.hyper, code_features_t(Tensor(z[:2]), Tensor(z[2:])))
+        theta = hyper_map(wd.hyper, code_features(Tensor(z[:1]), Tensor(z[1:])))
         rgb, _, _ = render_rays(wd, theta, rays, want_seg=False)
         return float(((rgb.data - target) ** 2).mean())
 
-    za = Tensor(z0[:2], requires_grad=True)
-    zo = Tensor(z0[2:], requires_grad=True)
-    theta = hyper_map(w.hyper, code_features_t(za, zo))
+    phi = Tensor(z0[:1], requires_grad=True)
+    zo = Tensor(z0[1:], requires_grad=True)
+    theta = hyper_map(w.hyper, code_features(phi, zo))
     rgb, _, _ = render_rays(w, theta, rays, want_seg=False)
     loss = gc.tmean(gc.square(gc.sub(rgb, target)))
     grads = backward(loss)
-    analytic = np.concatenate([grads[za], grads[zo]])
+    analytic = np.concatenate([grads[phi], grads[zo]])
     fd = finite_diff_grad(loss_np, z0)
     assert max_rel_err(analytic, fd) < 1e-3
