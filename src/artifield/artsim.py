@@ -21,8 +21,8 @@ from ._atomic import atomic_open
 from .autodecoder import Checkpoint
 from .neuralfield import LatentCode, keypoint_predict
 from .netpbm import write_pgm, write_ppm
-from .raymarch import _check_frame_size, render_frame
-from .worldgen import KeypointSet
+from .raymarch import render_frame
+from .worldgen import KeypointSet, _check_articulation, _check_number
 
 
 @dataclass
@@ -65,12 +65,11 @@ def interpolate_codes(z_current: LatentCode, q_target: float, t_steps: int
     """T+1 codes walking q linearly from the current value to the target.
 
     The object part is passed through untouched; endpoints reproduce
-    q_current and q_target exactly.
+    q_current and q_target exactly. Raises ValueError unless ``q_target`` is
+    a number in [0, 1] and ``t_steps`` an integer of at least 1.
     """
-    if not (0.0 <= q_target <= 1.0):
-        raise ValueError(f"target articulation {q_target} outside [0, 1]")
-    if t_steps < 1:
-        raise ValueError("need at least one interpolation step")
+    _check_articulation("interpolate_codes.q_target", q_target)
+    _check_number("interpolate_codes", "t_steps", t_steps, 1)
     q_current = z_current.q
     codes = []
     for t in range(t_steps + 1):
@@ -98,11 +97,12 @@ def render_motion(checkpoint: Checkpoint, codes: list[LatentCode],
                   out_dir) -> list[tuple[Path, Path]]:
     """One RGB + segmentation frame per code, written as step-indexed files;
     both come from a single march of each code. Raises ValueError, before
-    ``out_dir`` is created, if there is no code or the frame size is not
-    integers of at least 1."""
+    ``out_dir`` is created, if there is no code or ``height`` or ``width`` is
+    not an integer of at least 1."""
     if not codes:
         raise ValueError("need at least one latent code")
-    _check_frame_size(height, width)
+    _check_number("render_motion", "height", height, 1)
+    _check_number("render_motion", "width", width, 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []

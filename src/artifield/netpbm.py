@@ -9,11 +9,11 @@ import numpy as np
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write an (H, W, 3) float image in [0, 1] as binary 8-bit P6; values
-    outside are clipped, and NaN or infinite pixels raise ValueError."""
+    """Write a non-empty (H, W, 3) float image in [0, 1] as binary 8-bit P6;
+    values outside are clipped, and NaN or infinite pixels raise ValueError."""
     img = np.asarray(image)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got {img.shape}")
+    if img.ndim != 3 or img.shape[2] != 3 or img.size == 0:
+        raise ValueError(f"expected a non-empty (H, W, 3) image, got {img.shape}")
     if not np.all(np.isfinite(img)):
         raise ValueError("PPM pixels must be finite")
     data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
@@ -24,11 +24,11 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an (H, W) array of integers in 0..255 (e.g. class ids) as
-    binary P5; any other value raises ValueError."""
+    """Write a non-empty (H, W) array of integers in 0..255 (e.g. class ids)
+    as binary P5; any other value raises ValueError."""
     data = np.asarray(image)
-    if data.ndim != 2:
-        raise ValueError(f"expected (H, W) image, got {data.shape}")
+    if data.ndim != 2 or data.size == 0:
+        raise ValueError(f"expected a non-empty (H, W) image, got {data.shape}")
     if not np.all((data >= 0) & (data <= 255) & (data == np.round(data))):
         raise ValueError("PGM values must be integers in 0..255")
     data = data.astype(np.uint8)

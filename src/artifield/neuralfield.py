@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor
-from .worldgen import KeypointSet, SEG_CLASSES, keypoint_names
+from .worldgen import KeypointSet, SEG_CLASSES, _check_articulation, keypoint_names
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +32,8 @@ from .worldgen import KeypointSet, SEG_CLASSES, keypoint_names
 
 def articulation_angle(q: float) -> float:
     """The angle phi = arccos(1 - 2q) in [0, pi] of articulation q, on the
-    upper half circle; raises ValueError unless 0 <= q <= 1."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"articulation q={q} outside [0, 1]")
+    upper half circle; raises ValueError unless q is a number in [0, 1]."""
+    _check_articulation("articulation q", q)
     return float(np.arccos(1.0 - 2.0 * q))
 
 
@@ -72,7 +71,8 @@ class LatentCode:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Network sizes; defaults are sized for desk-scale training."""
+    """Network sizes; defaults are sized for desk-scale training. An unknown
+    category raises ValueError."""
 
     category: str = "closet"
     k_obj: int = 16
@@ -87,6 +87,9 @@ class ArchConfig:
     scene_radius: float = 1.5      # meters, bounds the march interval
     init_step: float = 0.2         # initial raymarch step length, meters
     hyper_out_std: float = 1e-2    # final hypernetwork layer weight scale
+
+    def __post_init__(self):
+        keypoint_names(self.category)
 
     @property
     def latent_dim(self) -> int:

@@ -17,14 +17,13 @@ with the KKT conditions met.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._atomic import atomic_open
 from .artsim import KeypointTrajectory
-from .worldgen import SceneModel, keypoints_analytic
+from .worldgen import SceneModel, _check_number, keypoints_analytic
 
 
 TOL_CONSTRAINT = 1e-4       # meters; every pin residual must be below it
@@ -51,13 +50,14 @@ class TrajectoryProblem:
     task: str = "open"
 
     def validate(self) -> None:
+        """Raise ValueError unless the horizon and each constraint step are
+        integers of at least 1, each step is within the horizon and no two
+        pin the same step; InfeasibleProblemError if the start or a target
+        lies outside the workspace box."""
         steps = [s for s, _ in self.constraints]
-        odd = [s for s in [self.horizon, *steps]
-               if isinstance(s, bool) or not isinstance(s, numbers.Integral)]
-        if odd:
-            raise ValueError(f"horizon and constraint steps must be integers, got {odd}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon {self.horizon} must be at least 1")
+        _check_number("TrajectoryProblem", "horizon", self.horizon, 1)
+        for j, s in enumerate(steps):
+            _check_number("TrajectoryProblem", f"constraints[{j}] step", s, 1)
         if not (np.all(self.start >= self.bounds_lo) and np.all(self.start <= self.bounds_hi)):
             raise InfeasibleProblemError("start position outside workspace bounds")
         bad = [s for s, p in self.constraints
@@ -66,7 +66,7 @@ class TrajectoryProblem:
             raise InfeasibleProblemError(
                 f"constraint targets outside workspace bounds at steps {bad}")
         for s in steps:
-            if not (0 < s <= self.horizon):
+            if s > self.horizon:
                 raise ValueError(f"constraint step {s} outside horizon {self.horizon}")
         if len(set(steps)) != len(steps):
             raise ValueError(f"two constraints pin the same step: {sorted(steps)}")
@@ -135,7 +135,11 @@ def build_problem(traj: KeypointTrajectory, task: str, home: np.ndarray,
     open: waypoints in given order; close: reversed; place: like open plus a
     free segment whose final step is pinned to the predicted goal point.
     Hinge/rail keypoints are not constrained, they only enter validation.
+    Raises ValueError unless ``approach_steps`` and ``place_steps`` are
+    integers of at least 0.
     """
+    _check_number("build_problem", "approach_steps", approach_steps, 0)
+    _check_number("build_problem", "place_steps", place_steps, 0)
     if not traj.steps:
         raise ValueError("empty keypoint trajectory")
     if task not in ("open", "close", "place"):

@@ -14,7 +14,6 @@ decode that march's landing features; ``render_image`` and
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .neuralfield import (
     seg_head,
     slice_field_weights,
 )
-from .worldgen import view_ray_grid
+from .worldgen import _check_number, view_ray_grid
 
 # Rays per march of a full-frame render.
 RENDER_CHUNK = 4096
@@ -109,13 +108,6 @@ def render_rays(weights: ModelWeights, theta: Tensor, rays: RayBatch,
     return rgb, logits, result
 
 
-def _check_frame_size(height: int, width: int) -> None:
-    """Raise ValueError unless ``height`` and ``width`` are integers of at least 1."""
-    for name, value in (("height", height), ("width", width)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"frame {name} is {value!r}, must be an integer of at least 1")
-
-
 def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
                  k: np.ndarray, height: int, width: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,10 +117,11 @@ def render_frame(weights: ModelWeights, code: LatentCode, e: np.ndarray,
     Rays are marched ``RENDER_CHUNK`` at a time, each chunk once: both heads
     decode the same landing features. Ties in the class argmax resolve to the
     lowest class index (numpy argmax rule), so exactly uniform logits yield
-    class 0. Raises ValueError unless ``height`` and ``width`` are integers
-    of at least 1.
+    class 0. Raises ValueError naming ``height`` or ``width`` unless each is
+    an integer of at least 1.
     """
-    _check_frame_size(height, width)
+    _check_number("render_frame", "height", height, 1)
+    _check_number("render_frame", "width", width, 1)
     n_classes = weights.arch.n_classes
     weights = weights.detached()
     theta = hyper_map(weights.hyper, code_features([code.phi], code.z_obj))

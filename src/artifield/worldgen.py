@@ -17,6 +17,11 @@ Conventions (shared by every consumer):
     E = [R | t] maps world to camera, K is upper triangular.
   * segmentation classes: 0 background, 1 body, 2 door, 3 handle.
   * depth images store hit distance along the (unit) ray; background is +inf.
+
+Every public entry point of the package checks its arguments with the three
+rules written here, each raising ValueError that names the argument: a count
+or rate passes ``_check_number``, an articulation ``_check_articulation``, and
+a category must be a key of ``CATEGORIES``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +38,6 @@ from ._atomic import atomic_open
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 SEG_CLASSES = ("background", "body", "door", "handle")
-CLOSET_KEYPOINT_NAMES = ("handle", "hinge_top", "hinge_bottom", "goal")
-DRAWER_KEYPOINT_NAMES = ("handle", "rail_front", "rail_back", "goal")
 
 # Documented sampling ranges for sample_scene and sample_camera.
 BODY_EXTENT_RANGE = (0.3, 1.0)      # full extents per axis, meters
@@ -49,12 +52,38 @@ AMBIENT = 0.35
 RAY_HIT_EPS = 1e-9  # a ray hits a box only if it enters it farther than this
 
 
+# The one table of categories: each one's joint kind and keypoint names.
+CATEGORIES = {"closet": ("revolute", ("handle", "hinge_top", "hinge_bottom", "goal")),
+              "drawer": ("prismatic", ("handle", "rail_front", "rail_back", "goal"))}
+
+
+def _category(category: str) -> tuple[str, tuple[str, ...]]:
+    """The (joint kind, keypoint names) of a key of ``CATEGORIES``."""
+    if not isinstance(category, str) or category not in CATEGORIES:
+        raise ValueError(f"unknown category {category!r}")
+    return CATEGORIES[category]
+
+
 def keypoint_names(category: str) -> tuple[str, ...]:
-    if category == "closet":
-        return CLOSET_KEYPOINT_NAMES
-    if category == "drawer":
-        return DRAWER_KEYPOINT_NAMES
-    raise ValueError(f"unknown category {category!r}")
+    return _category(category)[1]
+
+
+def _check_number(owner: str, name: str, value, least: float) -> None:
+    """Raise ValueError naming ``owner.name`` unless ``value`` is an integer
+    where ``least`` is an int, a number where it is a float (a bool is
+    neither), and ``least <= value < inf``."""
+    kind, noun = ((numbers.Integral, "an integer") if isinstance(least, int)
+                  else (numbers.Real, "a number"))
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{owner}.{name} is {value!r}, must be {noun}")
+    if not least <= value < np.inf:
+        raise ValueError(f"{owner}.{name} is {value}, must be at least {least} and finite")
+
+
+def _check_articulation(name: str, q) -> None:
+    """Raise ValueError naming ``name`` unless ``q`` is a number (not a bool) in [0, 1]."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not 0.0 <= q <= 1.0:
+        raise ValueError(f"{name} is {q!r}, outside [0, 1]")
 
 
 @dataclass
@@ -108,10 +137,9 @@ class SceneModel:
         self.validate()
 
     def validate(self) -> None:
-        if self.category not in ("closet", "drawer"):
-            raise ValueError(f"unknown category {self.category!r}")
-        if self.joint_kind not in ("revolute", "prismatic"):
-            raise ValueError(f"unknown joint kind {self.joint_kind!r}")
+        joint = _category(self.category)[0]
+        if self.joint_kind != joint:
+            raise ValueError(f"joint_kind is {self.joint_kind!r}, a {self.category} is {joint}")
         if self.joint_kind == "prismatic" and self.travel <= 0:
             raise ValueError("prismatic travel must be positive")
         lo, hi = self.door_lo, self.door_hi
@@ -131,8 +159,7 @@ class SceneModel:
 
     def door_frame(self, q: float) -> tuple[np.ndarray, np.ndarray]:
         """Rigid transform (R, p) of the door frame at articulation q."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"articulation q={q} outside [0, 1]")
+        _check_articulation("articulation q", q)
         if self.joint_kind == "revolute":
             alpha = -q * np.pi / 2.0
             ca, sa = np.cos(alpha), np.sin(alpha)
@@ -150,6 +177,14 @@ class SceneModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneModel":
+        """The model of a ``to_dict`` record; ValueError naming the keys it
+        lacks or does not know."""
+        known = {f.name: f.default is MISSING and f.default_factory is MISSING
+                 for f in fields(cls)}
+        missing = sorted(k for k, required in known.items() if required and k not in d)
+        unknown = sorted(set(d) - set(known))
+        if missing or unknown:
+            raise ValueError(f"scene record: missing keys {missing}, unknown keys {unknown}")
         return cls(**d)
 
 
@@ -160,6 +195,7 @@ def sample_scene(seed: int, category: str = "closet") -> SceneModel:
     uniform in [0.1, 0.9]; the remaining ranges are internal choices sized so
     every sample satisfies the model invariants.
     """
+    joint = _category(category)[0]
     rng = np.random.default_rng(seed)
     ext = rng.uniform(*BODY_EXTENT_RANGE, size=3)
     half = ext / 2.0
@@ -174,17 +210,15 @@ def sample_scene(seed: int, category: str = "closet") -> SceneModel:
         handle_local = np.array([rng.uniform(0.75, 0.92) * 2.0 * hx,
                                  -t / 2.0,
                                  rng.uniform(-0.3, 0.3) * hz])
-        travel, joint = 0.0, "revolute"
-    elif category == "drawer":
+        travel = 0.0
+    else:
         door_origin = np.array([0.0, -hy - t / 2.0, 0.0])
         door_lo = np.array([-hx, -t / 2.0, -hz])
         door_hi = np.array([hx, t / 2.0, hz])
         handle_local = np.array([rng.uniform(-0.25, 0.25) * hx,
                                  -t / 2.0,
                                  rng.uniform(-0.25, 0.25) * hz])
-        travel, joint = float(rng.uniform(0.4, 0.7) * ext[1]), "prismatic"
-    else:
-        raise ValueError(f"unknown category {category!r}")
+        travel = float(rng.uniform(0.4, 0.7) * ext[1])
 
     handle_half = np.array([0.012, 0.018, rng.uniform(0.03, 0.06)])
     goal = rng.uniform(-0.5, 0.5, size=3) * half
@@ -206,16 +240,13 @@ def keypoints_analytic(model: SceneModel, q: float) -> KeypointSet:
     """
     r, p = model.door_frame(q)  # validates q
     handle = r @ model.handle_local + p
-    if model.category == "closet":
-        top = model.door_origin + np.array([0.0, 0.0, model.door_hi[2]])
-        bottom = model.door_origin + np.array([0.0, 0.0, model.door_lo[2]])
-        pts = np.stack([handle, top, bottom, model.goal])
-        return KeypointSet(CLOSET_KEYPOINT_NAMES, pts)
-    hy = model.body_half[1]
-    rail_front = np.array([0.0, -hy, 0.0])
-    rail_back = np.array([0.0, hy, 0.0])
-    pts = np.stack([handle, rail_front, rail_back, model.goal])
-    return KeypointSet(DRAWER_KEYPOINT_NAMES, pts)
+    if model.category == "closet":  # hinge line, top then bottom
+        ends = [model.door_origin + np.array([0.0, 0.0, model.door_hi[2]]),
+                model.door_origin + np.array([0.0, 0.0, model.door_lo[2]])]
+    else:  # slide rail, front then back
+        hy = model.body_half[1]
+        ends = [np.array([0.0, -hy, 0.0]), np.array([0.0, hy, 0.0])]
+    return KeypointSet(keypoint_names(model.category), np.stack([handle, *ends, model.goal]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +423,12 @@ def raycast_render(model: SceneModel, q: float, e: np.ndarray, k: np.ndarray,
     """Render RGB/seg/depth with per-pixel nearest ray-box intersections.
 
     Lambert shading with a single directional light plus a constant ambient
-    term; background pixels are white with class 0 and depth +inf.
+    term; background pixels are white with class 0 and depth +inf. Raises
+    ValueError unless ``height`` and ``width`` are integers of at least 8 and
+    q is a number in [0, 1].
     """
-    if height < 8 or width < 8:
-        raise ValueError("image must be at least 8x8")
+    _check_number("raycast_render", "height", height, 8)
+    _check_number("raycast_render", "width", width, 8)
     origin, dirs = view_ray_grid(e, k, height, width)
     origins = np.broadcast_to(origin, dirs.shape)
     t, cls, nrm = raycast_scene(model, q, origins, dirs)
@@ -433,18 +466,9 @@ class GenConfig:
 
 
 def _check_counts(config, minimums: dict[str, float]) -> None:
-    """Raise ValueError naming the first config field that is not an integer
-    where its minimum is an int, not a number where it is a float (a bool is
-    neither), or is below its minimum, NaN or infinite."""
+    """``_check_number`` on each field of ``config`` named in ``minimums``."""
     for name, least in minimums.items():
-        value = getattr(config, name)
-        kind, noun = ((numbers.Integral, "an integer") if isinstance(least, int)
-                      else (numbers.Real, "a number"))
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{type(config).__name__}.{name} is {value!r}, must be {noun}")
-        if not least <= value < np.inf:
-            raise ValueError(f"{type(config).__name__}.{name} is {value}, "
-                             f"must be at least {least} and finite")
+        _check_number(type(config).__name__, name, getattr(config, name), least)
 
 
 @dataclass
@@ -565,11 +589,12 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset's manifest.json. Raises ValueError unless the header's
-    counts pass ``generate_dataset``'s checks, ``objects`` lists objects 0 to
-    n_objects - 1 in order, each instance's ``object`` is one of them, its
-    ``q`` lies in [0, 1] and it lists exactly n_views views, the instances
-    number n_objects * n_articulations, and every listed file is a relative
-    path inside the dataset; FileNotFoundError if a listed file is missing."""
+    counts pass ``generate_dataset``'s checks, its category is known,
+    ``objects`` lists objects 0 to n_objects - 1 in order, each instance's
+    ``object`` is the integer index of one of them, its ``q`` is a number in
+    [0, 1] and it lists exactly n_views views, the instances number
+    n_objects * n_articulations, and every listed file is a relative path
+    inside the dataset; FileNotFoundError if a listed file is missing."""
     path = Path(path)
     with open(path) as f:
         d = json.load(f)
@@ -579,17 +604,17 @@ def load_manifest(path) -> DatasetManifest:
         height=d["height"], width=d["width"], seed=d["seed"],
         objects=d["objects"], instances=d["instances"])
     _check_counts(manifest, _GEN_MINIMUMS)
+    _category(manifest.category)
     indices = [obj["index"] for obj in manifest.objects]
     if indices != list(range(manifest.n_objects)):
         raise ValueError(f"manifest objects are indexed {indices}, "
                          f"expected 0 to {manifest.n_objects - 1} in order")
     for i, inst in enumerate(manifest.instances):
-        if not (isinstance(inst["object"], int) and 0 <= inst["object"] < manifest.n_objects):
-            raise ValueError(f"manifest instance {i}: object {inst['object']!r} is not an "
-                             f"index in [0, {manifest.n_objects})")
-        if not (isinstance(inst["q"], (int, float)) and 0.0 <= inst["q"] <= 1.0):
-            raise ValueError(f"manifest instance {i}: q {inst['q']!r} is not a number "
-                             f"in [0, 1]")
+        _check_number("DatasetManifest", f"instances[{i}].object", inst["object"], 0)
+        if inst["object"] >= manifest.n_objects:
+            raise ValueError(f"DatasetManifest.instances[{i}].object is {inst['object']}, "
+                             f"not an index in [0, {manifest.n_objects})")
+        _check_articulation(f"DatasetManifest.instances[{i}].q", inst["q"])
         if len(inst["views"]) != manifest.n_views:
             raise ValueError(f"manifest instance {i} lists {len(inst['views'])} views, "
                              f"expected {manifest.n_views}")

@@ -166,7 +166,7 @@ def test_render_motion_rejects_bad_frame_size_before_touching_out_dir(tmp_path, 
                                                                        width):
     e = np.hstack([np.eye(3), np.array([[0.0], [0.0], [2.0]])])
     code = LatentCode.from_articulation(0.5, np.zeros(TINY.k_obj))
-    with pytest.raises(ValueError, match="integer of at least 1"):
+    with pytest.raises(ValueError, match=r"render_motion\.(height|width) is .*, must be"):
         render_motion(tiny_checkpoint(), [code], e, wg.make_intrinsics(8, 8), height, width,
                       tmp_path / "frames")
     assert not (tmp_path / "frames").exists()

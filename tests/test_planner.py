@@ -255,9 +255,10 @@ def test_duplicate_pins_rejected():
 def test_horizon_below_one_rejected(horizon):
     prob = TrajectoryProblem(horizon=horizon, start=np.zeros(3), constraints=[],
                              bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
-    with pytest.raises(ValueError, match=f"horizon {horizon} must be at least 1"):
+    message = f"TrajectoryProblem.horizon is {horizon}, must be at least 1"
+    with pytest.raises(ValueError, match=message):
         prob.validate()
-    with pytest.raises(ValueError, match=f"horizon {horizon} must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         solve(prob)
 
 
@@ -267,18 +268,11 @@ def test_non_integer_steps_rejected(horizon, step):
     prob = TrajectoryProblem(horizon=horizon, start=np.zeros(3),
                              constraints=[(step, np.full(3, 0.5))],
                              bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
-    with pytest.raises(ValueError, match="must be integers"):
+    message = r"TrajectoryProblem\.(horizon|constraints\[0\] step) is \S+, must be an integer"
+    with pytest.raises(ValueError, match=message):
         prob.validate()
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=message):
         solve(prob)
-
-
-def test_build_problem_rejects_fractional_step_counts():
-    traj = oracle_trajectory(wg.sample_scene(0, "closet"), t_steps=2)
-    with pytest.raises(ValueError, match="must be integers"):
-        build_problem(traj, "open", HOME, approach_steps=2.5)
-    with pytest.raises(ValueError, match="must be integers"):
-        build_problem(traj, "place", HOME, place_steps=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,17 @@ def test_pgm_write_rejects_values_it_cannot_store(tmp_path, values):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer, shape", [(write_ppm, (0, 4, 3)), (write_ppm, (3, 0, 3)),
+                                           (write_pgm, (3, 0)), (write_pgm, (0, 0))],
+                         ids=["ppm-no-rows", "ppm-no-columns", "pgm-no-columns", "pgm-empty"])
+def test_netpbm_writers_refuse_an_empty_image(tmp_path, writer, shape):
+    """The readers refuse a zero side, so the writers never write one."""
+    path = tmp_path / "x.pnm"
+    with pytest.raises(ValueError, match="non-empty"):
+        writer(path, np.zeros(shape))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_ppm_write_rejects_non_finite_pixels(tmp_path, bad):
     img = np.full((2, 2, 3), 0.5)
@@ -417,13 +428,13 @@ def _set_instance(index, key, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set_instance(0, "object", -1), r"instance 0: object -1 is not an index in \[0, 2\)"),
-    (_set_instance(1, "object", 2), "instance 1: object 2 is not"),
-    (_set_instance(0, "object", "0"), "object '0' is not"),
-    (_set_instance(1, "q", 1.5), r"instance 1: q 1.5 is not a number in \[0, 1\]"),
-    (_set_instance(0, "q", -0.25), "q -0.25 is not"),
-    (_set_instance(0, "q", float("nan")), "q nan is not"),
-    (_set_instance(0, "q", float("inf")), "q inf is not"),
+    (_set_instance(0, "object", -1), r"instances\[0\]\.object is -1, must be at least 0"),
+    (_set_instance(1, "object", 2), r"instances\[1\]\.object is 2, not an index in \[0, 2\)"),
+    (_set_instance(0, "object", "0"), "object is '0', must be an integer"),
+    (_set_instance(1, "q", 1.5), r"instances\[1\]\.q is 1.5, outside \[0, 1\]"),
+    (_set_instance(0, "q", -0.25), "q is -0.25, outside"),
+    (_set_instance(0, "q", float("nan")), "q is nan, outside"),
+    (_set_instance(0, "q", float("inf")), "q is inf, outside"),
     (lambda record: record["objects"].pop(), r"objects are indexed \[0\], expected 0 to 1"),
     (lambda record: record["objects"].reverse(), r"objects are indexed \[1, 0\]"),
     (lambda record: record["instances"][1]["views"].append(record["instances"][0]["views"].pop()),
