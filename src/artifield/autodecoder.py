@@ -28,7 +28,7 @@ import math
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,73 +91,60 @@ class LossBreakdown:
 
 
 @dataclass
-class ViewSample:
-    """Sampled rays of an instance's views plus their ground-truth pixels."""
-
-    rays: RayBatch
-    target_rgb: np.ndarray          # (R, 3)
-    target_seg: np.ndarray | None   # (R,) class ids
-
-
-@dataclass
 class InstanceBatch:
-    """One (object, articulation) instance inside a minibatch.
+    """One (object, articulation) instance inside a minibatch: its code and
+    the rays sampled from its views with their ground truth.
 
     ``phi`` is the (1,) articulation angle: a constant tensor during training
     (injected from the ground-truth q) and a fitted leaf during inference.
+    ``target_rgb`` (R, 3) and ``target_seg`` (R,) class ids are the pixels of
+    ``rays``; ``target_seg`` and ``target_keypoints`` (N_kp, 3) may be None
+    when their loss weight is zero.
     """
 
     phi: Tensor
     z_obj: Tensor
-    sample: ViewSample
-    target_keypoints: np.ndarray | None = None  # (N_kp, 3)
-
-
-@dataclass
-class _InstanceShare:
-    """One instance's loss terms and the gradient of its share of the total."""
-
-    terms: dict[str, np.ndarray]       # term name -> unweighted value
-    grads: dict[Tensor, np.ndarray]    # leaf -> d share / d leaf
+    rays: RayBatch
+    target_rgb: np.ndarray
+    target_seg: np.ndarray | None = None
+    target_keypoints: np.ndarray | None = None
 
 
 def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, float],
-                    scales: dict[str, float]) -> _InstanceShare:
-    """Forward and backward of one instance's share of the total.
+                    scales: dict[str, float]
+                    ) -> tuple[dict[str, np.ndarray], dict[Tensor, np.ndarray]]:
+    """Forward and backward of one instance's share of the total: its
+    unweighted terms by name and the gradient of the share by leaf.
 
     The graph is the one-instance ``total_loss`` graph with the batch's
     ``scales`` in its means, so every term gets the upstream gradient it gets
     in a graph over the whole batch.
     """
+    want_seg = lams["seg"] > 0
+    if want_seg and inst.target_seg is None:
+        raise ValueError("segmentation loss requested but view has no ground truth")
+    if lams["kp"] > 0 and inst.target_keypoints is None:
+        raise ValueError("keypoint loss requested but instance has no ground truth")
     feats = code_features(inst.phi, inst.z_obj)
     theta = hyper_map(weights.hyper, feats)
-    want_seg = lams["seg"] > 0
-    sample = inst.sample
-    if want_seg and sample.target_seg is None:
-        raise ValueError("segmentation loss requested but view has no ground truth")
-    rgb, logits, marchres = render_rays(weights, theta, sample.rays, want_seg=want_seg)
-    terms = {"image": gc.tsum(gc.square(gc.sub(rgb, sample.target_rgb)))}
-    if want_seg:
-        terms["seg"] = gc.cross_entropy_logits(logits, sample.target_seg)
+    rgb, logits, marchres = render_rays(weights, theta, inst.rays, want_seg=want_seg)
+    terms = {"image": gc.tsum(gc.square(gc.sub(rgb, inst.target_rgb))),
+             "latent": gc.mul(gc.tsum(gc.square(inst.z_obj)), 1.0 / weights.arch.k_obj)}
     if lams["depth"] > 0:
-        over = gc.relu(gc.sub(marchres.d_final, sample.rays.d_far))
+        over = gc.relu(gc.sub(marchres.d_final, inst.rays.d_far))
         terms["depth"] = gc.tmean(gc.square(over))
+    if want_seg:
+        terms["seg"] = gc.cross_entropy_logits(logits, inst.target_seg)
     if lams["kp"] > 0:
-        if inst.target_keypoints is None:
-            raise ValueError("keypoint loss requested but instance has no ground truth")
         pts = keypoint_head(weights.keypoint, feats, weights.arch)
         terms["kp"] = gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints)))
-    terms["latent"] = gc.mul(gc.tsum(gc.square(inst.z_obj)), 1.0 / weights.arch.k_obj)
 
-    # image + latent * lam_latent, then + term * lam for depth, seg and kp in
-    # that order, each term first scaled by its batch mean's factor.
-    scaled = {name: gc.mul(t, scales[name]) for name, t in terms.items()}
-    share = gc.add(scaled["image"], gc.mul(scaled["latent"], lams["latent"]))
-    for name in ("depth", "seg", "kp"):
-        if lams[name] > 0:
-            share = gc.add(share, gc.mul(scaled[name], lams[name]))
-    return _InstanceShare(terms={name: t.data for name, t in terms.items()},
-                          grads=gc.backward(share) if share.requires_grad else {})
+    share = gc.mul(terms["image"], scales["image"])
+    for name in ("latent", "depth", "seg", "kp"):
+        if name in terms:
+            share = gc.add(share, gc.mul(gc.mul(terms[name], scales[name]), lams[name]))
+    return ({name: t.data for name, t in terms.items()},
+            gc.backward(share) if share.requires_grad else {})
 
 
 def _usable_cpus() -> int:
@@ -175,53 +162,58 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     ``breakdown.total`` for every leaf that receives one, as the dict
     ``gc.backward`` returns (empty when no leaf requires grad).
 
-    Each instance runs its forward and backward on a worker thread (one per
-    usable CPU, up to the batch size; a single worker is the calling thread)
-    over the caller's own leaves. Each leaf's gradient is summed over the
-    instances in batch order, and so is each term of the breakdown, so both
-    are the same whatever the worker count. An instance's own gradients are
-    dropped as soon as they are summed. An error in any instance is raised
-    here.
+    The image term is the squared rgb error summed over every sampled ray and
+    divided by the batch's rgb value count; each other term is the mean over
+    the instances of its per-instance value. A term whose weight is zero is
+    not built (it reads 0.0) and needs no ground truth, except the latent
+    prior, which is always built. Each instance's share of the total is
+    ``image*scale``, then ``+ (term*scale)*lam`` for latent, depth, seg and
+    kp in that order, and is differentiated on its own graph. A missing seg
+    or keypoint target raises ValueError before that instance's forward
+    pass.
+
+    Each instance runs on a worker thread (one per usable CPU, up to the
+    batch size; a single worker is the calling thread) over the caller's own
+    leaves. Each leaf's gradient is summed over the instances in batch order,
+    and so is each term of the breakdown, so both are the same whatever the
+    worker count. An instance's own gradients are dropped as soon as they are
+    summed. An error in any instance is raised here.
     """
     if not batch:
         raise ValueError("total_loss needs at least one instance, got an empty batch")
     lams = {"latent": lam_latent, "depth": lam_depth, "seg": lam_seg, "kp": lam_kp}
-    img_count = sum(inst.sample.target_rgb.size for inst in batch)
     scales = {name: 1.0 / len(batch) for name in lams}
-    scales["image"] = 1.0 / img_count
+    scales["image"] = 1.0 / sum(inst.target_rgb.size for inst in batch)
 
     terms: dict[str, list[np.ndarray]] = {}
     grads: dict[Tensor, np.ndarray] = {}
 
-    def take(share: _InstanceShare) -> None:
-        for name, value in share.terms.items():
+    def take(share_terms: dict[str, np.ndarray], share_grads: dict[Tensor, np.ndarray]) -> None:
+        for name, value in share_terms.items():
             terms.setdefault(name, []).append(value)
-        for leaf, grad in share.grads.items():
+        for leaf, grad in share_grads.items():
             gc._accum(grads, leaf, grad)
-
-    def run(inst: InstanceBatch) -> _InstanceShare:
-        return _instance_share(inst, weights, lams, scales)
 
     workers = min(len(batch), _usable_cpus())
     if workers == 1:
         for inst in batch:
-            take(run(inst))
+            take(*_instance_share(inst, weights, lams, scales))
     else:
         with ThreadPoolExecutor(workers) as pool:
             # numpy's errstate is a context variable: a copy of the caller's
             # context per task (one thread at a time may run a context)
             # carries a caller's np.errstate(over="raise") into the workers.
-            futures = collections.deque(pool.submit(contextvars.copy_context().run, run, inst)
+            futures = collections.deque(pool.submit(contextvars.copy_context().run,
+                                                    _instance_share, inst, weights, lams, scales)
                                         for inst in batch)
             while futures:
-                take(futures.popleft().result())
+                take(*futures.popleft().result())
 
     # Each mean is (((t0 + t1) + t2) + ...) * scale over the instances' terms.
     means = {name: float(functools.reduce(np.add, terms[name]) * scales[name])
              if name in terms else 0.0 for name in scales}
-    breakdown = LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp,
-                              lam_latent=lam_latent, lam_depth=lam_depth)
-    return breakdown, grads
+    return LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent,
+                         lam_depth=lam_depth), grads
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +275,11 @@ def load_training_set(manifest: DatasetManifest) -> list[LoadedInstance]:
 
 
 def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view: int,
-                 scene_radius: float) -> ViewSample:
+                 scene_radius: float) -> tuple[RayBatch, np.ndarray, np.ndarray | None]:
     """Up to ``rays_per_view`` distinct random pixels of each view, drawn in
-    view order, as one ray batch for one march; ``target_seg`` is None unless
-    every view has a segmentation."""
+    view order, as ``(rays, target_rgb, target_seg)``: one ray batch for one
+    march and its pixels; ``target_seg`` is None unless every view has a
+    segmentation."""
     flats = [rng.choice(v.height * v.width, size=min(rays_per_view, v.height * v.width),
                         replace=False) for v in views]
     rays = [pixel_rays(v.e, v.k, v.height, v.width, scene_radius, flat_pixels=f)
@@ -299,22 +292,29 @@ def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view
                      dirs=np.concatenate([r.dirs for r in rays]),
                      d_near=np.concatenate([r.d_near for r in rays]),
                      d_far=np.concatenate([r.d_far for r in rays]))
-    return ViewSample(rays=batch, target_rgb=rgb, target_seg=seg)
+    return batch, rgb, seg
 
 
 def train(manifest: DatasetManifest, config: TrainConfig,
           arch: ArchConfig | None = None, out_dir=None) -> tuple[Checkpoint, list[LossBreakdown]]:
     """Fit codes and weights jointly with Adam; deterministic for a seed,
-    whatever the number of worker threads ``total_loss`` runs. Each iteration
+    whatever the number of worker threads ``total_loss`` runs. ``arch``
+    defaults to ``ArchConfig(category=manifest.category)``. Each iteration
+    samples its instances, their views and rays from the seed's generator,
     takes one Adam step on the gradient dict ``total_loss`` returns and then
     drops the dict, so no gradient stays alive through the next forward pass.
 
-    Writes periodic checkpoints and a per-iteration CSV log when out_dir is
-    given. Divergence (non-finite loss or gradient) aborts with a
-    TrainingDivergedError pointing at the last good checkpoint. A seed or
-    count that is not an integer or is below its minimum, or a rate, loss
-    weight or ``code_init_std`` that is not a number or is negative, NaN or
-    infinite, raises ValueError before any data is loaded.
+    When out_dir is given, writes ``train_log.csv`` with one row per
+    iteration, in the columns ``iteration``, the fields of ``LossBreakdown``
+    (image, latent, depth, seg, kp, lam_seg, lam_kp, lam_latent, lam_depth),
+    ``total``, ``lr_weights`` and ``lr_codes``; a ``checkpoint_NNNNNN.bin``
+    every ``checkpoint_every`` iterations before the last; and
+    ``checkpoint.bin`` at the end. Divergence (non-finite loss or gradient)
+    aborts with a TrainingDivergedError pointing at the last good
+    checkpoint. A seed or count that is not an integer or is below its
+    minimum, or a rate, loss weight or ``code_init_std`` that is not a
+    number or is negative, NaN or infinite, raises ValueError before any
+    data is loaded.
     """
     _check_counts(config, {"iterations": 0, "seed": 0, "batch_instances": 1,
                            "views_per_instance": 1, "rays_per_view": 1, "checkpoint_every": 0,
@@ -326,11 +326,10 @@ def train(manifest: DatasetManifest, config: TrainConfig,
         raise ValueError(f"arch category {arch.category!r} != dataset {manifest.category!r}")
     rng = np.random.default_rng(config.seed)
     instances = load_training_set(manifest)
-    n_obj = manifest.n_objects
 
     weights = ModelWeights.init(arch, rng)
     codes = [Tensor(rng.normal(0.0, config.code_init_std, size=arch.k_obj),
-                    requires_grad=True) for _ in range(n_obj)]
+                    requires_grad=True) for _ in range(manifest.n_objects)]
 
     opt_w = Adam(weights.named_parameters(), lr=config.lr_weights)
     opt_z = Adam([(f"codes.{i}", c) for i, c in enumerate(codes)], lr=config.lr_codes)
@@ -338,16 +337,6 @@ def train(manifest: DatasetManifest, config: TrainConfig,
     out_dir = Path(out_dir) if out_dir is not None else None
     last_ckpt_path = None
     history: list[LossBreakdown] = []
-    csv_writer = None
-    csv_file = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_file = open(out_dir / "train_log.csv", "w", newline="")
-        fieldnames = ["iteration", "image", "latent", "depth", "seg", "kp",
-                      "lam_seg", "lam_kp", "lam_latent", "lam_depth", "total",
-                      "lr_weights", "lr_codes"]
-        csv_writer = csv.DictWriter(csv_file, fieldnames=fieldnames)
-        csv_writer.writeheader()
 
     def make_checkpoint(iteration: int) -> Checkpoint:
         return Checkpoint(weights=weights,
@@ -356,7 +345,15 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                           iteration=iteration,
                           rng_state=rng.bit_generator.state)
 
-    try:
+    with contextlib.ExitStack() as stack:
+        log = None
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            columns = ["iteration", *(f.name for f in fields(LossBreakdown)), "total",
+                       "lr_weights", "lr_codes"]
+            log = csv.DictWriter(stack.enter_context(
+                open(out_dir / "train_log.csv", "w", newline="")), fieldnames=columns)
+            log.writeheader()
         for it in range(1, config.iterations + 1):
             idx = rng.choice(len(instances), size=min(config.batch_instances, len(instances)),
                              replace=False)
@@ -367,9 +364,8 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                 view_idx = rng.choice(len(inst.views), size=n_views, replace=False)
                 sample = _sample_rays([inst.views[v] for v in view_idx], rng,
                                       config.rays_per_view, arch.scene_radius)
-                batch.append(InstanceBatch(phi=Tensor([articulation_angle(inst.q)]),
-                                           z_obj=codes[inst.object_index],
-                                           sample=sample,
+                batch.append(InstanceBatch(Tensor([articulation_angle(inst.q)]),
+                                           codes[inst.object_index], *sample,
                                            target_keypoints=inst.keypoints))
             try:
                 breakdown, grads = total_loss(batch, weights, config.lam_seg, config.lam_kp,
@@ -385,18 +381,13 @@ def train(manifest: DatasetManifest, config: TrainConfig,
                     last_checkpoint=last_ckpt_path) from err
 
             history.append(breakdown)
-            if csv_writer is not None:
-                row = breakdown.as_row()
-                row.update(iteration=it, lr_weights=config.lr_weights,
-                           lr_codes=config.lr_codes)
-                csv_writer.writerow(row)
+            if log is not None:
+                log.writerow({"iteration": it, **breakdown.as_row(),
+                              "lr_weights": config.lr_weights, "lr_codes": config.lr_codes})
             if out_dir is not None and config.checkpoint_every > 0 \
                     and it % config.checkpoint_every == 0 and it < config.iterations:
                 last_ckpt_path = out_dir / f"checkpoint_{it:06d}.bin"
                 save_checkpoint(make_checkpoint(it), last_ckpt_path)
-    finally:
-        if csv_file is not None:
-            csv_file.close()
 
     ckpt = make_checkpoint(config.iterations)
     if out_dir is not None:
@@ -422,7 +413,6 @@ class InferConfig:
 class InferResult:
     code: LatentCode
     final_image_loss: float        # full-frame mean squared rgb error
-    iterations: int
     history: list[float]           # sampled-ray image loss per iteration
 
 
@@ -439,12 +429,16 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
                  config: InferConfig) -> InferResult:
     """Fit a latent code to posed images with all network weights frozen.
 
-    Only the image term (plus the z_obj prior) is optimized: the
-    segmentation and keypoint weights are fixed at zero here. Adam descends
-    on the articulation angle phi and on z_obj, and the result holds the
-    fitted phi itself. The object part starts at the mean trained code and
-    the angle at ``articulation_angle(q0)`` of each q0 in q_inits; each entry
-    runs an independent restart, keeping the fit with the lowest final loss.
+    Each q0 in q_inits starts one independent fit: the angle phi at
+    ``articulation_angle(q0)``, z_obj at the mean trained code, and rays
+    drawn from ``SeedSequence([seed, start index])``. Each fit takes
+    ``iterations`` Adam steps on phi and z_obj over one ``total_loss`` call
+    each, with the image term and the z_obj prior only: the segmentation,
+    keypoint and depth weights are zero here. The result is the fit with the
+    lowest full-frame image loss, the first on a tie; it holds the fitted
+    phi itself and, in ``history``, that fit's sampled-ray image loss per
+    iteration.
+
     Raises ValueError, before any fit runs, if a q0 lies outside [0, 1], the
     seed or a count is below its minimum or not an integer, or ``lr`` or
     ``lam_latent`` is not a number or is negative, NaN or infinite. The
@@ -460,8 +454,8 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
         raise ValueError("need at least one articulation start in q_inits")
     phi_inits = [articulation_angle(q0) for q0 in config.q_inits]
     weights = checkpoint.weights.detached()
-    best: InferResult | None = None
-    for start_i, phi0 in enumerate(phi_inits):
+
+    def fit(start_i: int, phi0: float) -> InferResult:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, start_i]))
         phi = Tensor([phi0], requires_grad=True)
         z_obj = Tensor(checkpoint.mean_object_code().copy(), requires_grad=True)
@@ -469,18 +463,17 @@ def infer_latent(checkpoint: Checkpoint, views: list[PosedView],
         history = []
         for _ in range(config.iterations):
             sample = _sample_rays(views, rng, config.rays_per_view, weights.arch.scene_radius)
-            inst = InstanceBatch(phi=phi, z_obj=z_obj, sample=sample)
-            breakdown, grads = total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,
+            breakdown, grads = total_loss([InstanceBatch(phi, z_obj, *sample)], weights,
+                                          lam_seg=0.0, lam_kp=0.0,
                                           lam_latent=config.lam_latent, lam_depth=0.0)
             opt.step(grads)
             history.append(breakdown.image)
         code = LatentCode(phi.data[0], z_obj.data.copy())
-        result = InferResult(code=code,
-                             final_image_loss=_full_frame_image_loss(weights, code, views),
-                             iterations=config.iterations, history=history)
-        if best is None or result.final_image_loss < best.final_image_loss:
-            best = result
-    return best
+        return InferResult(code=code, history=history,
+                           final_image_loss=_full_frame_image_loss(weights, code, views))
+
+    return min((fit(i, phi0) for i, phi0 in enumerate(phi_inits)),
+               key=lambda result: result.final_image_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ graph and computes the same bits. Nodes are not checked for non-finite
 values: ``adam_step`` rejects a non-finite gradient and the training loop
 rejects a non-finite loss.
 
+A vjp runs only for a recorded node, so a vjp may skip exactly the parents
+that do not require grad. An op with one parent hands its gradient to that
+parent without a check: ``_make`` records the node only when that parent
+requires grad. An op with several parents checks each one and skips those
+that need none (a constant operand, or a weight read through
+``ModelWeights.detached()``), so the dict ``backward`` returns holds the
+leaves that require grad and no constant.
+
 ``backward`` releases the graph as it runs: once a node's vjp has been
 taken, the node drops its parents and its closure, and ``backward`` drops
 the node and its gradient, so the activations the closure captured and the
@@ -241,8 +249,7 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.data)
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * (1.0 - y * y))
+        _accum(grads, a, g * (1.0 - y * y))
 
     return _make(y, "tanh", (a,), vjp)
 
@@ -259,8 +266,7 @@ def sigmoid(a) -> Tensor:
     y = _sigmoid_np(a.data)
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * (y * (1.0 - y)))
+        _accum(grads, a, g * (y * (1.0 - y)))
 
     return _make(y, "sigmoid", (a,), vjp)
 
@@ -272,8 +278,7 @@ def softplus(a) -> Tensor:
     y = np.logaddexp(0.0, x)
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * _sigmoid_np(x))
+        _accum(grads, a, g * _sigmoid_np(x))
 
     return _make(y, "softplus", (a,), vjp)
 
@@ -284,8 +289,7 @@ def relu(a) -> Tensor:
     y = np.maximum(x, 0.0)
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * (x > 0.0))
+        _accum(grads, a, g * (x > 0.0))
 
     return _make(y, "relu", (a,), vjp)
 
@@ -295,8 +299,7 @@ def square(a) -> Tensor:
     x = a.data
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g * 2.0 * x)
+        _accum(grads, a, g * 2.0 * x)
 
     return _make(x * x, "square", (a,), vjp)
 
@@ -307,8 +310,7 @@ def tsum(a) -> Tensor:
     y = a.data.sum()
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, np.broadcast_to(g, in_shape).astype(np.float64))
+        _accum(grads, a, np.broadcast_to(g, in_shape).astype(np.float64))
 
     return _make(np.asarray(y, dtype=np.float64), "sum", (a,), vjp)
 
@@ -326,8 +328,7 @@ def unit_circle(phi) -> Tensor:
     cos, sin = np.cos(phi.data), np.sin(phi.data)
 
     def vjp(g, grads):
-        if phi.requires_grad:
-            _accum(grads, phi, g[1:] * cos - g[:1] * sin)
+        _accum(grads, phi, g[1:] * cos - g[:1] * sin)
 
     return _make(np.concatenate([cos, sin]), "unit_circle", (phi,), vjp)
 
@@ -362,10 +363,9 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     in_shape = a.data.shape
 
     def vjp(g, grads):
-        if a.requires_grad:
-            full = np.zeros(in_shape, dtype=np.float64)
-            full[idx] = g
-            _accum(grads, a, full)
+        full = np.zeros(in_shape, dtype=np.float64)
+        full[idx] = g
+        _accum(grads, a, full)
 
     return _make(y, "narrow", (a,), vjp)
 
@@ -376,8 +376,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     y = a.data.reshape(shape)
 
     def vjp(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g.reshape(in_shape))
+        _accum(grads, a, g.reshape(in_shape))
 
     return _make(y, "reshape", (a,), vjp)
 
@@ -473,10 +472,9 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     loss = -logp[rows, labels].mean()
 
     def vjp(g, grads):
-        if lg.requires_grad:
-            soft = np.exp(logp)
-            soft[rows, labels] -= 1.0
-            _accum(grads, lg, (float(g) / x.shape[0]) * soft)
+        soft = np.exp(logp)
+        soft[rows, labels] -= 1.0
+        _accum(grads, lg, (float(g) / x.shape[0]) * soft)
 
     return _make(np.float64(loss), "cross_entropy", (lg,), vjp)
 

@@ -111,14 +111,6 @@ class ValidationReport:
     per_step: list[dict]
     place_error: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"grasp_error": self.grasp_error,
-                "max_path_deviation": self.max_path_deviation,
-                "threshold": self.threshold,
-                "passed": self.passed,
-                "place_error": self.place_error,
-                "per_step": self.per_step}
-
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         extra = f", place error {self.place_error:.4f} m" if self.place_error is not None else ""

@@ -86,6 +86,19 @@ def _check_articulation(name: str, q) -> None:
         raise ValueError(f"{name} is {q!r}, outside [0, 1]")
 
 
+def _check_keys(what: str, d, required, optional=()) -> dict:
+    """``d`` itself if it is a dict (a JSON object) with every key of
+    ``required`` and none outside ``required`` and ``optional``; otherwise
+    ValueError naming ``what`` and the keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is a {type(d).__name__}, not a JSON object")
+    missing = sorted(set(required) - d.keys())
+    unknown = sorted(d.keys() - set(required) - set(optional))
+    if missing or unknown:
+        raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    return d
+
+
 @dataclass
 class KeypointSet:
     """Named 3D keypoints in the world frame, in the category's fixed order."""
@@ -107,6 +120,9 @@ class KeypointSet:
 
     @classmethod
     def from_dict(cls, names: tuple[str, ...], d: dict) -> "KeypointSet":
+        """The keypoints ``names`` of an ``as_dict`` record; ValueError naming
+        the names it lacks or does not know."""
+        _check_keys("keypoints", d, names)
         return cls(names, np.array([d[n] for n in names], dtype=np.float64))
 
 
@@ -181,10 +197,7 @@ class SceneModel:
         lacks or does not know."""
         known = {f.name: f.default is MISSING and f.default_factory is MISSING
                  for f in fields(cls)}
-        missing = sorted(k for k, required in known.items() if required and k not in d)
-        unknown = sorted(set(d) - set(known))
-        if missing or unknown:
-            raise ValueError(f"scene record: missing keys {missing}, unknown keys {unknown}")
+        _check_keys("scene record", d, [k for k, required in known.items() if required], known)
         return cls(**d)
 
 
@@ -488,21 +501,37 @@ class DatasetManifest:
     def n_instances(self) -> int:
         return len(self.instances)
 
+    def _read(self, name: str, parse):
+        """``parse`` of the JSON in the dataset file ``name``; a ValueError,
+        a malformed record's among them, is raised again naming the file."""
+        try:
+            with open(self.root / name) as f:
+                return parse(json.load(f))
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from err
+
     def scene(self, object_index: int) -> SceneModel:
-        rec = self.objects[object_index]
-        with open(self.root / rec["scene_file"]) as f:
-            return SceneModel.from_dict(json.load(f))
+        """The scene of object ``object_index``; ValueError naming its file if
+        the record is malformed or its category is not the manifest's."""
+        name = self.objects[object_index]["scene_file"]
+        model = self._read(name, SceneModel.from_dict)
+        if model.category != self.category:
+            raise ValueError(f"{name}: scene category {model.category!r} is not the "
+                             f"manifest's {self.category!r}")
+        return model
 
     def keypoints(self, instance: dict) -> KeypointSet:
-        with open(self.root / instance["keypoints_file"]) as f:
-            d = json.load(f)
-        return KeypointSet.from_dict(keypoint_names(self.category), d["points"])
+        """The instance's keypoints, in the category's order; ValueError naming
+        the file if it lacks ``points`` or one of the names."""
+        names = keypoint_names(self.category)
+        return self._read(instance["keypoints_file"], lambda d: KeypointSet.from_dict(
+            names, _check_keys("keypoints file", d, ["points"])["points"]))
 
     def load_view(self, view_rec: dict) -> PosedView:
+        """ValueError naming the camera file if it lacks ``E`` or ``K``."""
         image = read_ppm(self.root / view_rec["image"])
         seg = read_pgm(self.root / view_rec["seg"])
-        with open(self.root / view_rec["camera"]) as f:
-            cam = json.load(f)
+        cam = self._read(view_rec["camera"], lambda d: _check_keys("camera", d, ["E", "K"]))
         return PosedView(image=image, seg=seg,
                          e=np.array(cam["E"], dtype=np.float64),
                          k=np.array(cam["K"], dtype=np.float64))
@@ -593,18 +622,25 @@ def load_manifest(path) -> DatasetManifest:
     ``objects`` lists objects 0 to n_objects - 1 in order, each instance's
     ``object`` is the integer index of one of them, its ``q`` is a number in
     [0, 1] and it lists exactly n_views views, the instances number
-    n_objects * n_articulations, and every listed file is a relative path
-    inside the dataset; FileNotFoundError if a listed file is missing."""
+    n_objects * n_articulations, every listed file is a relative path inside
+    the dataset, and every scene file reads as a scene of the manifest's
+    category; FileNotFoundError if a listed file is missing. The header and
+    each object, instance and view record must hold exactly the keys
+    ``generate_dataset`` writes, or ValueError names the file and the keys."""
     path = Path(path)
+    header = [spec.name for spec in fields(DatasetManifest) if spec.name != "root"]
     with open(path) as f:
-        d = json.load(f)
-    manifest = DatasetManifest(
-        root=path.parent, category=d["category"], n_objects=d["n_objects"],
-        n_articulations=d["n_articulations"], n_views=d["n_views"],
-        height=d["height"], width=d["width"], seed=d["seed"],
-        objects=d["objects"], instances=d["instances"])
+        d = _check_keys(path.name, json.load(f), header)
+    manifest = DatasetManifest(root=path.parent, **d)
     _check_counts(manifest, _GEN_MINIMUMS)
     _category(manifest.category)
+    for i, obj in enumerate(manifest.objects):
+        _check_keys(f"{path.name} objects[{i}]", obj, ("index", "scene_file", "diagonal"))
+    for i, inst in enumerate(manifest.instances):
+        _check_keys(f"{path.name} instances[{i}]", inst,
+                    ("object", "articulation", "q", "keypoints_file", "views"))
+        for j, rec in enumerate(inst["views"]):
+            _check_keys(f"{path.name} instances[{i}].views[{j}]", rec, ("image", "seg", "camera"))
     indices = [obj["index"] for obj in manifest.objects]
     if indices != list(range(manifest.n_objects)):
         raise ValueError(f"manifest objects are indexed {indices}, "
@@ -630,6 +666,8 @@ def load_manifest(path) -> DatasetManifest:
     expected = manifest.n_objects * manifest.n_articulations
     if manifest.n_instances != expected:
         raise ValueError(f"manifest lists {manifest.n_instances} instances, expected {expected}")
+    for i in range(manifest.n_objects):
+        manifest.scene(i)
     return manifest
 
 

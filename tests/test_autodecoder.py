@@ -73,13 +73,12 @@ def _make_batch(manifest, weights, rng, seg=True, count=2):
     instances = load_training_set(manifest)
     batch = []
     for inst in instances[:count]:
-        sample = _sample_rays(inst.views, rng, 32, weights.arch.scene_radius)
-        if not seg:
-            sample.target_seg = None
+        rays, rgb, seg_ids = _sample_rays(inst.views, rng, 32, weights.arch.scene_radius)
         batch.append(InstanceBatch(
             phi=Tensor([articulation_angle(inst.q)]),
             z_obj=Tensor(rng.normal(size=weights.arch.k_obj) * 0.1, requires_grad=True),
-            sample=sample, target_keypoints=inst.keypoints))
+            rays=rays, target_rgb=rgb, target_seg=seg_ids if seg else None,
+            target_keypoints=inst.keypoints))
     return batch
 
 
@@ -107,8 +106,8 @@ def test_loss_zero_when_prediction_equals_target(tiny_dataset):
     from artifield.raymarch import render_rays
     for inst in batch:
         theta = hyper_map(weights.hyper, code_features(inst.phi, inst.z_obj))
-        rgb, _, _ = render_rays(weights, theta, inst.sample.rays, want_seg=False)
-        inst.sample.target_rgb = rgb.data.copy()
+        rgb, _, _ = render_rays(weights, theta, inst.rays, want_seg=False)
+        inst.target_rgb = rgb.data.copy()
     bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
                        lam_latent=0.0, lam_depth=0.0)
     assert bd.image == 0.0
@@ -119,7 +118,7 @@ def test_loss_inference_weights_reduce_to_srn_terms(tiny_dataset):
     weights = ModelWeights.init(TINY, np.random.default_rng(4))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(5), seg=False)
     for inst in batch:  # every ray overshoots, so the depth term is positive
-        inst.sample.rays.d_far = inst.sample.rays.d_near.copy()
+        inst.rays.d_far = inst.rays.d_near.copy()
     bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
                        lam_latent=1e-3, lam_depth=0.1)
     assert bd.seg == 0.0 and bd.kp == 0.0 and bd.depth > 0.0
@@ -222,7 +221,7 @@ def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, mo
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    batch[1].sample.target_seg = None
+    batch[1].target_seg = None
     with pytest.raises(ValueError, match="segmentation"):
         total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
 
@@ -238,7 +237,7 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
     batch[1].z_obj = batch[0].z_obj
     phi = Tensor([2.0], requires_grad=True)
     batch[1].phi = phi
-    batch[1].sample.rays.d_far = batch[1].sample.rays.d_near.copy()
+    batch[1].rays.d_far = batch[1].rays.d_near.copy()
     lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
     params = dict(weights.named_parameters())
     leaves = {"z_obj": batch[0].z_obj, "phi": phi,
@@ -272,7 +271,8 @@ def test_sample_rays_matches_view_by_view_reference(tiny_dataset, rays_per_view)
     """One pass over the views gives what sampling each view on its own and
     concatenating gives; more rays than pixels takes every pixel once."""
     views = load_training_set(tiny_dataset)[0].views
-    got = _sample_rays(views, np.random.default_rng(11), rays_per_view, 1.3)
+    got_rays, got_rgb, got_seg = _sample_rays(views, np.random.default_rng(11), rays_per_view,
+                                              1.3)
     rng = np.random.default_rng(11)
     rays, rgb, seg = [], [], []
     for v in views:
@@ -284,18 +284,18 @@ def test_sample_rays_matches_view_by_view_reference(tiny_dataset, rays_per_view)
         seg.append(v.seg.reshape(-1)[flat])
     for name in ("origins", "dirs", "d_near", "d_far"):
         expected = np.concatenate([getattr(r, name) for r in rays])
-        assert getattr(got.rays, name).tobytes() == expected.tobytes()
-    assert got.target_rgb.tobytes() == np.concatenate(rgb).tobytes()
-    assert got.target_seg.tobytes() == np.concatenate(seg).tobytes()
-    assert got.rays.count == len(views) * min(rays_per_view, 16 * 16)
+        assert getattr(got_rays, name).tobytes() == expected.tobytes()
+    assert got_rgb.tobytes() == np.concatenate(rgb).tobytes()
+    assert got_seg.tobytes() == np.concatenate(seg).tobytes()
+    assert got_rays.count == len(views) * min(rays_per_view, 16 * 16)
 
 
 def test_sample_rays_drops_seg_unless_every_view_has_it(tiny_dataset):
     views = load_training_set(tiny_dataset)[0].views
     views[1] = replace(views[1], seg=None)
-    got = _sample_rays(views, np.random.default_rng(0), 20, 1.5)
-    assert got.target_seg is None
-    assert got.target_rgb.shape == (2 * 20, 3)
+    _, rgb, seg = _sample_rays(views, np.random.default_rng(0), 20, 1.5)
+    assert seg is None
+    assert rgb.shape == (2 * 20, 3)
 
 
 def test_latent_prior_decays_codes_toward_zero():
@@ -393,6 +393,18 @@ def test_training_divergence_names_the_iteration(tiny_dataset, tmp_path):
     assert err.value.last_checkpoint is None
 
 
+def test_training_defaults_to_the_dataset_category_arch(tmp_path):
+    """Without an arch, ``train`` builds the default one for the manifest's
+    category, here a drawer's with its own keypoints."""
+    manifest = wg.generate_dataset(wg.GenConfig(category="drawer", n_objects=1,
+                                                n_articulations=1, n_views=1, height=8,
+                                                width=8, seed=1), tmp_path)
+    tc = TrainConfig(iterations=2, rays_per_view=8, batch_instances=1, views_per_instance=1)
+    ckpt, history = train(manifest, tc)
+    assert ckpt.arch == ArchConfig(category="drawer") and len(history) == 2
+    assert all(np.isfinite(h.total) and h.kp > 0.0 for h in history)
+
+
 def test_training_rejects_wrong_category_arch(tiny_dataset):
     arch = ArchConfig(category="drawer")
     with pytest.raises(ValueError, match="category"):
@@ -472,7 +484,7 @@ def test_infer_zero_iterations_returns_initialization(smoke_checkpoint):
     np.testing.assert_array_equal(res.code.z_art, [np.cos(phi0), np.sin(phi0)])
     assert abs(res.code.q - 0.5) < 1e-15
     np.testing.assert_array_equal(res.code.z_obj, ckpt.mean_object_code())
-    assert res.iterations == 0
+    assert res.history == []
 
 
 @pytest.mark.parametrize("q_inits", [(-0.1,), (0.5, 1.5), (float("nan"),)])
@@ -848,8 +860,10 @@ def _negative_codes_rows(members):
     (dict(edit=_edit_header(lambda h: h.__setitem__("format", "artifield-checkpoint-npz-0"))),
      "unsupported format"),
     (dict(edit=_edit_header(lambda h: h.pop("rng_state"))), "malformed header"),
+    (dict(edit=_edit_header(lambda h: h["arch"].__setitem__("k_obj", 5))),
+     "architecture hash mismatch"),
 ], ids=["missing-weight", "missing-codes", "shape", "nan", "inf", "negative-dim",
-        "repeated-name", "extra-member", "format-tag", "header-field"])
+        "repeated-name", "extra-member", "format-tag", "header-field", "arch-hash"])
 def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
     path = tmp_path / "cp.bin"
     save_checkpoint(_dummy_checkpoint(), path)

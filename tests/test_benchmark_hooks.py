@@ -19,7 +19,7 @@ import pytest
 
 from artifield import autodecoder
 from artifield import worldgen as wg
-from artifield.autodecoder import InstanceBatch, ViewSample
+from artifield.autodecoder import InstanceBatch
 from artifield.gradcore import Tensor
 from artifield.neuralfield import ArchConfig, ModelWeights, articulation_angle
 from artifield.raymarch import RayBatch
@@ -61,9 +61,8 @@ def test_tracer_counts_backward_and_vjps_of_a_loss_call():
                     dirs=dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
                     d_near=np.full((8, 1), 1.0), d_far=np.full((8, 1), 3.0))
     z_obj = Tensor(rng.normal(size=arch.k_obj) * 0.1, requires_grad=True)
-    inst = InstanceBatch(phi=Tensor([articulation_angle(0.5)]), z_obj=z_obj,
-                         sample=ViewSample(rays=rays, target_rgb=rng.uniform(size=(8, 3)),
-                                           target_seg=None))
+    inst = InstanceBatch(phi=Tensor([articulation_angle(0.5)]), z_obj=z_obj, rays=rays,
+                         target_rgb=rng.uniform(size=(8, 3)))
     tracer = TRACER_MODULE.Tracer()
     with tracer:
         _, grads = autodecoder.total_loss([inst], weights, lam_seg=0.0, lam_kp=0.0,

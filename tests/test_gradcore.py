@@ -349,6 +349,48 @@ def test_broadcast_add_gradient_reduces():
     np.testing.assert_array_equal(backward(tsum(gc.add(x, b)))[b], np.full(3, 5.0))
 
 
+@pytest.mark.parametrize("a_grad", [True, False], ids=["both", "second-only"])
+def test_sub_gradients_vs_finite_differences(a_grad):
+    """sub(a, b) with b (3,) broadcast against a (4, 3): b's gradient is the
+    negated, reduced upstream gradient, with or without a's."""
+    rng = np.random.default_rng(5)
+    a0, b0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
+
+    def loss_np(theta):
+        return float(np.tanh(theta[:12].reshape(4, 3) - theta[12:]).sum())
+
+    a = Tensor(a0, requires_grad=a_grad)
+    b = Tensor(b0, requires_grad=True)
+    grads = backward(tsum(tanh(gc.sub(a, b))))
+    fd = finite_diff_grad(loss_np, np.concatenate([a0.ravel(), b0]))
+    assert max_rel_err(grads[b], fd[12:]) < 1e-6
+    if a_grad:
+        assert max_rel_err(grads[a].ravel(), fd[:12]) < 1e-6
+    else:
+        assert a not in grads
+
+
+@pytest.mark.parametrize("op", [
+    lambda c, x: gc.add(c, x), lambda c, x: gc.add(x, c),
+    lambda c, x: gc.sub(c, x), lambda c, x: gc.sub(x, c),
+    lambda c, x: mul(c, x), lambda c, x: mul(x, c),
+    lambda c, x: concat([c, x]), lambda c, x: concat([x, c], axis=1),
+    lambda c, x: affine(x, Tensor(c.data.T), Tensor(np.zeros(2))),
+    lambda c, x: gc.mlp(c, [(reshape(narrow(x, 0, 1, 1), (3, 1)), Tensor(np.zeros(1)))]),
+], ids=["add-cx", "add-xc", "sub-cx", "sub-xc", "mul-cx", "mul-xc", "concat-cx",
+        "concat-xc", "affine-xw", "mlp-cw"])
+def test_backward_returns_exactly_the_leaves_that_require_grad(op):
+    """A constant operand of a multi-parent op gets no entry in the dict
+    ``backward`` returns, wherever it sits among the parents; the one
+    trainable leaf, reached through single-parent ops too, gets its own."""
+    rng = np.random.default_rng(6)
+    c = Tensor(rng.standard_normal((2, 3)))
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    grads = backward(tsum(square(sigmoid(op(c, x)))))
+    assert list(grads) == [x]
+    assert grads[x].shape == x.data.shape
+
+
 def test_concat_narrow_roundtrip_gradient():
     a = Tensor(np.arange(4.0), requires_grad=True)
     b = Tensor(np.arange(3.0), requires_grad=True)

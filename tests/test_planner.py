@@ -4,6 +4,7 @@ constraint satisfaction, equivariance, and oracle-backed validation."""
 import numpy as np
 import pytest
 
+from artifield import planner
 from artifield import worldgen as wg
 from artifield.artsim import KeypointTrajectory
 from artifield.planner import (
@@ -184,6 +185,18 @@ def test_solve_stops_on_the_norm_it_reports():
     traj = solve(prob)
     assert traj.success
     assert traj.max_residual < TOL_CONSTRAINT
+
+
+def test_solve_reports_failure_at_the_iteration_cap(monkeypatch):
+    """With no active-set iteration allowed, no axis converges: the plan is
+    the feasible start, reported as a failure."""
+    monkeypatch.setattr(planner, "MAX_ITERATIONS_PER_STEP", 0)
+    prob = TrajectoryProblem(horizon=6, start=np.zeros(3),
+                             constraints=[(3, np.array([0.5, -0.2, 0.1])), (6, np.zeros(3))],
+                             bounds_lo=np.full(3, -1.0), bounds_hi=np.full(3, 1.0))
+    traj = solve(prob)
+    assert not traj.success and traj.outer_iterations == 0
+    assert traj.max_residual < TOL_CONSTRAINT  # the start meets the pins
 
 
 def random_tight_problem(rng):

@@ -290,6 +290,23 @@ def test_ppm_write_rejects_non_finite_pixels(tmp_path, bad):
     assert path.read_bytes() == b"P6\n1 1\n255\n" + bytes([0, 128, 255])
 
 
+@pytest.mark.parametrize("header", [
+    b"P6\n# written by hand\n2 1\n255\n", b"P6 #\n#\n2\t# width\n1 # height\n255\n",
+    b"P5\n# 2 1 255\n2 1\n255\n"], ids=["ppm-line", "ppm-between-fields", "pgm-numbers"])
+def test_netpbm_header_comments_are_skipped(tmp_path, header):
+    """A ``#`` runs to the end of its line anywhere before the maxval, and
+    numbers in it are not fields."""
+    path = tmp_path / "x.pnm"
+    payload = bytes([0, 51, 102, 153, 204, 255])
+    if header.startswith(b"P6"):
+        path.write_bytes(header + payload)
+        assert read_ppm(path).tobytes() == (np.array(list(payload)) / 255.0).reshape(
+            1, 2, 3).tobytes()
+    else:
+        path.write_bytes(header + payload[:2])
+        np.testing.assert_array_equal(read_pgm(path), [[0, 51]])
+
+
 @pytest.mark.parametrize("blob", [
     b"P6\n99999 99999\n255\n",
     b"P6\n4 3\n255\n" + bytes(35),
@@ -474,13 +491,26 @@ def _set_view_path(path):
     (_set_header("seed", -1), "DatasetManifest.seed is -1, must be at least 0"),
     (_set_header("n_objects", 2.0), "DatasetManifest.n_objects is 2.0, must be an integer"),
     (_set_header("n_views", "1"), "DatasetManifest.n_views is '1', must be an integer"),
+    (lambda record, outside: record.pop("seed"),
+     r"manifest.json: missing keys \['seed'\], unknown keys \[\]"),
+    (_set_header("colour", "red"), r"manifest.json: missing keys \[\], unknown keys \['colour'\]"),
+    (lambda record, outside: record["objects"][1].pop("diagonal"),
+     r"manifest.json objects\[1\]: missing keys \['diagonal'\]"),
+    (lambda record, outside: record["instances"][0].pop("articulation"),
+     r"manifest.json instances\[0\]: missing keys \['articulation'\]"),
+    (lambda record, outside: record["instances"][1]["views"][0].update(depth="d.pfm"),
+     r"manifest.json instances\[1\].views\[0\]: missing keys \[\], unknown keys \['depth'\]"),
+    (_set_header("category", "drawer"),
+     "obj_000/scene.json: scene category 'closet' is not the manifest's 'drawer'"),
 ], ids=["absolute-path", "parent-path", "height-0", "width-negative", "seed-negative",
-        "n_objects-float", "n_views-string"])
+        "n_objects-float", "n_views-string", "header-key-missing", "header-key-unknown",
+        "object-key-missing", "instance-key-missing", "view-key-unknown", "category-of-scenes"])
 def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, message):
     """A listed file outside the dataset root, absolute or through ``..``,
     is refused even though it exists, so ``load_view`` and ``dataset_digest``
     never read it; so is a header count that ``generate_dataset`` would
-    refuse."""
+    refuse, a header or record key it does not write or one it writes
+    missing, and a category that is not that of the scene files."""
     cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
     wg.generate_dataset(cfg, tmp_path / "ds")
     outside = tmp_path / "outside.ppm"
@@ -491,6 +521,35 @@ def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, mes
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match=message):
         wg.load_manifest(path)
+
+
+@pytest.mark.parametrize("file, edit, message", [
+    ("manifest.json", lambda d: list(d), "manifest.json is a list, not a JSON object"),
+    ("camera", lambda d: {"E": d["E"]},
+     r"obj_000/art_00/view_00_cam.json: camera: missing keys \['K'\], unknown keys \[\]"),
+    ("keypoints_file", lambda d: {"pts": d["points"]},
+     r"art_00/keypoints.json: keypoints file: missing keys \['points'\], unknown keys \['pts'\]"),
+    ("keypoints_file", lambda d: {"points": {k: v for k, v in d["points"].items() if k != "goal"}},
+     r"art_00/keypoints.json: keypoints: missing keys \['goal'\], unknown keys \[\]"),
+    ("scene_file", lambda d: [d], r"obj_000/scene.json: scene record is a list"),
+], ids=["manifest-list", "camera-no-K", "keypoints-no-points", "keypoints-no-goal",
+        "scene-list"])
+def test_dataset_file_record_errors_name_the_file(tmp_path, file, edit, message):
+    """A JSON file of the dataset that is not an object or lacks a key is
+    refused with a ValueError naming the file, when the manifest, the first
+    instance's keypoints or its first view is read."""
+    cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=5)
+    manifest = wg.generate_dataset(cfg, tmp_path)
+    inst = manifest.instances[0]
+    name = {"manifest.json": "manifest.json", "camera": inst["views"][0]["camera"],
+            "keypoints_file": inst["keypoints_file"],
+            "scene_file": manifest.objects[0]["scene_file"]}[file]
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        loaded = wg.load_manifest(tmp_path / "manifest.json")
+        loaded.keypoints(inst)
+        loaded.load_view(inst["views"][0])
 
 
 def test_manifest_detects_missing_file(tmp_path):
