@@ -10,7 +10,7 @@ identical inputs are bit-identical. The module keeps no state: an op
 records a node exactly when one of its inputs requires grad, so a forward
 pass over leaves that need none (``ModelWeights.detached()``) builds no
 graph and computes the same bits. Nodes are not checked for non-finite
-values: ``adam_step`` rejects a non-finite gradient and the training loop
+values: ``Adam.step`` rejects a non-finite gradient and the training loop
 rejects a non-finite loss.
 
 A vjp runs only for a recorded node, so a vjp may skip exactly the parents
@@ -56,7 +56,6 @@ unfused composition of primitive ops:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -419,34 +418,24 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
     last = len(params) - 1
     # acts[l] is the input of layer l; the hidden ones are tanh outputs.
     acts = [x.data]
-    # wants[l]: the unfused output of layer l would have required grad.
-    wants = []
     for l, (w, b) in enumerate(params):
         y = _affine_data(acts[-1], w.data, b.data)
         if l < last:
             y = np.tanh(y)
             acts.append(y)
-        wants.append((x.requires_grad if l == 0 else wants[-1])
-                     or w.requires_grad or b.requires_grad)
-    weights = [w.data for w, _ in params]
 
     def vjp(g, grads):
         for l in range(last, -1, -1):
             w, b = params[l]
             a = acts[l]
-            wants_in = x.requires_grad if l == 0 else wants[l - 1]
-            if wants_in:
-                g_in = g @ weights[l].T
             if w.requires_grad:
                 _accum(grads, w, a.T @ g)
             if b.requires_grad:
                 _accum(grads, b, g.sum(axis=0))
-            if not wants_in:
-                return
-            if l == 0:
-                _accum(grads, x, g_in)
-            else:
-                g = g_in * (1.0 - a * a)
+            if l > 0:
+                g = (g @ w.data.T) * (1.0 - a * a)
+            elif x.requires_grad:
+                _accum(grads, x, g @ w.data.T)
 
     parents = (x,) + tuple(t for layer in params for t in layer)
     return _make(y, "mlp", parents, vjp)
@@ -515,22 +504,18 @@ def lstm_step(w: Tensor, b: Tensor, state: tuple[Tensor, Tensor],
     i, f, g, o = (gates[:, k * hd:(k + 1) * hd] for k in range(4))
     c2 = f * cd + i * g
     tc = np.tanh(c2)
-    z_wants = x.requires_grad or h.requires_grad or w.requires_grad or b.requires_grad
     handoff: list[np.ndarray] = []  # o-gate pre-activation grad, from h' to c'
 
     def cell_vjp(dc, grads):
-        go = handoff.pop() if handoff else None
         if c.requires_grad:
             _accum(grads, c, dc * f)
-        if not z_wants:
-            return
         # Zero fill plus += reproduces the unfused narrow vjps' zero padding.
         dz = np.zeros((x.data.shape[0], 4 * hd))
         dz[:, :hd] += (dc * g) * (i * (1.0 - i))
         dz[:, hd:2 * hd] += (dc * cd) * (f * (1.0 - f))
         dz[:, 2 * hd:3 * hd] += (dc * i) * (1.0 - g * g)
-        if go is not None:
-            dz[:, 3 * hd:] += go
+        if handoff:
+            dz[:, 3 * hd:] += handoff.pop()
         if x.requires_grad or h.requires_grad:
             dxh = dz @ wd.T
             if x.requires_grad:
@@ -546,8 +531,7 @@ def lstm_step(w: Tensor, b: Tensor, state: tuple[Tensor, Tensor],
     c_node = _make(c2, "lstm_cell", (x, c, h, w, b), cell_vjp)
 
     def hidden_vjp(dh, grads):
-        if z_wants:
-            handoff.append((dh * tc) * (o * (1.0 - o)))
+        handoff.append((dh * tc) * (o * (1.0 - o)))
         _accum(grads, c_node, (dh * o) * (1.0 - tc * tc))
 
     h_node = _make(o * tc, "lstm_hidden", (c_node,), hidden_vjp)
@@ -561,76 +545,69 @@ def lstm_step(w: Tensor, b: Tensor, state: tuple[Tensor, Tensor],
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Elements per block of adam_step: its two scratch buffers hold one block
-# each, not a copy of the parameter.
+# Elements per block of an Adam update: its two scratch buffers hold one
+# block each, not a copy of the parameter.
 ADAM_BLOCK = 32768
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam state with bias correction."""
-
-    lr: float
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-def adam_step(state: AdamState, params: Tensor, grads: np.ndarray) -> Tensor:
-    """Apply one bias-corrected Adam update in place; rejects non-finite grads."""
-    g = np.asarray(grads, dtype=np.float64)
-    if g.shape != params.data.shape:
-        raise ShapeMismatchError(f"grad shape {g.shape} != param shape {params.data.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError("non-finite gradient; update rejected")
-    if state.m is None:
-        state.m = np.zeros_like(params.data)
-        state.v = np.zeros_like(params.data)
-    state.step_count += 1
-    t = state.step_count
-    # In place, ADAM_BLOCK elements at a time over two scratch buffers, with
-    # the association of m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    # update = (lr*m_hat) / (sqrt(v_hat) + eps); products commute exactly.
-    # The C-order flat views of data, m and v write through (all three are
-    # C-contiguous); a gradient in another layout is flattened into a copy.
-    w, m, v, g = (a.reshape(-1) for a in (params.data, state.m, state.v, g))
-    step_buf = np.empty(min(w.size, ADAM_BLOCK))
-    denom_buf = np.empty_like(step_buf)
-    for lo in range(0, w.size, ADAM_BLOCK):
-        blk = slice(lo, lo + ADAM_BLOCK)
-        mb, vb, gb = m[blk], v[blk], g[blk]
-        step, denom = step_buf[:gb.size], denom_buf[:gb.size]
-        np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
-        mb *= ADAM_BETA1
-        mb += step
-        np.multiply(gb, 1.0 - ADAM_BETA2, out=step)
-        step *= gb
-        vb *= ADAM_BETA2
-        vb += step
-        np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=step)
-        step *= state.lr
-        np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        w[blk] -= step
-    return params
-
-
 class Adam:
-    """Adam over a fixed, ordered set of named parameters.
+    """Bias-corrected Adam over a fixed, ordered set of named parameters.
 
-    ``step`` takes the gradient dict ``backward`` returns; parameters absent
-    from it are skipped entirely (their moments do not decay), matching
-    sparse auto-decoder updates.
+    ``lr`` is the step size. ``m`` and ``v`` map each parameter's name to
+    its first and second moments, zero arrays of the parameter's shape from
+    the start, and ``t`` maps it to its step count, 0 from the start.
+    ``step`` takes the gradient dict ``backward`` returns; a parameter
+    absent from it is skipped entirely (its count does not advance and its
+    moments do not decay), matching sparse auto-decoder updates.
     """
 
     def __init__(self, named_params: Sequence[tuple[str, Tensor]], lr: float):
         self.params = list(named_params)
-        self.states = {name: AdamState(lr=lr) for name, _ in self.params}
+        self.lr = lr
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.t = {name: 0 for name, _ in self.params}
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """Update each parameter in ``grads`` in place, in order. A gradient
+        of the wrong shape or with a non-finite value raises before that
+        parameter's count, moments or data change."""
         for name, p in self.params:
             g = grads.get(p)
-            if g is not None:
-                adam_step(self.states[name], p, g)
+            if g is None:
+                continue
+            g = np.asarray(g, dtype=np.float64)
+            if g.shape != p.data.shape:
+                raise ShapeMismatchError(
+                    f"{name}: grad shape {g.shape} != param shape {p.data.shape}")
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteError(f"{name}: non-finite gradient; update rejected")
+            self.t[name] += 1
+            t = self.t[name]
+            # In place, ADAM_BLOCK elements at a time over two scratch
+            # buffers, with the association of m = b1*m + (1-b1)*g,
+            # v = b2*v + ((1-b2)*g)*g and update = (lr*m_hat) / (sqrt(v_hat)
+            # + eps); products commute exactly. The C-order flat views of
+            # data, m and v write through (all three are C-contiguous); a
+            # gradient in another layout is flattened into a copy.
+            w, m, v, g = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name], g))
+            step_buf = np.empty(min(w.size, ADAM_BLOCK))
+            denom_buf = np.empty_like(step_buf)
+            for lo in range(0, w.size, ADAM_BLOCK):
+                blk = slice(lo, lo + ADAM_BLOCK)
+                mb, vb, gb = m[blk], v[blk], g[blk]
+                step, denom = step_buf[:gb.size], denom_buf[:gb.size]
+                np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+                mb *= ADAM_BETA1
+                mb += step
+                np.multiply(gb, 1.0 - ADAM_BETA2, out=step)
+                step *= gb
+                vb *= ADAM_BETA2
+                vb += step
+                np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=step)
+                step *= self.lr
+                np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                step /= denom
+                w[blk] -= step

@@ -86,6 +86,14 @@ def _check_articulation(name: str, q) -> None:
         raise ValueError(f"{name} is {q!r}, outside [0, 1]")
 
 
+def _check_list(what: str, value) -> list:
+    """``value`` itself if it is a list (a JSON array); otherwise ValueError
+    naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is {value!r}, not a JSON list")
+    return value
+
+
 def _check_keys(what: str, d, required, optional=()) -> dict:
     """``d`` itself if it is a dict (a JSON object) with every key of
     ``required`` and none outside ``required`` and ``optional``; otherwise
@@ -398,6 +406,11 @@ class PosedView:
     depth: np.ndarray | None = None  # (H, W) hit distance, +inf background
 
     def __post_init__(self):
+        if np.shape(self.e) != (3, 4) or np.shape(self.k) != (3, 3):
+            raise ValueError(f"camera E is {np.shape(self.e)} and K {np.shape(self.k)}, "
+                             "must be (3, 4) and (3, 3)")
+        if not (np.all(np.isfinite(self.e)) and np.all(np.isfinite(self.k))):
+            raise ValueError("camera E and K must be finite")
         r = self.e[:, :3]
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-8) or np.linalg.det(r) < 0:
             raise ValueError("extrinsic rotation must be orthonormal with det +1")
@@ -528,13 +541,17 @@ class DatasetManifest:
             names, _check_keys("keypoints file", d, ["points"])["points"]))
 
     def load_view(self, view_rec: dict) -> PosedView:
-        """ValueError naming the camera file if it lacks ``E`` or ``K``."""
+        """ValueError naming the camera file if it lacks ``E`` or ``K`` or
+        they do not make a ``PosedView`` camera."""
         image = read_ppm(self.root / view_rec["image"])
         seg = read_pgm(self.root / view_rec["seg"])
-        cam = self._read(view_rec["camera"], lambda d: _check_keys("camera", d, ["E", "K"]))
-        return PosedView(image=image, seg=seg,
-                         e=np.array(cam["E"], dtype=np.float64),
-                         k=np.array(cam["K"], dtype=np.float64))
+
+        def parse(d):
+            cam = _check_keys("camera", d, ["E", "K"])
+            return PosedView(image=image, seg=seg, e=np.array(cam["E"], dtype=np.float64),
+                             k=np.array(cam["K"], dtype=np.float64))
+
+        return self._read(view_rec["camera"], parse)
 
 
 # The least value of each count in a GenConfig and in a manifest header.
@@ -626,7 +643,9 @@ def load_manifest(path) -> DatasetManifest:
     the dataset, and every scene file reads as a scene of the manifest's
     category; FileNotFoundError if a listed file is missing. The header and
     each object, instance and view record must hold exactly the keys
-    ``generate_dataset`` writes, or ValueError names the file and the keys."""
+    ``generate_dataset`` writes, or ValueError names the file and the keys;
+    ``objects``, ``instances`` and each instance's ``views`` must be JSON
+    lists, or ValueError names the file and the field."""
     path = Path(path)
     header = [spec.name for spec in fields(DatasetManifest) if spec.name != "root"]
     with open(path) as f:
@@ -634,12 +653,13 @@ def load_manifest(path) -> DatasetManifest:
     manifest = DatasetManifest(root=path.parent, **d)
     _check_counts(manifest, _GEN_MINIMUMS)
     _category(manifest.category)
-    for i, obj in enumerate(manifest.objects):
+    for i, obj in enumerate(_check_list(f"{path.name} objects", manifest.objects)):
         _check_keys(f"{path.name} objects[{i}]", obj, ("index", "scene_file", "diagonal"))
-    for i, inst in enumerate(manifest.instances):
+    for i, inst in enumerate(_check_list(f"{path.name} instances", manifest.instances)):
         _check_keys(f"{path.name} instances[{i}]", inst,
                     ("object", "articulation", "q", "keypoints_file", "views"))
-        for j, rec in enumerate(inst["views"]):
+        views = _check_list(f"{path.name} instances[{i}].views", inst["views"])
+        for j, rec in enumerate(views):
             _check_keys(f"{path.name} instances[{i}].views[{j}]", rec, ("image", "seg", "camera"))
     indices = [obj["index"] for obj in manifest.objects]
     if indices != list(range(manifest.n_objects)):

@@ -811,10 +811,10 @@ def test_checkpoint_rng_state_roundtrip(tmp_path):
     assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
 
 
-def _rewrite_checkpoint(path, edit=None, edit_zip=None):
+def _rewrite_checkpoint(path, edit=None, edit_zip=None, compression=zipfile.ZIP_STORED):
     """Save a checkpoint again after ``edit`` changes its members as a dict
     of arrays, or ``edit_zip`` as a list of (file name, raw bytes); the zip
-    gets new CRC-32s."""
+    gets new CRC-32s and, after ``edit_zip``, the given compression."""
     if edit is not None:
         with np.load(path, allow_pickle=False) as z:
             members = {name: z[name] for name in z.files}
@@ -825,7 +825,7 @@ def _rewrite_checkpoint(path, edit=None, edit_zip=None):
         with zipfile.ZipFile(path) as z:
             raw = [(info.filename, z.read(info)) for info in z.infolist()]
         edit_zip(raw)
-        with zipfile.ZipFile(path, "w") as z, warnings.catch_warnings():
+        with zipfile.ZipFile(path, "w", compression) as z, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a repeated name warns
             for name, data in raw:
                 z.writestr(name, data)
@@ -837,6 +837,13 @@ def _edit_header(fn):
         fn(header)
         members["header"] = np.array(json.dumps(header))
     return edit
+
+
+def _codes_as_npy_version_2(members):
+    i = next(i for i, (name, _) in enumerate(members) if name == "codes.npy")
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.load(io.BytesIO(members[i][1])), version=(2, 0))
+    members[i] = ("codes.npy", buf.getvalue())
 
 
 def _negative_codes_rows(members):
@@ -855,6 +862,9 @@ def _negative_codes_rows(members):
     (dict(edit=lambda m: m["codes"].flat.__setitem__(-1, -np.inf)), "non-finite"),
     (dict(edit_zip=_negative_codes_rows), r"'codes.npy': shape \(-1, 4\)"),
     (dict(edit_zip=lambda m: m.append(m[-1])), "'codes' repeats"),
+    (dict(edit_zip=lambda m: None, compression=zipfile.ZIP_DEFLATED),
+     "'header.npy' is compressed"),
+    (dict(edit_zip=_codes_as_npy_version_2), "'codes.npy' is not a version 1.0 .npy array"),
     (dict(edit=lambda m: m.__setitem__("extra", np.zeros(2))),
      r"unexpected members \['extra'\]"),
     (dict(edit=_edit_header(lambda h: h.__setitem__("format", "artifield-checkpoint-npz-0"))),
@@ -863,7 +873,8 @@ def _negative_codes_rows(members):
     (dict(edit=_edit_header(lambda h: h["arch"].__setitem__("k_obj", 5))),
      "architecture hash mismatch"),
 ], ids=["missing-weight", "missing-codes", "shape", "nan", "inf", "negative-dim",
-        "repeated-name", "extra-member", "format-tag", "header-field", "arch-hash"])
+        "repeated-name", "deflated", "npy-version-2", "extra-member", "format-tag",
+        "header-field", "arch-hash"])
 def test_checkpoint_strict_loading_rejects(tmp_path, edit, message):
     path = tmp_path / "cp.bin"
     save_checkpoint(_dummy_checkpoint(), path)

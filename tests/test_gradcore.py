@@ -15,12 +15,10 @@ from artifield.gradcore import (
     ADAM_BLOCK,
     ADAM_EPS,
     Adam,
-    AdamState,
     GraphError,
     NonFiniteError,
     ShapeMismatchError,
     Tensor,
-    adam_step,
     affine,
     backward,
     concat,
@@ -92,9 +90,21 @@ def test_two_layer_mlp_matches_handrolled_forward():
     np.testing.assert_allclose(y.data, expected, rtol=0, atol=0)
 
 
-def test_forward_shape_mismatch_raises():
-    with pytest.raises(ShapeMismatchError):
-        affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+@pytest.mark.parametrize("call, message", [
+    (lambda: affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2))),
+     "affine shapes incompatible"),
+    (lambda: backward(tanh(Tensor(np.zeros(2), requires_grad=True))), "one-element output"),
+    (lambda: narrow(Tensor(np.zeros((2, 3))), 1, 2, 2), r"narrow \[2:4\) out of range"),
+    (lambda: gc.mlp(Tensor(np.zeros((2, 3))), []), "at least one layer"),
+    (lambda: cross_entropy_logits(Tensor(np.zeros(3)), np.zeros(3)), r"\(R, C\) logits"),
+    (lambda: cross_entropy_logits(Tensor(np.zeros((3, 2))), np.zeros(2)), "label count"),
+    (lambda: lstm_step(*_lstm_cell(4, 3, np.random.default_rng(0)), lstm_zero_state(2, 3),
+                       Tensor(np.zeros(4))), r"\(B, I\) input"),
+], ids=["affine", "backward-non-scalar", "narrow-out-of-range", "mlp-no-layers",
+        "ce-1d-logits", "ce-label-count", "lstm-1d-input"])
+def test_forward_shape_mismatch_raises(call, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        call()
 
 
 def test_gradcore_keeps_no_module_state():
@@ -720,30 +730,36 @@ def test_fused_ops_finite_check_sees_inner_overflow():
 # adam
 
 
+def _adam(p: Tensor, lr: float) -> Adam:
+    return Adam([("p", p)], lr=lr)
+
+
 def test_adam_zero_gradient_keeps_params():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    st = AdamState(lr=0.1)
-    adam_step(st, p, np.zeros(2))
+    opt = _adam(p, 0.1)
+    opt.step({p: np.zeros(2)})
     np.testing.assert_array_equal(p.data, np.array([1.0, -2.0]))
-    assert st.step_count == 1
+    assert opt.t["p"] == 1
 
 
 def test_adam_first_step_magnitude_is_lr():
     p = Tensor(np.array([5.0, 5.0]), requires_grad=True)
-    st = AdamState(lr=0.05)
-    adam_step(st, p, np.array([0.3, -7.0]))
+    _adam(p, 0.05).step({p: np.array([0.3, -7.0])})
     # bias-corrected first step moves each coordinate by ~lr against the grad sign
     np.testing.assert_allclose(np.abs(p.data - 5.0), np.full(2, 0.05), rtol=1e-6)
     assert p.data[0] < 5.0 and p.data[1] > 5.0
 
 
-def test_adam_rejects_nonfinite_gradient():
+@pytest.mark.parametrize("grad, error", [(np.array([np.nan]), NonFiniteError),
+                                         (np.array([1.0, 2.0]), ShapeMismatchError)])
+def test_adam_rejects_a_bad_gradient_before_any_change(grad, error):
     p = Tensor(np.array([1.0]), requires_grad=True)
-    st = AdamState(lr=0.1)
-    with pytest.raises(NonFiniteError):
-        adam_step(st, p, np.array([np.nan]))
+    opt = _adam(p, 0.1)
+    with pytest.raises(error, match="^p: "):
+        opt.step({p: grad})
     np.testing.assert_array_equal(p.data, np.array([1.0]))
-    assert st.step_count == 0
+    assert opt.t["p"] == 0
+    assert opt.m["p"].tobytes() == opt.v["p"].tobytes() == np.zeros(1).tobytes()
 
 
 def test_adam_step_bit_identical_to_reference_update():
@@ -754,34 +770,39 @@ def test_adam_step_bit_identical_to_reference_update():
              ((3, ADAM_BLOCK + 1001), 20, False), ((5, 7), 20, True)]
     for shape, steps, fortran in cases:
         p = Tensor(rng.standard_normal(shape), requires_grad=True)
-        st = AdamState(lr=3e-3)
+        opt = _adam(p, 3e-3)
         w, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
         for t in range(1, steps + 1):
             g = rng.standard_normal(shape[::-1]).T if fortran else rng.standard_normal(shape)
             g = g * 10.0 ** rng.uniform(-4, 2)
-            adam_step(st, p, g)
+            opt.step({p: g})
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             m_hat = m / (1.0 - ADAM_BETA1 ** t)
             v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            w = w - st.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            assert [a.tobytes() for a in (p.data, st.m, st.v)] == \
+            w = w - opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert [a.tobytes() for a in (p.data, opt.m["p"], opt.v["p"])] == \
                 [a.tobytes() for a in (w, m, v)], (shape, fortran, t)
+            assert opt.t["p"] == t
 
 
 def test_adam_converges_on_quadratic_bowl():
     p = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    st = AdamState(lr=0.1)
+    opt = _adam(p, 0.1)
     for _ in range(200):
-        adam_step(st, p, 2.0 * p.data)
+        opt.step({p: 2.0 * p.data})
     assert np.linalg.norm(p.data) < 1e-2
 
 
 def test_adam_wrapper_skips_untouched_params():
+    """Moments and counts exist for every name from the start; a parameter
+    absent from the gradient dict keeps its count and its zero moments."""
     a = Tensor(np.array([1.0]), requires_grad=True)
-    b = Tensor(np.array([2.0]), requires_grad=True)
+    b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     opt = Adam([("a", a), ("b", b)], lr=0.5)
+    assert list(opt.m) == list(opt.v) == list(opt.t) == ["a", "b"]
     opt.step({a: np.array([1.0])})
     assert a.data[0] != 1.0
-    assert b.data[0] == 2.0
-    assert opt.states["b"].step_count == 0
+    assert b.data.tolist() == [2.0, 3.0]
+    assert opt.t == {"a": 1, "b": 0}
+    assert opt.m["b"].tobytes() == opt.v["b"].tobytes() == np.zeros(2).tobytes()

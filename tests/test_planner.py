@@ -73,11 +73,25 @@ def test_build_problem_place_without_goal_rejected():
 
 
 def test_build_problem_infeasible_target():
+    """The start lies inside the box, so the targets are what is refused."""
     m = wg.sample_scene(3, "closet")
     traj = oracle_trajectory(m)
-    with pytest.raises(InfeasibleProblemError):
-        build_problem(traj, "open", HOME, bounds_lo=(-0.01, -0.01, -0.01),
+    with pytest.raises(InfeasibleProblemError,
+                       match="constraint targets outside workspace bounds"):
+        build_problem(traj, "open", np.zeros(3), bounds_lo=(-0.01, -0.01, -0.01),
                       bounds_hi=(0.01, 0.01, 0.01))
+
+
+@pytest.mark.parametrize("steps, task, message", [
+    ([], "open", "empty keypoint trajectory"),
+    (None, "push", "unknown task 'push'"),
+], ids=["empty-trajectory", "unknown-task"])
+def test_build_problem_rejects_what_it_cannot_plan(steps, task, message):
+    traj = oracle_trajectory(wg.sample_scene(3, "closet"))
+    if steps is not None:
+        traj = KeypointTrajectory(steps=steps, source_object_code=np.zeros(1))
+    with pytest.raises(ValueError, match=message):
+        build_problem(traj, task, HOME)
 
 
 def test_build_problem_home_outside_bounds():
@@ -264,6 +278,13 @@ def test_duplicate_pins_rejected():
         solve(prob)
 
 
+def test_pin_past_the_horizon_rejected():
+    prob = TrajectoryProblem(horizon=4, start=np.zeros(3), constraints=[(5, np.full(3, 0.5))],
+                             bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0))
+    with pytest.raises(ValueError, match="constraint step 5 outside horizon 4"):
+        solve(prob)
+
+
 @pytest.mark.parametrize("horizon", [0, -2])
 def test_horizon_below_one_rejected(horizon):
     prob = TrajectoryProblem(horizon=horizon, start=np.zeros(3), constraints=[],
@@ -290,6 +311,14 @@ def test_non_integer_steps_rejected(horizon, step):
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def test_validate_needs_interaction_steps():
+    m = wg.sample_scene(6, "closet")
+    result = solve(TrajectoryProblem(horizon=3, start=HOME, constraints=[],
+                                     bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0)))
+    with pytest.raises(ValueError, match="no interaction steps"):
+        validate(result, m)
 
 
 def test_validate_oracle_plan_passes():

@@ -231,6 +231,32 @@ def test_render_degenerate_camera_rejected():
         wg.raycast_render(m, 0.0, e, k, 16, 16)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: replace(wg.sample_scene(0, "drawer"), travel=0.0),
+     "prismatic travel must be positive"),
+    (lambda m: replace(m, handle_local=m.handle_local + [0.0, 0.01, 0.0]),
+     "handle center must lie on the door panel's outer face"),
+    (lambda m: replace(m, goal=1.5 * m.body_half), "goal point must lie strictly inside"),
+], ids=["no-travel", "handle-off-panel", "goal-outside"])
+def test_scene_model_rejects_impossible_geometry(edit, message):
+    with pytest.raises(ValueError, match=message):
+        edit(wg.sample_scene(0, "closet"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda e, k: wg.look_at_extrinsic((0.0, 0.0, 3.0), (0.0, 0.0, 0.0)),
+     "looking along the up axis"),
+    (lambda e, k: wg.PosedView(np.ones((8, 8, 3)), e=2.0 * e, k=k),
+     "rotation must be orthonormal with det"),
+    (lambda e, k: wg.PosedView(np.ones((8, 8, 3)), e=e, k=k.T),
+     "intrinsics must be upper triangular"),
+], ids=["look-along-up", "E-not-orthonormal", "K-lower-triangular"])
+def test_camera_rejects_degenerate_geometry(make, message):
+    e, k = frontal_camera(wg.sample_scene(0, "closet"), height=8, width=8)
+    with pytest.raises(ValueError, match=message):
+        make(e, k)
+
+
 # ---------------------------------------------------------------------------
 # netpbm round trips
 
@@ -502,9 +528,14 @@ def _set_view_path(path):
      r"manifest.json instances\[1\].views\[0\]: missing keys \[\], unknown keys \['depth'\]"),
     (_set_header("category", "drawer"),
      "obj_000/scene.json: scene category 'closet' is not the manifest's 'drawer'"),
+    (_set_header("objects", 5), "manifest.json objects is 5, not a JSON list"),
+    (_set_header("instances", 7), "manifest.json instances is 7, not a JSON list"),
+    (lambda record, outside: record["instances"][1].__setitem__("views", 7),
+     r"manifest.json instances\[1\].views is 7, not a JSON list"),
 ], ids=["absolute-path", "parent-path", "height-0", "width-negative", "seed-negative",
         "n_objects-float", "n_views-string", "header-key-missing", "header-key-unknown",
-        "object-key-missing", "instance-key-missing", "view-key-unknown", "category-of-scenes"])
+        "object-key-missing", "instance-key-missing", "view-key-unknown", "category-of-scenes",
+        "objects-int", "instances-int", "views-int"])
 def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, message):
     """A listed file outside the dataset root, absolute or through ``..``,
     is refused even though it exists, so ``load_view`` and ``dataset_digest``
@@ -532,10 +563,18 @@ def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, mes
     ("keypoints_file", lambda d: {"points": {k: v for k, v in d["points"].items() if k != "goal"}},
      r"art_00/keypoints.json: keypoints: missing keys \['goal'\], unknown keys \[\]"),
     ("scene_file", lambda d: [d], r"obj_000/scene.json: scene record is a list"),
+    ("camera", lambda d: {**d, "E": d["E"][:2]},
+     r"view_00_cam.json: camera E is \(2, 4\) and K \(3, 3\), must be \(3, 4\) and \(3, 3\)"),
+    ("camera", lambda d: {**d, "K": [row[:2] for row in d["K"][:2]]},
+     r"view_00_cam.json: camera E is \(3, 4\) and K \(2, 2\)"),
+    ("camera", lambda d: {**d, "K": "abc"}, "view_00_cam.json: could not convert string"),
+    ("camera", lambda d: {**d, "K": [[float("nan")] * 3] * 3},
+     "view_00_cam.json: camera E and K must be finite"),
 ], ids=["manifest-list", "camera-no-K", "keypoints-no-points", "keypoints-no-goal",
-        "scene-list"])
+        "scene-list", "camera-E-two-rows", "camera-K-2x2", "camera-K-string", "camera-K-nan"])
 def test_dataset_file_record_errors_name_the_file(tmp_path, file, edit, message):
-    """A JSON file of the dataset that is not an object or lacks a key is
+    """A JSON file of the dataset that is not an object, lacks a key or holds
+    a camera that is not a (3, 4) E and a (3, 3) K of finite numbers is
     refused with a ValueError naming the file, when the manifest, the first
     instance's keypoints or its first view is read."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=5)
