@@ -22,7 +22,8 @@ from .autodecoder import Checkpoint
 from .neuralfield import LatentCode, keypoint_predict
 from .netpbm import write_pgm, write_ppm
 from .raymarch import render_frame
-from .worldgen import KeypointSet, _check_articulation, _check_number
+from .worldgen import (KeypointSet, _check_articulation, _check_keys, _check_list,
+                       _check_number)
 
 
 @dataclass
@@ -54,8 +55,15 @@ class KeypointTrajectory:
 
     @classmethod
     def from_dict(cls, d: dict, names: tuple[str, ...]) -> "KeypointTrajectory":
-        steps = [(rec["q"], KeypointSet.from_dict(names, rec["points"]))
-                 for rec in d["steps"]]
+        """The trajectory of a ``to_dict`` record; ValueError naming the
+        record or step that lacks a key, holds an unknown one or a q outside
+        [0, 1], or whose ``steps`` is not a list."""
+        _check_keys("trajectory", d, ("t_steps", "source_object_code", "steps"))
+        steps = []
+        for i, rec in enumerate(_check_list("trajectory steps", d["steps"])):
+            _check_keys(f"trajectory steps[{i}]", rec, ("q", "points"))
+            _check_articulation(f"trajectory steps[{i}].q", rec["q"])
+            steps.append((rec["q"], KeypointSet.from_dict(names, rec["points"])))
         return cls(steps=steps,
                    source_object_code=np.array(d["source_object_code"]))
 

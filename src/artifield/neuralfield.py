@@ -16,14 +16,15 @@ respect to both their weights and the latent code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import gradcore as gc
 from .gradcore import Tensor
-from .worldgen import KeypointSet, SEG_CLASSES, _check_articulation, keypoint_names
+from .worldgen import (KeypointSet, SEG_CLASSES, _check_articulation, _check_counts,
+                       keypoint_names)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +72,11 @@ class LatentCode:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Network sizes; defaults are sized for desk-scale training. An unknown
-    category raises ValueError."""
+    """Network sizes; defaults are sized for desk-scale training. Raises
+    ValueError naming the field for an unknown category, a size or
+    ``n_march`` that is not an integer of at least 1, a float field that is
+    not a finite number of at least 0, or a ``scene_radius`` or ``init_step``
+    that is not positive."""
 
     category: str = "closet"
     k_obj: int = 16
@@ -90,6 +94,11 @@ class ArchConfig:
 
     def __post_init__(self):
         keypoint_names(self.category)
+        _check_counts(self, {spec.name: 1 if isinstance(spec.default, int) else 0.0
+                             for spec in fields(self) if spec.name != "category"})
+        for name in ("scene_radius", "init_step"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"ArchConfig.{name} is {getattr(self, name)}, must be positive")
 
     @property
     def latent_dim(self) -> int:

@@ -156,6 +156,7 @@ class SceneModel:
         for name in ("body_half", "door_origin", "door_lo", "door_hi",
                      "handle_local", "handle_half", "goal", "slide_axis"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        _check_keys("albedo", self.albedo, SEG_CLASSES[1:])
         self.albedo = {k: np.asarray(v, dtype=np.float64) for k, v in self.albedo.items()}
         self.light_dir = np.asarray(self.light_dir, dtype=np.float64)
         self.validate()
@@ -164,6 +165,7 @@ class SceneModel:
         joint = _category(self.category)[0]
         if self.joint_kind != joint:
             raise ValueError(f"joint_kind is {self.joint_kind!r}, a {self.category} is {joint}")
+        _check_number("SceneModel", "travel", self.travel, 0.0)
         if self.joint_kind == "prismatic" and self.travel <= 0:
             raise ValueError("prismatic travel must be positive")
         lo, hi = self.door_lo, self.door_hi
@@ -475,7 +477,9 @@ def raycast_render(model: SceneModel, q: float, e: np.ndarray, k: np.ndarray,
 
 @dataclass
 class GenConfig:
-    """Dataset generation parameters; all defaults are desk scale."""
+    """Dataset generation parameters; all defaults are desk scale. They fix
+    the whole layout of a dataset: ``instances``, ``scene_file`` and
+    ``files`` derive each of its paths and each instance's q from them."""
 
     category: str = "closet"
     n_objects: int = 20
@@ -490,6 +494,36 @@ class GenConfig:
             return np.array([0.5])
         return np.linspace(0.0, 1.0, self.n_articulations)
 
+    @staticmethod
+    def scene_file(object_index: int) -> str:
+        return f"obj_{object_index:03d}/scene.json"
+
+    @property
+    def instances(self) -> list[dict]:
+        """Each instance's record, objects outer and articulations inner:
+        ``{"object", "articulation", "q", "keypoints_file", "views"}`` with
+        each view ``{"image", "seg", "camera"}``, paths relative to the
+        dataset root."""
+        out = []
+        for oi in range(self.n_objects):
+            for ai, q in enumerate(self.articulation_grid()):
+                base = f"obj_{oi:03d}/art_{ai:02d}"
+                views = [{"image": f"{base}/view_{vi:02d}.ppm",
+                          "seg": f"{base}/view_{vi:02d}_seg.pgm",
+                          "camera": f"{base}/view_{vi:02d}_cam.json"}
+                         for vi in range(self.n_views)]
+                out.append({"object": oi, "articulation": ai, "q": float(q),
+                            "keypoints_file": f"{base}/keypoints.json", "views": views})
+        return out
+
+    def files(self) -> list[str]:
+        """Every file of the layout but manifest.json: each instance's
+        keypoints file and view files, then each object's scene."""
+        names = []
+        for inst in self.instances:
+            names += [inst["keypoints_file"], *(n for rec in inst["views"] for n in rec.values())]
+        return names + [self.scene_file(oi) for oi in range(self.n_objects)]
+
 
 def _check_counts(config, minimums: dict[str, float]) -> None:
     """``_check_number`` on each field of ``config`` named in ``minimums``."""
@@ -497,36 +531,27 @@ def _check_counts(config, minimums: dict[str, float]) -> None:
         _check_number(type(config).__name__, name, getattr(config, name), least)
 
 
-@dataclass
-class DatasetManifest:
-    root: Path
-    category: str
-    n_objects: int
-    n_articulations: int
-    n_views: int
-    height: int
-    width: int
-    seed: int
-    objects: list[dict]    # {index, scene_file, diagonal}
-    instances: list[dict]  # {object, articulation, q, keypoints_file, views: [...]}
+@dataclass(kw_only=True)
+class DatasetManifest(GenConfig):
+    """A generated dataset: the ``GenConfig`` that manifest.json holds, and
+    the directory ``root`` that the layout's paths are relative to."""
 
-    @property
-    def n_instances(self) -> int:
-        return len(self.instances)
+    root: Path
 
     def _read(self, name: str, parse):
-        """``parse`` of the JSON in the dataset file ``name``; a ValueError,
-        a malformed record's among them, is raised again naming the file."""
+        """``parse`` of the JSON in the dataset file ``name``; a ValueError or
+        TypeError, a malformed record's among them, is raised again as a
+        ValueError naming the file."""
         try:
             with open(self.root / name) as f:
                 return parse(json.load(f))
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ValueError(f"{name}: {err}") from err
 
     def scene(self, object_index: int) -> SceneModel:
         """The scene of object ``object_index``; ValueError naming its file if
         the record is malformed or its category is not the manifest's."""
-        name = self.objects[object_index]["scene_file"]
+        name = self.scene_file(object_index)
         model = self._read(name, SceneModel.from_dict)
         if model.category != self.category:
             raise ValueError(f"{name}: scene category {model.category!r} is not the "
@@ -554,7 +579,7 @@ class DatasetManifest:
         return self._read(view_rec["camera"], parse)
 
 
-# The least value of each count in a GenConfig and in a manifest header.
+# The least value of each count in a GenConfig and in a manifest.
 _GEN_MINIMUMS = {"n_objects": 1, "n_articulations": 1, "n_views": 1,
                  "height": 8, "width": 8, "seed": 0}
 
@@ -568,8 +593,10 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
     Layout: obj_###/scene.json, obj_###/art_##/{keypoints.json,
     view_##.ppm, view_##_seg.pgm, view_##_cam.json}, manifest.json at the
-    root. Every byte is a pure function of the config, so regeneration with
-    the same seed is file-identical.
+    root. manifest.json holds only the config's fields, since every path and
+    each instance's q follow from them (``GenConfig.instances``). Every byte
+    is a pure function of the config, so regeneration with the same seed is
+    file-identical.
 
     Regenerating into an existing dataset is safe to interrupt: the new
     manifest is serialized before any file is touched, the old one is removed
@@ -581,41 +608,18 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     """
     _check_counts(config, _GEN_MINIMUMS)
     root = Path(out_dir)
-    q_grid = config.articulation_grid()
-    models, objects, instances = [], [], []
-    for oi in range(config.n_objects):
-        model = sample_scene(_derived_seed(config.seed, oi), config.category)
-        models.append(model)
-        objects.append({"index": oi, "scene_file": f"obj_{oi:03d}/scene.json",
-                        "diagonal": model.diagonal})
-        for ai, q in enumerate(q_grid):
-            base = f"obj_{oi:03d}/art_{ai:02d}"
-            views = [{"image": f"{base}/view_{vi:02d}.ppm",
-                      "seg": f"{base}/view_{vi:02d}_seg.pgm",
-                      "camera": f"{base}/view_{vi:02d}_cam.json"}
-                     for vi in range(config.n_views)]
-            instances.append({"object": oi, "articulation": ai, "q": float(q),
-                              "keypoints_file": f"{base}/keypoints.json", "views": views})
-    manifest = {
-        "category": config.category,
-        "n_objects": config.n_objects,
-        "n_articulations": config.n_articulations,
-        "n_views": config.n_views,
-        "height": config.height,
-        "width": config.width,
-        "seed": config.seed,
-        "objects": objects,
-        "instances": instances,
-    }
+    models = [sample_scene(_derived_seed(config.seed, oi), config.category)
+              for oi in range(config.n_objects)]
     root.mkdir(parents=True, exist_ok=True)
     with atomic_open(root / "manifest.json") as manifest_file:
-        json.dump(manifest, manifest_file, indent=1, sort_keys=True)
+        json.dump({spec.name: getattr(config, spec.name) for spec in fields(GenConfig)},
+                  manifest_file, indent=1, sort_keys=True)
         (root / "manifest.json").unlink(missing_ok=True)
-        for obj, model in zip(objects, models):
-            (root / obj["scene_file"]).parent.mkdir(exist_ok=True)
-            with open(root / obj["scene_file"], "w") as f:
+        for oi, model in enumerate(models):
+            (root / config.scene_file(oi)).parent.mkdir(exist_ok=True)
+            with open(root / config.scene_file(oi), "w") as f:
                 json.dump(model.to_dict(), f, indent=1, sort_keys=True)
-        for inst in instances:
+        for inst in config.instances:
             oi, ai, q = inst["object"], inst["articulation"], inst["q"]
             model = models[oi]
             (root / inst["keypoints_file"]).parent.mkdir(exist_ok=True)
@@ -634,72 +638,33 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read a dataset's manifest.json. Raises ValueError unless the header's
-    counts pass ``generate_dataset``'s checks, its category is known,
-    ``objects`` lists objects 0 to n_objects - 1 in order, each instance's
-    ``object`` is the integer index of one of them, its ``q`` is a number in
-    [0, 1] and it lists exactly n_views views, the instances number
-    n_objects * n_articulations, every listed file is a relative path inside
-    the dataset, and every scene file reads as a scene of the manifest's
-    category; FileNotFoundError if a listed file is missing. The header and
-    each object, instance and view record must hold exactly the keys
-    ``generate_dataset`` writes, or ValueError names the file and the keys;
-    ``objects``, ``instances`` and each instance's ``views`` must be JSON
-    lists, or ValueError names the file and the field."""
+    """Read a dataset's manifest.json, which holds exactly the ``GenConfig``
+    fields the dataset was generated from; every other record of the dataset
+    is derived from them. Raises ValueError naming the file and the keys if
+    it lacks a field or holds another key, ValueError unless its counts pass
+    ``generate_dataset``'s checks and its category is known,
+    FileNotFoundError if a file of ``GenConfig.files`` is missing, and
+    ValueError naming the scene file unless every scene reads as a scene of
+    the manifest's category."""
     path = Path(path)
-    header = [spec.name for spec in fields(DatasetManifest) if spec.name != "root"]
     with open(path) as f:
-        d = _check_keys(path.name, json.load(f), header)
+        d = _check_keys(path.name, json.load(f), [spec.name for spec in fields(GenConfig)])
     manifest = DatasetManifest(root=path.parent, **d)
     _check_counts(manifest, _GEN_MINIMUMS)
     _category(manifest.category)
-    for i, obj in enumerate(_check_list(f"{path.name} objects", manifest.objects)):
-        _check_keys(f"{path.name} objects[{i}]", obj, ("index", "scene_file", "diagonal"))
-    for i, inst in enumerate(_check_list(f"{path.name} instances", manifest.instances)):
-        _check_keys(f"{path.name} instances[{i}]", inst,
-                    ("object", "articulation", "q", "keypoints_file", "views"))
-        views = _check_list(f"{path.name} instances[{i}].views", inst["views"])
-        for j, rec in enumerate(views):
-            _check_keys(f"{path.name} instances[{i}].views[{j}]", rec, ("image", "seg", "camera"))
-    indices = [obj["index"] for obj in manifest.objects]
-    if indices != list(range(manifest.n_objects)):
-        raise ValueError(f"manifest objects are indexed {indices}, "
-                         f"expected 0 to {manifest.n_objects - 1} in order")
-    for i, inst in enumerate(manifest.instances):
-        _check_number("DatasetManifest", f"instances[{i}].object", inst["object"], 0)
-        if inst["object"] >= manifest.n_objects:
-            raise ValueError(f"DatasetManifest.instances[{i}].object is {inst['object']}, "
-                             f"not an index in [0, {manifest.n_objects})")
-        _check_articulation(f"DatasetManifest.instances[{i}].q", inst["q"])
-        if len(inst["views"]) != manifest.n_views:
-            raise ValueError(f"manifest instance {i} lists {len(inst['views'])} views, "
-                             f"expected {manifest.n_views}")
-    listed = [obj["scene_file"] for obj in manifest.objects]
-    for inst in manifest.instances:
-        listed += [inst["keypoints_file"], *(rec[key] for rec in inst["views"]
-                                             for key in ("image", "seg", "camera"))]
-    for name in listed:
-        if Path(name).is_absolute() or ".." in Path(name).parts:
-            raise ValueError(f"manifest lists {name!r}, a path outside the dataset")
+    for name in manifest.files():
         if not (manifest.root / name).exists():
             raise FileNotFoundError(f"dataset file missing: {name}")
-    expected = manifest.n_objects * manifest.n_articulations
-    if manifest.n_instances != expected:
-        raise ValueError(f"manifest lists {manifest.n_instances} instances, expected {expected}")
     for i in range(manifest.n_objects):
         manifest.scene(i)
     return manifest
 
 
 def dataset_digest(manifest: DatasetManifest) -> str:
-    """SHA-256 over manifest.json and every file it references (order-stable):
+    """SHA-256 over manifest.json, whose config fixes every path and q of
+    the dataset, then over each file of ``manifest.files()`` in that order:
     each instance's keypoints file and views, then each object's scene."""
     h = hashlib.sha256((manifest.root / "manifest.json").read_bytes())
-    for inst in manifest.instances:
-        h.update((manifest.root / inst["keypoints_file"]).read_bytes())
-        for rec in inst["views"]:
-            for key in ("image", "seg", "camera"):
-                h.update((manifest.root / rec[key]).read_bytes())
-    for obj in manifest.objects:
-        h.update((manifest.root / obj["scene_file"]).read_bytes())
+    for name in manifest.files():
+        h.update((manifest.root / name).read_bytes())
     return h.hexdigest()

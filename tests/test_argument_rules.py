@@ -60,14 +60,12 @@ def _set(record, key, bad):
 
 
 def _load_manifest(w, arg, bad, out, scratch):
-    def edit(record, _):
-        _set(record["instances"][0] if arg in ("object", "q") else record, arg, bad)
-    wg.load_manifest(_edited_dataset(scratch, edit))
+    wg.load_manifest(_edited_dataset(scratch, lambda record, _: _set(record, arg, bad)))
 
 
 def _scene(w, arg, bad, out, scratch):
     def edit(record, manifest):
-        path = manifest.root / record["objects"][0]["scene_file"]
+        path = manifest.root / manifest.scene_file(0)
         scene = json.loads(path.read_text())
         _set(scene, arg, bad)
         path.write_text(json.dumps(scene))
@@ -134,10 +132,13 @@ ROWS = [
     *category_rows("generate_dataset", "category"),
     *category_rows("load_manifest", "category"),
     *count_rows("load_manifest", "n_views", 1, "DatasetManifest.n_views is"),
-    *count_rows("load_manifest", "object", 0, "DatasetManifest.instances[0].object is"),
-    *q_rows("load_manifest", "q", "DatasetManifest.instances[0].q is"),
     ("DatasetManifest.scene", "goal", "missing", DROP, "missing keys ['goal']"),
     ("DatasetManifest.scene", "colour", "unknown", [1.0, 0.0, 0.0], "unknown keys ['colour']"),
+    *[("DatasetManifest.scene", "travel", label, bad, "SceneModel.travel is")
+      for label, bad in {"string": "abc", "none": None, "list": [1, 2], "below": -1.0}.items()],
+    ("DatasetManifest.scene", "albedo", "no-door", {"body": [0.5] * 3, "handle": [0.5] * 3},
+     "albedo: missing keys ['door']"),
+    ("DatasetManifest.scene", "albedo", "int", 5, "albedo is a int, not a JSON object"),
     *count_rows("train", "iterations", 0, "TrainConfig.iterations is"),
     *count_rows("train", "batch_instances", 1, "TrainConfig.batch_instances is"),
     *rate_rows("train", "lr_weights", "TrainConfig.lr_weights is"),
@@ -163,6 +164,14 @@ ROWS = [
     ("SceneModel", "joint_kind", "sliding-closet", "prismatic", "joint_kind is 'prismatic'"),
     ("SceneModel", "joint_kind", "unknown", "hinge", "joint_kind is 'hinge'"),
     *category_rows("ArchConfig", "category"),
+    *count_rows("ArchConfig", "k_obj", 1, "ArchConfig.k_obj is"),
+    *count_rows("ArchConfig", "lstm_hidden", 1, "ArchConfig.lstm_hidden is"),
+    *count_rows("ArchConfig", "n_march", 1, "ArchConfig.n_march is"),
+    *rate_rows("ArchConfig", "hyper_out_std", "ArchConfig.hyper_out_std is"),
+    *rate_rows("ArchConfig", "scene_radius", "ArchConfig.scene_radius is"),
+    ("ArchConfig", "scene_radius", "zero", 0.0, "ArchConfig.scene_radius is 0.0, must be positive"),
+    ("ArchConfig", "init_step", "zero", 0.0, "ArchConfig.init_step is 0.0, must be positive"),
+    ("ArchConfig", "init_step", "string", "x", "ArchConfig.init_step is 'x'"),
 ]
 
 

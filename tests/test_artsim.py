@@ -135,6 +135,29 @@ def test_trajectory_json_roundtrip(tmp_path):
     np.testing.assert_allclose(back.articulations, traj.articulations, atol=1e-12)
 
 
+def _drop_q(d):
+    del d["steps"][1]["q"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.clear(), r"trajectory: missing keys \['source_object_code', 'steps', 't_steps'\]"),
+    (lambda d: d.update(steps=3), "trajectory steps is 3, not a JSON list"),
+    (_drop_q, r"trajectory steps\[1\]: missing keys \['q'\]"),
+    (lambda d: d["steps"][0].update(q=1.5), r"trajectory steps\[0\].q is 1.5, outside \[0, 1\]"),
+    (lambda d: d["steps"][0].update(q="0"), r"trajectory steps\[0\].q is '0', outside"),
+], ids=["empty", "steps-int", "step-without-q", "q-above-1", "q-string"])
+def test_trajectory_from_dict_rejects_a_malformed_record(edit, message):
+    """A record that ``to_dict`` would not write raises a ValueError naming
+    the record or the step at fault."""
+    ckpt = tiny_checkpoint(2)
+    traj = simulate_keypoints(ckpt, interpolate_codes(LatentCode.from_articulation(
+        0.1, ckpt.codes[2]), 0.7, 2))
+    d = json.loads(json.dumps(traj.to_dict()))
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        KeypointTrajectory.from_dict(d, TINY.keypoint_names)
+
+
 # ---------------------------------------------------------------------------
 # motion rendering
 

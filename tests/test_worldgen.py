@@ -357,7 +357,7 @@ def test_generate_dataset_counts_and_files(tmp_path):
     cfg = wg.GenConfig(n_objects=2, n_articulations=3, n_views=2,
                        height=8, width=8, seed=5)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
-    assert manifest.n_instances == 6
+    assert len(manifest.instances) == 6
     assert sum(len(i["views"]) for i in manifest.instances) == 12
     # loader re-checks existence of every referenced file
     wg.load_manifest(tmp_path / "ds" / "manifest.json")
@@ -370,7 +370,7 @@ def test_generated_cameras_follow_the_camera_constants(tmp_path):
                        height=8, width=12, seed=4)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
     for inst in manifest.instances:
-        diagonal = manifest.objects[inst["object"]]["diagonal"]
+        diagonal = manifest.scene(inst["object"]).diagonal
         for rec in inst["views"]:
             cam = json.loads((manifest.root / rec["camera"]).read_text())
             e, k = np.array(cam["E"]), np.array(cam["K"])
@@ -412,6 +412,7 @@ def test_generate_dataset_regeneration_is_byte_identical(tmp_path):
     m1 = wg.generate_dataset(cfg, tmp_path / "a")
     m2 = wg.generate_dataset(cfg, tmp_path / "b")
     assert wg.dataset_digest(m1) == wg.dataset_digest(m2)
+    assert wg.dataset_digest(wg.generate_dataset(m1, tmp_path / "c")) == wg.dataset_digest(m1)
     with open(tmp_path / "a" / "manifest.json", "rb") as f1, \
          open(tmp_path / "b" / "manifest.json", "rb") as f2:
         assert f1.read() == f2.read()
@@ -439,116 +440,71 @@ def test_dataset_digest_covers_keypoint_files(tmp_path):
     assert wg.dataset_digest(manifest) != before
 
 
-@pytest.mark.parametrize("section, index, key, value",
-                         [("instances", 1, "q", 0.0), ("objects", 0, "diagonal", 9.0)])
-def test_dataset_digest_covers_the_manifest(tmp_path, section, index, key, value):
-    """The manifest holds each instance's q, which training reads from it
-    and from nowhere else, so an edit to it changes the digest."""
+@pytest.mark.parametrize("key, value, q", [("n_articulations", 1, 0.5)])
+def test_dataset_digest_covers_the_manifest(tmp_path, key, value, q):
+    """The manifest's config fixes each instance's q, which training reads
+    from it and from nowhere else, so an edit to it that still loads changes
+    both the first instance's q and the digest."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8, seed=4)
     before = wg.dataset_digest(wg.generate_dataset(cfg, tmp_path))
     path = tmp_path / "manifest.json"
     record = json.loads(path.read_text())
-    record[section][index][key] = value
+    record[key] = value
     path.write_text(json.dumps(record))
     manifest = wg.load_manifest(path)
+    assert manifest.instances[0]["q"] == q
     assert wg.dataset_digest(manifest) != before
     for inst in manifest.instances:
         assert "q" not in json.loads((tmp_path / inst["keypoints_file"]).read_text())
 
 
-@pytest.mark.parametrize("listing, key", [("instances", "keypoints_file"),
-                                          ("objects", "scene_file")])
-def test_manifest_detects_missing_keypoints_or_scene(tmp_path, listing, key):
+@pytest.mark.parametrize("name", [lambda m: m.instances[-1]["keypoints_file"],
+                                  lambda m: m.scene_file(0)],
+                         ids=["instances-keypoints_file", "objects-scene_file"])
+def test_manifest_detects_missing_keypoints_or_scene(tmp_path, name):
     cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
-    (manifest.root / getattr(manifest, listing)[-1][key]).unlink()
+    (manifest.root / name(manifest)).unlink()
     with pytest.raises(FileNotFoundError, match="dataset file missing"):
         wg.load_manifest(tmp_path / "ds" / "manifest.json")
 
 
-def _set_instance(index, key, value):
-    return lambda record: record["instances"][index].__setitem__(key, value)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_set_instance(0, "object", -1), r"instances\[0\]\.object is -1, must be at least 0"),
-    (_set_instance(1, "object", 2), r"instances\[1\]\.object is 2, not an index in \[0, 2\)"),
-    (_set_instance(0, "object", "0"), "object is '0', must be an integer"),
-    (_set_instance(1, "q", 1.5), r"instances\[1\]\.q is 1.5, outside \[0, 1\]"),
-    (_set_instance(0, "q", -0.25), "q is -0.25, outside"),
-    (_set_instance(0, "q", float("nan")), "q is nan, outside"),
-    (_set_instance(0, "q", float("inf")), "q is inf, outside"),
-    (lambda record: record["objects"].pop(), r"objects are indexed \[0\], expected 0 to 1"),
-    (lambda record: record["objects"].reverse(), r"objects are indexed \[1, 0\]"),
-    (lambda record: record["instances"][1]["views"].append(record["instances"][0]["views"].pop()),
-     "instance 0 lists 0 views, expected 1"),
-    (lambda record: record["instances"].pop(), "lists 1 instances, expected 2"),
-], ids=["object-negative", "object-past-end", "object-string", "q-above-1", "q-negative",
-        "q-nan", "q-inf", "objects-short", "objects-out-of-order", "view-moved",
-        "instance-dropped"])
-def test_manifest_rejects_inconsistent_records(tmp_path, edit, message):
-    """An instance must name one of the listed objects, hold a q in [0, 1]
-    and list n_views views, and objects must list indices 0 to n_objects - 1
-    in order."""
-    cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
-    wg.generate_dataset(cfg, tmp_path)
-    path = tmp_path / "manifest.json"
-    record = json.loads(path.read_text())
-    edit(record)
-    path.write_text(json.dumps(record))
-    with pytest.raises(ValueError, match=message):
-        wg.load_manifest(path)
-
-
 def _set_header(key, value):
-    return lambda record, outside: record.__setitem__(key, value)
+    return lambda record: record.__setitem__(key, value)
 
 
-def _set_view_path(path):
-    return lambda record, outside: record["instances"][0]["views"][0].__setitem__(
-        "image", path(outside))
+def _parent_format(record):
+    """Add the object and instance lists that manifest.json once held."""
+    config = wg.GenConfig(**record)
+    record["objects"] = [{"index": oi, "scene_file": config.scene_file(oi), "diagonal": 1.0}
+                         for oi in range(config.n_objects)]
+    record["instances"] = config.instances
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set_view_path(str), "manifest lists '/.*outside.ppm', a path outside the dataset"),
-    (_set_view_path(lambda p: "../outside.ppm"), r"lists '\.\./outside.ppm', a path outside"),
     (_set_header("height", 0), "DatasetManifest.height is 0, must be at least 8"),
     (_set_header("width", -3), "DatasetManifest.width is -3, must be at least 8"),
     (_set_header("seed", -1), "DatasetManifest.seed is -1, must be at least 0"),
     (_set_header("n_objects", 2.0), "DatasetManifest.n_objects is 2.0, must be an integer"),
     (_set_header("n_views", "1"), "DatasetManifest.n_views is '1', must be an integer"),
-    (lambda record, outside: record.pop("seed"),
+    (lambda record: record.pop("seed"),
      r"manifest.json: missing keys \['seed'\], unknown keys \[\]"),
     (_set_header("colour", "red"), r"manifest.json: missing keys \[\], unknown keys \['colour'\]"),
-    (lambda record, outside: record["objects"][1].pop("diagonal"),
-     r"manifest.json objects\[1\]: missing keys \['diagonal'\]"),
-    (lambda record, outside: record["instances"][0].pop("articulation"),
-     r"manifest.json instances\[0\]: missing keys \['articulation'\]"),
-    (lambda record, outside: record["instances"][1]["views"][0].update(depth="d.pfm"),
-     r"manifest.json instances\[1\].views\[0\]: missing keys \[\], unknown keys \['depth'\]"),
+    (_parent_format, r"manifest.json: missing keys \[\], unknown keys \['instances', 'objects'\]"),
     (_set_header("category", "drawer"),
      "obj_000/scene.json: scene category 'closet' is not the manifest's 'drawer'"),
-    (_set_header("objects", 5), "manifest.json objects is 5, not a JSON list"),
-    (_set_header("instances", 7), "manifest.json instances is 7, not a JSON list"),
-    (lambda record, outside: record["instances"][1].__setitem__("views", 7),
-     r"manifest.json instances\[1\].views is 7, not a JSON list"),
-], ids=["absolute-path", "parent-path", "height-0", "width-negative", "seed-negative",
-        "n_objects-float", "n_views-string", "header-key-missing", "header-key-unknown",
-        "object-key-missing", "instance-key-missing", "view-key-unknown", "category-of-scenes",
-        "objects-int", "instances-int", "views-int"])
+], ids=["height-0", "width-negative", "seed-negative", "n_objects-float", "n_views-string",
+        "header-key-missing", "header-key-unknown", "parent-format", "category-of-scenes"])
 def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, message):
-    """A listed file outside the dataset root, absolute or through ``..``,
-    is refused even though it exists, so ``load_view`` and ``dataset_digest``
-    never read it; so is a header count that ``generate_dataset`` would
-    refuse, a header or record key it does not write or one it writes
-    missing, and a category that is not that of the scene files."""
+    """manifest.json must hold exactly the ``GenConfig`` fields, so a
+    manifest that still lists its objects and instances is refused; so is a
+    count that ``generate_dataset`` would refuse and a category that is not
+    that of the scene files."""
     cfg = wg.GenConfig(n_objects=2, n_articulations=1, n_views=1, height=8, width=8, seed=5)
-    wg.generate_dataset(cfg, tmp_path / "ds")
-    outside = tmp_path / "outside.ppm"
-    outside.write_bytes((tmp_path / "ds" / "obj_000" / "art_00" / "view_00.ppm").read_bytes())
-    path = tmp_path / "ds" / "manifest.json"
+    wg.generate_dataset(cfg, tmp_path)
+    path = tmp_path / "manifest.json"
     record = json.loads(path.read_text())
-    edit(record, outside)
+    edit(record)
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match=message):
         wg.load_manifest(path)
@@ -570,8 +526,10 @@ def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, mes
     ("camera", lambda d: {**d, "K": "abc"}, "view_00_cam.json: could not convert string"),
     ("camera", lambda d: {**d, "K": [[float("nan")] * 3] * 3},
      "view_00_cam.json: camera E and K must be finite"),
+    ("camera", lambda d: {**d, "K": {"a": 1}}, r"view_00_cam.json: float\(\) argument must be"),
 ], ids=["manifest-list", "camera-no-K", "keypoints-no-points", "keypoints-no-goal",
-        "scene-list", "camera-E-two-rows", "camera-K-2x2", "camera-K-string", "camera-K-nan"])
+        "scene-list", "camera-E-two-rows", "camera-K-2x2", "camera-K-string", "camera-K-nan",
+        "camera-K-object"])
 def test_dataset_file_record_errors_name_the_file(tmp_path, file, edit, message):
     """A JSON file of the dataset that is not an object, lacks a key or holds
     a camera that is not a (3, 4) E and a (3, 3) K of finite numbers is
@@ -582,7 +540,7 @@ def test_dataset_file_record_errors_name_the_file(tmp_path, file, edit, message)
     inst = manifest.instances[0]
     name = {"manifest.json": "manifest.json", "camera": inst["views"][0]["camera"],
             "keypoints_file": inst["keypoints_file"],
-            "scene_file": manifest.objects[0]["scene_file"]}[file]
+            "scene_file": manifest.scene_file(0)}[file]
     path = tmp_path / name
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message):
