@@ -57,15 +57,23 @@ class KeypointTrajectory:
     def from_dict(cls, d: dict, names: tuple[str, ...]) -> "KeypointTrajectory":
         """The trajectory of a ``to_dict`` record; ValueError naming the
         record or step that lacks a key, holds an unknown one or a q outside
-        [0, 1], or whose ``steps`` is not a list."""
+        [0, 1], whose ``steps`` is not a list, whose ``t_steps`` is not the
+        step count less one, or whose ``source_object_code`` is not a list
+        of finite numbers."""
         _check_keys("trajectory", d, ("t_steps", "source_object_code", "steps"))
         steps = []
         for i, rec in enumerate(_check_list("trajectory steps", d["steps"])):
             _check_keys(f"trajectory steps[{i}]", rec, ("q", "points"))
             _check_articulation(f"trajectory steps[{i}].q", rec["q"])
             steps.append((rec["q"], KeypointSet.from_dict(names, rec["points"])))
-        return cls(steps=steps,
-                   source_object_code=np.array(d["source_object_code"]))
+        _check_number("trajectory", "t_steps", d["t_steps"], 0)
+        if d["t_steps"] != len(steps) - 1:
+            raise ValueError(f"trajectory.t_steps is {d['t_steps']}, but it has "
+                             f"{len(steps)} steps")
+        code = _check_list("trajectory source_object_code", d["source_object_code"])
+        for i, value in enumerate(code):
+            _check_number("trajectory", f"source_object_code[{i}]", value, -np.inf)
+        return cls(steps=steps, source_object_code=np.array(code, dtype=np.float64))
 
 
 def interpolate_codes(z_current: LatentCode, q_target: float, t_steps: int

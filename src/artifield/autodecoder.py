@@ -8,6 +8,17 @@ scalar. At inference the weights are frozen, the segmentation and keypoint
 loss terms are switched off, and the full code (articulation and object
 parts) is fit to the observed images alone.
 
+Both fit through ``total_loss``, which splits each step into two graphs, as
+in the auto-decoders of SRN and DeepSDF where one hypernetwork or decoder
+pass serves a batch of codes. The code side runs on the caller: one graph
+from the batch's codes through the hypernetwork to the field weights
+theta (B, l), the keypoint head and the latent prior. The ray side runs on
+worker threads: each instance's rays are marched ``raymarch.RAY_CHUNK`` at
+a time over a leaf holding its row of theta, and each chunk is
+backpropagated and freed before the next, so a step's memory does not grow
+with the rays per instance. One closing backward through the code graph
+then takes every instance's field-weight gradient into the hypernetwork.
+
 A checkpoint is an uncompressed ``.npz`` that ``np.load(path, allow_pickle=False)``
 reads: a 0-d string member ``header`` holding JSON (format tag, arch, arch hash,
 train config, iteration, rng state), then a float64 member per weight, named and
@@ -17,7 +28,6 @@ The CRC-32 the zip keeps of each member catches a flipped bit.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import csv
@@ -45,7 +55,7 @@ from .neuralfield import (
     hyper_map,
     keypoint_head,
 )
-from .raymarch import RayBatch, pixel_rays, render_image, render_rays
+from .raymarch import RayBatch, pixel_rays, ray_chunks, render_image, render_rays
 from .worldgen import DatasetManifest, PosedView, _check_counts
 
 CHECKPOINT_FORMAT = "artifield-checkpoint-npz-1"
@@ -110,41 +120,43 @@ class InstanceBatch:
     target_keypoints: np.ndarray | None = None
 
 
-def _instance_share(inst: InstanceBatch, weights: ModelWeights, lams: dict[str, float],
-                    scales: dict[str, float]
-                    ) -> tuple[dict[str, np.ndarray], dict[Tensor, np.ndarray]]:
-    """Forward and backward of one instance's share of the total: its
-    unweighted terms by name and the gradient of the share by leaf.
+def _ray_share(inst: InstanceBatch, theta: Tensor, weights: ModelWeights,
+               lams: dict[str, float], scales: dict[str, float]
+               ) -> tuple[dict[str, np.ndarray], dict[Tensor, np.ndarray], np.ndarray | None]:
+    """The ray side of one instance: its image, depth and seg terms, the
+    gradient of their share of the total by leaf other than ``theta``, and
+    the gradient of that share in ``theta``, the leaf holding the instance's
+    field weights (None unless it requires grad).
 
-    The graph is the one-instance ``total_loss`` graph with the batch's
-    ``scales`` in its means, so every term gets the upstream gradient it gets
-    in a graph over the whole batch.
+    The rays are marched ``RAY_CHUNK`` at a time over ``theta``. Each
+    chunk's share is ``image*scale``, then ``+ (term*scale)*lam`` for depth
+    and seg, with the depth sum over its rays scaled by 1/R and its seg mean
+    by n_c/R (R rays in the instance, n_c in the chunk), so the chunks'
+    terms add up to the instance's. Each chunk is backpropagated, and its
+    graph freed, before the next is built.
     """
-    want_seg = lams["seg"] > 0
-    if want_seg and inst.target_seg is None:
-        raise ValueError("segmentation loss requested but view has no ground truth")
-    if lams["kp"] > 0 and inst.target_keypoints is None:
-        raise ValueError("keypoint loss requested but instance has no ground truth")
-    feats = code_features(inst.phi, inst.z_obj)
-    theta = hyper_map(weights.hyper, feats)
-    rgb, logits, marchres = render_rays(weights, theta, inst.rays, want_seg=want_seg)
-    terms = {"image": gc.tsum(gc.square(gc.sub(rgb, inst.target_rgb))),
-             "latent": gc.mul(gc.tsum(gc.square(inst.z_obj)), 1.0 / weights.arch.k_obj)}
-    if lams["depth"] > 0:
-        over = gc.relu(gc.sub(marchres.d_final, inst.rays.d_far))
-        terms["depth"] = gc.tmean(gc.square(over))
-    if want_seg:
-        terms["seg"] = gc.cross_entropy_logits(logits, inst.target_seg)
-    if lams["kp"] > 0:
-        pts = keypoint_head(weights.keypoint, feats, weights.arch)
-        terms["kp"] = gc.tsum(gc.square(gc.sub(pts, inst.target_keypoints)))
-
-    share = gc.mul(terms["image"], scales["image"])
-    for name in ("latent", "depth", "seg", "kp"):
-        if name in terms:
-            share = gc.add(share, gc.mul(gc.mul(terms[name], scales[name]), lams[name]))
-    return ({name: t.data for name, t in terms.items()},
-            gc.backward(share) if share.requires_grad else {})
+    r = inst.rays.count
+    terms = {"image": np.float64(0.0)}
+    grads: dict[Tensor, np.ndarray] = {}
+    for s, rays in ray_chunks(inst.rays):
+        rgb, logits, marchres = render_rays(weights, theta, rays, want_seg=lams["seg"] > 0)
+        chunk = {"image": gc.tsum(gc.square(gc.sub(rgb, inst.target_rgb[s])))}
+        if lams["depth"] > 0:
+            over = gc.relu(gc.sub(marchres.d_final, rays.d_far))
+            chunk["depth"] = gc.mul(gc.tsum(gc.square(over)), 1.0 / r)
+        if lams["seg"] > 0:
+            chunk["seg"] = gc.mul(gc.cross_entropy_logits(logits, inst.target_seg[s]),
+                                  rays.count / r)
+        share = gc.mul(chunk["image"], scales["image"])
+        for name in ("depth", "seg"):
+            if name in chunk:
+                share = gc.add(share, gc.mul(gc.mul(chunk[name], scales[name]), lams[name]))
+        for name, t in chunk.items():
+            terms[name] = terms.get(name, 0.0) + t.data
+        if share.requires_grad:
+            for t, g in gc.backward(share).items():
+                gc._accum(grads, t, g)
+    return terms, grads, grads.pop(theta, None)
 
 
 def _usable_cpus() -> int:
@@ -166,50 +178,78 @@ def total_loss(batch: list[InstanceBatch], weights: ModelWeights,
     divided by the batch's rgb value count; each other term is the mean over
     the instances of its per-instance value. A term whose weight is zero is
     not built (it reads 0.0) and needs no ground truth, except the latent
-    prior, which is always built. Each instance's share of the total is
-    ``image*scale``, then ``+ (term*scale)*lam`` for latent, depth, seg and
-    kp in that order, and is differentiated on its own graph. A missing seg
-    or keypoint target raises ValueError before that instance's forward
-    pass.
+    prior, which is always built. A missing seg or keypoint target raises
+    ValueError before any forward pass.
 
-    Each instance runs on a worker thread (one per usable CPU, up to the
-    batch size; a single worker is the calling thread) over the caller's own
-    leaves. Each leaf's gradient is summed over the instances in batch order,
-    and so is each term of the breakdown, so both are the same whatever the
-    worker count. An instance's own gradients are dropped as soon as they are
-    summed. An error in any instance is raised here.
+    The objective is computed on two sides. The code side runs on the
+    calling thread as one graph over the batch: the features (B, k) of the
+    codes, the field weights theta (B, l) of one ``hyper_map`` pass, the
+    keypoint head and the latent prior. The ray side runs each instance on a
+    worker thread (one per usable CPU, up to the batch size; a single worker
+    is the calling thread) over the caller's own weights: ``_ray_share``
+    marches it in chunks of at most ``RAY_CHUNK`` rays, backpropagates each
+    chunk and returns dθ, the gradient of its share in its row of theta.
+    The caller then seeds the code graph with ``sum(theta * dθ)`` plus the
+    latent and keypoint shares, so one backward takes every ray gradient
+    through the hypernetwork: ``hyper.1.w`` gets one (B, 128)ᵀ @ (B, l)
+    product, not one outer product per instance. The ray side's gradients
+    and terms are summed over the instances in batch order, so the result is
+    the same whatever the worker count. An error in any instance is raised
+    here.
     """
     if not batch:
         raise ValueError("total_loss needs at least one instance, got an empty batch")
     lams = {"latent": lam_latent, "depth": lam_depth, "seg": lam_seg, "kp": lam_kp}
+    if lam_seg > 0 and any(inst.target_seg is None for inst in batch):
+        raise ValueError("segmentation loss requested but view has no ground truth")
+    if lam_kp > 0 and any(inst.target_keypoints is None for inst in batch):
+        raise ValueError("keypoint loss requested but instance has no ground truth")
     scales = {name: 1.0 / len(batch) for name in lams}
     scales["image"] = 1.0 / sum(inst.target_rgb.size for inst in batch)
 
-    terms: dict[str, list[np.ndarray]] = {}
-    grads: dict[Tensor, np.ndarray] = {}
+    feats = gc.concat([code_features(inst.phi, inst.z_obj) for inst in batch])
+    theta = hyper_map(weights.hyper, feats)
+    code_terms = {"latent": gc.mul(gc.tsum(gc.square(gc.concat([inst.z_obj for inst in batch]))),
+                                   1.0 / weights.arch.k_obj)}
+    if lam_kp > 0:
+        pts = keypoint_head(weights.keypoint, feats, weights.arch)
+        targets = np.stack([inst.target_keypoints for inst in batch])
+        code_terms["kp"] = gc.tsum(gc.square(gc.sub(pts, targets)))
 
-    def take(share_terms: dict[str, np.ndarray], share_grads: dict[Tensor, np.ndarray]) -> None:
-        for name, value in share_terms.items():
-            terms.setdefault(name, []).append(value)
-        for leaf, grad in share_grads.items():
-            gc._accum(grads, leaf, grad)
-
+    # Each worker marches over a leaf cut from its row of theta.
+    shares = [(inst, Tensor(row, requires_grad=theta.requires_grad), weights, lams, scales)
+              for inst, row in zip(batch, theta.data)]
     workers = min(len(batch), _usable_cpus())
     if workers == 1:
-        for inst in batch:
-            take(*_instance_share(inst, weights, lams, scales))
+        results = [_ray_share(*args) for args in shares]
     else:
         with ThreadPoolExecutor(workers) as pool:
             # numpy's errstate is a context variable: a copy of the caller's
             # context per task (one thread at a time may run a context)
             # carries a caller's np.errstate(over="raise") into the workers.
-            futures = collections.deque(pool.submit(contextvars.copy_context().run,
-                                                    _instance_share, inst, weights, lams, scales)
-                                        for inst in batch)
-            while futures:
-                take(*futures.popleft().result())
+            futures = [pool.submit(contextvars.copy_context().run, _ray_share, *args)
+                       for args in shares]
+            results = [f.result() for f in futures]
 
-    # Each mean is (((t0 + t1) + t2) + ...) * scale over the instances' terms.
+    grads: dict[Tensor, np.ndarray] = {}
+    terms: dict[str, list[np.ndarray]] = {name: [t.data] for name, t in code_terms.items()}
+    for ray_terms, ray_grads, _ in results:
+        for name, value in ray_terms.items():
+            terms.setdefault(name, []).append(value)
+        for leaf, grad in ray_grads.items():
+            gc._accum(grads, leaf, grad)
+    root = gc.mul(gc.mul(code_terms["latent"], scales["latent"]), lam_latent)
+    if "kp" in code_terms:
+        root = gc.add(root, gc.mul(gc.mul(code_terms["kp"], scales["kp"]), lam_kp))
+    if theta.requires_grad:
+        d_theta = np.stack([d for _, _, d in results])
+        root = gc.add(gc.tsum(gc.mul(theta, d_theta)), root)
+    if root.requires_grad:
+        for leaf, grad in gc.backward(root).items():
+            gc._accum(grads, leaf, grad)
+
+    # A ray term's mean is (((t0 + t1) + t2) + ...) * scale over the
+    # instances; a code term is one sum over the batch times its scale.
     means = {name: float(functools.reduce(np.add, terms[name]) * scales[name])
              if name in terms else 0.0 for name in scales}
     return LossBreakdown(**means, lam_seg=lam_seg, lam_kp=lam_kp, lam_latent=lam_latent,

@@ -444,7 +444,9 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
 def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy (natural log) of (R, C) logits vs int labels.
 
-    Fused forward/backward: grad is (softmax - onehot) / R.
+    Fused forward/backward: grad is (softmax - onehot) / R. Raises
+    ShapeMismatchError unless there is one label per row, and ValueError
+    unless every label is a class index in [0, C).
     """
     lg = as_tensor(logits)
     x = lg.data
@@ -453,6 +455,9 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.shape[0] != x.shape[0]:
         raise ShapeMismatchError("label count does not match logit rows")
+    if labels.size and not (labels.min() >= 0 and labels.max() < x.shape[1]):
+        raise ValueError(f"cross_entropy_logits labels span {labels.min()}..{labels.max()}, "
+                         f"outside the class indices [0, {x.shape[1]})")
     m = x.max(axis=1, keepdims=True)
     shifted = x - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

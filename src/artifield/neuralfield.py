@@ -229,18 +229,21 @@ class ModelWeights:
 
 
 def code_features(phi: Tensor | Sequence[float], z_obj: Tensor | np.ndarray) -> Tensor:
-    """concat(unit_circle(phi), z_obj) as a (1, k) graph tensor: the form the
-    hypernetwork and keypoint head consume, for a (1,) angle ``phi``."""
+    """concat(unit_circle(phi), z_obj) as a (1, k) graph tensor for a (1,)
+    angle ``phi``: one row of the (B, k) features that the hypernetwork and
+    keypoint head consume."""
     return gc.reshape(gc.concat([gc.unit_circle(phi), z_obj], axis=0), (1, -1))
 
 
 def hyper_map(hyper: Sequence[tuple[Tensor, Tensor]], feats: Tensor) -> Tensor:
-    """Map latent features (1, k) to the flat field weight vector (l,)."""
-    return gc.reshape(gc.mlp(feats, hyper), (-1,))
+    """Map latent features (B, k), one row per code, to flat field weight
+    vectors (B, l): one hypernetwork pass serves a whole batch of codes."""
+    return gc.mlp(feats, hyper)
 
 
 def slice_field_weights(theta: Tensor, arch: ArchConfig) -> list[tuple[Tensor, Tensor]]:
-    """Carve the flat field weight vector into per-layer (W, b) graph views.
+    """Carve one code's flat field weight vector (l,), a row of
+    ``hyper_map``, into per-layer (W, b) graph views.
 
     Slicing once and reusing the views amortizes the narrow/reshape nodes
     over the many field queries a raymarch performs.
@@ -277,8 +280,8 @@ def seg_head(seg_layers: Sequence[tuple[Tensor, Tensor]], v: Tensor) -> Tensor:
 
 def keypoint_head(kp_layers: Sequence[tuple[Tensor, Tensor]], feats: Tensor,
                   arch: ArchConfig) -> Tensor:
-    """Latent features (1, k) -> keypoint positions (N_kp, 3)."""
-    return gc.reshape(gc.mlp(feats, kp_layers), (arch.n_keypoints, 3))
+    """Latent features (B, k) -> keypoint positions (B, N_kp, 3)."""
+    return gc.reshape(gc.mlp(feats, kp_layers), (-1, arch.n_keypoints, 3))
 
 
 def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:
@@ -289,4 +292,4 @@ def keypoint_predict(weights: ModelWeights, code: LatentCode) -> KeypointSet:
             f"object code has {code.z_obj.size} dims, expected {weights.arch.k_obj}")
     pts = keypoint_head(weights.detached().keypoint, code_features([code.phi], code.z_obj),
                         weights.arch)
-    return KeypointSet(weights.arch.keypoint_names, pts.data)
+    return KeypointSet(weights.arch.keypoint_names, pts.data[0])

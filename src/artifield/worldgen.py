@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -399,7 +399,10 @@ def raycast_scene(model: SceneModel, q: float, origins: np.ndarray, dirs: np.nda
 
 @dataclass
 class PosedView:
-    """One observation: image, optional ground-truth seg/depth, and camera."""
+    """One observation: image, optional ground-truth seg/depth, and camera.
+    Raises ValueError unless E is a finite rigid (3, 4) world-to-camera map,
+    K a finite upper triangular (3, 3) with positive focals, and ``seg``,
+    when given, integer ids in [0, len(SEG_CLASSES)) of the image's (H, W)."""
 
     image: np.ndarray            # (H, W, 3) in [0, 1]
     e: np.ndarray                # (3, 4) world-to-camera
@@ -418,6 +421,14 @@ class PosedView:
             raise ValueError("extrinsic rotation must be orthonormal with det +1")
         if self.k[0, 0] <= 0 or self.k[1, 1] <= 0 or abs(self.k[1, 0]) + abs(self.k[2, 0]) + abs(self.k[2, 1]) > 0:
             raise ValueError("intrinsics must be upper triangular with positive focals")
+        if self.seg is not None:
+            seg, size = np.asarray(self.seg), np.shape(self.image)[:2]
+            if seg.shape != size or not np.issubdtype(seg.dtype, np.integer):
+                raise ValueError(f"seg is {seg.dtype} of shape {seg.shape}, must be integer "
+                                 f"class ids of the image's {size}")
+            if seg.size and not (seg.min() >= 0 and seg.max() < len(SEG_CLASSES)):
+                raise ValueError(f"seg holds class ids {seg.min()}..{seg.max()}, "
+                                 f"outside [0, {len(SEG_CLASSES)})")
 
     @property
     def height(self) -> int:
@@ -567,16 +578,21 @@ class DatasetManifest(GenConfig):
 
     def load_view(self, view_rec: dict) -> PosedView:
         """ValueError naming the camera file if it lacks ``E`` or ``K`` or
-        they do not make a ``PosedView`` camera."""
+        they do not make a ``PosedView`` camera, or naming the seg file if
+        its map is not a ``PosedView`` segmentation of the image."""
         image = read_ppm(self.root / view_rec["image"])
         seg = read_pgm(self.root / view_rec["seg"])
 
         def parse(d):
             cam = _check_keys("camera", d, ["E", "K"])
-            return PosedView(image=image, seg=seg, e=np.array(cam["E"], dtype=np.float64),
+            return PosedView(image=image, e=np.array(cam["E"], dtype=np.float64),
                              k=np.array(cam["K"], dtype=np.float64))
 
-        return self._read(view_rec["camera"], parse)
+        view = self._read(view_rec["camera"], parse)
+        try:
+            return replace(view, seg=seg)
+        except ValueError as err:
+            raise ValueError(f"{view_rec['seg']}: {err}") from err
 
 
 # The least value of each count in a GenConfig and in a manifest.

@@ -145,7 +145,20 @@ def _drop_q(d):
     (_drop_q, r"trajectory steps\[1\]: missing keys \['q'\]"),
     (lambda d: d["steps"][0].update(q=1.5), r"trajectory steps\[0\].q is 1.5, outside \[0, 1\]"),
     (lambda d: d["steps"][0].update(q="0"), r"trajectory steps\[0\].q is '0', outside"),
-], ids=["empty", "steps-int", "step-without-q", "q-above-1", "q-string"])
+    (lambda d: d.update(t_steps=7), r"trajectory\.t_steps is 7, but it has 3 steps"),
+    (lambda d: d.update(t_steps=2.0), r"trajectory\.t_steps is 2\.0, must be an integer"),
+    (lambda d: d.update(t_steps=True), r"trajectory\.t_steps is True, must be an integer"),
+    (lambda d: d.update(source_object_code="abc"),
+     "trajectory source_object_code is 'abc', not a JSON list"),
+    (lambda d: d.update(source_object_code=[[0.0, 1.0]]),
+     r"trajectory\.source_object_code\[0\] is \[0\.0, 1\.0\], must be a number"),
+    (lambda d: d.update(source_object_code=[0.0, float("nan")]),
+     r"trajectory\.source_object_code\[1\] is nan, must be at least -inf and finite"),
+    (lambda d: d.update(source_object_code=[0.0, "1"]), r"\[1\] is '1', must be a number"),
+    (lambda d: d.update(source_object_code=[0.0, True]), r"\[1\] is True, must be a number"),
+], ids=["empty", "steps-int", "step-without-q", "q-above-1", "q-string", "t-steps-wrong",
+        "t-steps-float", "t-steps-bool", "code-string", "code-nested", "code-nan",
+        "code-string-entry", "code-bool-entry"])
 def test_trajectory_from_dict_rejects_a_malformed_record(edit, message):
     """A record that ``to_dict`` would not write raises a ValueError naming
     the record or the step at fault."""
@@ -223,7 +236,7 @@ def test_render_motion_marches_once_per_frame_and_chunk(tmp_path, monkeypatch, h
 
     monkeypatch.setattr(raymarch, "march", counted)
     render_motion(ckpt, codes, e, k, height, width, tmp_path / "frames")
-    chunks = -(-height * width // raymarch.RENDER_CHUNK)
+    chunks = -(-height * width // raymarch.RAY_CHUNK)
     assert len(marches) == len(codes) * chunks
     assert sum(marches) == len(codes) * height * width
 

@@ -11,13 +11,14 @@ import threading
 import tracemalloc
 import warnings
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from artifield import autodecoder
 from artifield import gradcore as gc
+from artifield import raymarch
 from artifield import worldgen as wg
 from artifield.autodecoder import (
     Checkpoint,
@@ -35,8 +36,9 @@ from artifield.autodecoder import (
     train,
 )
 from artifield.gradcore import Adam, Tensor
-from artifield.neuralfield import ArchConfig, LatentCode, ModelWeights, articulation_angle
-from artifield.raymarch import pixel_rays, render_image
+from artifield.neuralfield import (ArchConfig, LatentCode, ModelWeights, articulation_angle,
+                                   code_features, hyper_map)
+from artifield.raymarch import RayBatch, pixel_rays, ray_chunks, render_image, render_rays
 
 from test_gradcore import max_rel_err
 
@@ -67,13 +69,14 @@ def smoke_checkpoint(tmp_path_factory):
     return manifest, ckpt, history
 
 
-def _make_batch(manifest, weights, rng, seg=True, count=2):
-    """``count`` instances, 32 rays from each of their views, optionally
-    without segmentation targets."""
+def _make_batch(manifest, weights, rng, seg=True, count=2, rays_per_view=32):
+    """``count`` instances, ``rays_per_view`` rays from each of their views,
+    optionally without segmentation targets."""
     instances = load_training_set(manifest)
     batch = []
     for inst in instances[:count]:
-        rays, rgb, seg_ids = _sample_rays(inst.views, rng, 32, weights.arch.scene_radius)
+        rays, rgb, seg_ids = _sample_rays(inst.views, rng, rays_per_view,
+                                          weights.arch.scene_radius)
         batch.append(InstanceBatch(
             phi=Tensor([articulation_angle(inst.q)]),
             z_obj=Tensor(rng.normal(size=weights.arch.k_obj) * 0.1, requires_grad=True),
@@ -98,16 +101,18 @@ def test_loss_composition_identity(tiny_dataset):
         assert v >= 0.0
 
 
-def test_loss_zero_when_prediction_equals_target(tiny_dataset):
+def test_loss_zero_when_prediction_equals_target(tiny_dataset, monkeypatch):
+    """Targets rendered the way ``total_loss`` renders: one ``hyper_map`` pass
+    over the batch's features, then each instance's row marched chunk by
+    chunk, here in three chunks of 24, 24 and 16 rays."""
+    monkeypatch.setattr(raymarch, "RAY_CHUNK", 24)
     weights = ModelWeights.init(TINY, np.random.default_rng(2))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(3), seg=False)
-    # overwrite targets with the model's own render of those rays
-    from artifield.neuralfield import code_features, hyper_map
-    from artifield.raymarch import render_rays
-    for inst in batch:
-        theta = hyper_map(weights.hyper, code_features(inst.phi, inst.z_obj))
-        rgb, _, _ = render_rays(weights, theta, inst.rays, want_seg=False)
-        inst.target_rgb = rgb.data.copy()
+    theta = hyper_map(weights.hyper, gc.concat([code_features(inst.phi, inst.z_obj)
+                                                for inst in batch])).data
+    for row, inst in zip(theta, batch):
+        inst.target_rgb = np.concatenate([render_rays(weights, row, rays, want_seg=False)[0].data
+                                          for _, rays in ray_chunks(inst.rays)])
     bd, _ = total_loss(batch, weights, lam_seg=0.0, lam_kp=0.0,
                        lam_latent=0.0, lam_depth=0.0)
     assert bd.image == 0.0
@@ -183,19 +188,29 @@ def test_loss_workers_record_no_graph_over_detached_weights(tiny_dataset, monkey
 
 def test_loss_workers_keep_the_callers_errstate(tiny_dataset, monkeypatch):
     """A caller's ``np.errstate(over="raise")`` holds on every worker: the
-    overflowing latent prior of a huge z_obj raises there, where numpy's
-    default would only warn."""
+    overflowing image term of a huge target, which the workers build, raises
+    there, where numpy's default would only warn."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    for inst in batch:
-        inst.z_obj = Tensor(np.full(TINY.k_obj, 1e200), requires_grad=True)
+    threads = set()
+    ray_share = autodecoder._ray_share
+
+    def traced(*args):
+        threads.add(threading.get_ident())
+        return ray_share(*args)
+
+    monkeypatch.setattr(autodecoder, "_ray_share", traced)
+    batch[1].target_rgb = np.full_like(batch[1].target_rgb, 1e200)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+    assert threading.get_ident() not in threads
 
 
-def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_dataset,
-                                                                      monkeypatch):
+def test_loss_shared_code_gets_the_instance_gradients_summed(tiny_dataset, monkeypatch):
+    """A code shared by three instances gets the sum of the gradients that
+    three separate codes of the same value get. The code side is one graph
+    over the batch, so the sum is taken in its backward, to rounding."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1), count=3)
@@ -212,37 +227,36 @@ def test_loss_shared_code_gets_the_instance_gradients_summed_in_order(tiny_datas
     for inst in batch:
         inst.z_obj = shared
     _, grads = total_loss(batch, weights, **lams)
-    assert grads[shared].tobytes() == expected.tobytes()
+    np.testing.assert_allclose(grads[shared], expected, rtol=1e-12, atol=0.0)
 
 
 def test_loss_error_in_one_instance_leaves_every_grad_unchanged(tiny_dataset, monkeypatch):
-    """An error in one worker's instance is raised by ``total_loss``, which
-    then returns no gradients at all."""
+    """A missing target in one instance is raised by ``total_loss`` before
+    any forward pass: no op runs, and no gradient is returned."""
     monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
     weights = ModelWeights.init(TINY, np.random.default_rng(0))
     batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    batch[1].target_seg = None
-    with pytest.raises(ValueError, match="segmentation"):
-        total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
+    made = []
+    make = gc._make
+
+    def spy(*args, **kwargs):
+        made.append(args[1])
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(gc, "_make", spy)
+    for name, lam_seg, message in (("target_seg", 0.5, "segmentation"),
+                                   ("target_keypoints", 0.0, "keypoint")):
+        setattr(batch[1], name, None)
+        with pytest.raises(ValueError, match=message):
+            total_loss(batch, weights, lam_seg=lam_seg, lam_kp=1.0, lam_latent=1e-3,
+                       lam_depth=0.1)
+        assert made == []
 
 
-def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
-    """Two instances share one z_obj on two workers; the second also fits its
-    articulation angle phi, and every one of its rays overshoots, so every
-    term reaches the checked leaves. The grads ``total_loss`` returns match
-    central differences of ``breakdown.total``."""
-    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
-    weights = ModelWeights.init(TINY, np.random.default_rng(0))
-    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
-    batch[1].z_obj = batch[0].z_obj
-    phi = Tensor([2.0], requires_grad=True)
-    batch[1].phi = phi
-    batch[1].rays.d_far = batch[1].rays.d_near.copy()
-    lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
-    params = dict(weights.named_parameters())
-    leaves = {"z_obj": batch[0].z_obj, "phi": phi,
-              "raymarcher.step.b": params["raymarcher.step.b"],
-              "hyper.1.b": params["hyper.1.b"]}
+def _assert_grads_match_central_differences(batch, weights, lams, leaves):
+    """Every term is positive, and at up to three entries of each named leaf
+    the gradient ``total_loss`` returns is nonzero and matches a central
+    difference of ``breakdown.total``."""
     bd, grads = total_loss(batch, weights, **lams)
     assert min(bd.image, bd.latent, bd.depth, bd.seg, bd.kp) > 0.0
 
@@ -264,6 +278,100 @@ def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
         analytic = grads[leaf].flat[picks]
         assert np.all(analytic != 0.0), name
         assert max_rel_err(analytic, fd) < 1e-4, name
+
+
+def test_loss_gradients_match_central_differences(tiny_dataset, monkeypatch):
+    """Two instances share one z_obj on two workers; the second also fits its
+    articulation angle phi, and every one of its rays overshoots, so every
+    term reaches the checked leaves. The grads ``total_loss`` returns match
+    central differences of ``breakdown.total``."""
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(0))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
+    batch[1].z_obj = batch[0].z_obj
+    phi = Tensor([2.0], requires_grad=True)
+    batch[1].phi = phi
+    batch[1].rays.d_far = batch[1].rays.d_near.copy()
+    params = dict(weights.named_parameters())
+    _assert_grads_match_central_differences(
+        batch, weights, dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1),
+        {"z_obj": batch[0].z_obj, "phi": phi, "raymarcher.step.b": params["raymarcher.step.b"],
+         "hyper.1.b": params["hyper.1.b"]})
+
+
+def test_loss_gradients_match_central_differences_over_ray_chunks(tiny_dataset, monkeypatch):
+    """Rays marched three at a time: each instance's 10 rays make chunks of
+    3, 3, 3 and 1, and half of the second instance's rays overshoot, so the
+    depth and seg shares of each chunk carry the batch scales. Every term
+    reaches the checked codes and weights, and their gradients match central
+    differences."""
+    monkeypatch.setattr(raymarch, "RAY_CHUNK", 3)
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 2)
+    weights = ModelWeights.init(TINY, np.random.default_rng(3))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(4), rays_per_view=5)
+    assert [inst.rays.count for inst in batch] == [10, 10]
+    phi = Tensor([1.2], requires_grad=True)
+    batch[1].phi = phi
+    batch[1].rays.d_far[::2] = batch[1].rays.d_near[::2]
+    params = dict(weights.named_parameters())
+    leaves = {"z_obj": batch[1].z_obj, "phi": phi}
+    leaves.update((name, params[name]) for name in
+                  ("hyper.1.w", "raymarcher.lstm.w", "rgb.1.w", "seg.1.b", "keypoint.0.w"))
+    _assert_grads_match_central_differences(
+        batch, weights, dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1), leaves)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_loss_does_not_depend_on_the_ray_chunk(tiny_dataset, monkeypatch, workers):
+    """Each instance's 64 rays marched 7 at a time or in one chunk give the
+    same breakdown and the same gradient for every leaf, to rounding."""
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: workers)
+    weights = ModelWeights.init(TINY, np.random.default_rng(5))
+    batch = _make_batch(tiny_dataset, weights, np.random.default_rng(6))
+    batch[0].rays.d_far[::3] = batch[0].rays.d_near[::3]
+    lams = dict(lam_seg=0.5, lam_kp=1.0, lam_latent=0.3, lam_depth=0.1)
+    results = []
+    for chunk in (7, 4096):
+        monkeypatch.setattr(raymarch, "RAY_CHUNK", chunk)
+        results.append(total_loss(batch, weights, **lams))
+    (bd7, grads7), (bd_one, grads_one) = results
+    assert bd7.depth > 0.0
+    np.testing.assert_allclose([getattr(bd7, f.name) for f in fields(LossBreakdown)],
+                               [getattr(bd_one, f.name) for f in fields(LossBreakdown)],
+                               rtol=1e-12, atol=0.0)
+    assert grads7.keys() == grads_one.keys()
+    assert len(grads7) == len(weights.params) + len(batch)
+    for leaf, grad in grads_one.items():
+        np.testing.assert_allclose(grads7[leaf], grad, rtol=1e-12, atol=0.0)
+
+
+def test_loss_peak_memory_flat_in_the_rays_per_instance(monkeypatch):
+    """At the default arch on one worker, the traced peak of a one-instance
+    ``total_loss`` with every term on is under 1.5x as high at 4 x RAY_CHUNK
+    rays as at RAY_CHUNK rays: only one chunk's graph is alive at a time."""
+    monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: 1)
+    arch = ArchConfig()
+    rng = np.random.default_rng(0)
+    weights = ModelWeights.init(arch, rng)
+    z_obj = Tensor(rng.normal(size=arch.k_obj) * 0.1, requires_grad=True)
+    peaks = []
+    for n in (raymarch.RAY_CHUNK, 4 * raymarch.RAY_CHUNK):
+        dirs = rng.normal(size=(n, 3)) * 0.2 + [0.0, 1.0, 0.0]
+        rays = RayBatch(origins=np.tile([0.0, -2.0, 0.0], (n, 1)),
+                        dirs=dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                        d_near=np.full((n, 1), 0.5), d_far=np.full((n, 1), 3.5))
+        inst = InstanceBatch(Tensor([articulation_angle(0.5)]), z_obj, rays,
+                             target_rgb=rng.uniform(size=(n, 3)),
+                             target_seg=rng.integers(0, arch.n_classes, size=n),
+                             target_keypoints=rng.normal(size=(arch.n_keypoints, 3)))
+        tracemalloc.start()
+        try:
+            total_loss([inst], weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3,
+                       lam_depth=0.1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("rays_per_view", [40, 10**6], ids=["subset", "clamped"])
@@ -345,17 +453,17 @@ def test_training_bit_identical_across_worker_counts(tiny_dataset, monkeypatch):
     the threads interleave often."""
     tc = TrainConfig(iterations=6, rays_per_view=32, batch_instances=3,
                      views_per_instance=2, seed=4)
-    share = autodecoder._instance_share
+    ray_share = autodecoder._ray_share
     results = []
     for workers in (1, 2, 4):
         threads = set()
 
         def traced_share(*args, **kwargs):
             threads.add(threading.get_ident())
-            return share(*args, **kwargs)
+            return ray_share(*args, **kwargs)
 
         monkeypatch.setattr(autodecoder, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(autodecoder, "_instance_share", traced_share)
+        monkeypatch.setattr(autodecoder, "_ray_share", traced_share)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -618,8 +726,10 @@ def _graph_nodes(output) -> int:
 def test_graph_nodes_per_march_step(tiny_dataset, monkeypatch):
     """A march step is a field query (one fused mlp node), the LSTM cell's two
     nodes and five for the position and step arithmetic. Un-fusing the field
-    MLP adds 4 nodes a step, un-fusing the cell 12. Counted over the
-    instance graphs that ``total_loss`` backpropagates."""
+    MLP adds 4 nodes a step, un-fusing the cell 12. Counted over the graphs
+    that ``total_loss`` backpropagates: one per chunk of at most RAY_CHUNK
+    rays (here 24, so 3 per instance of 64 rays) and the code graph."""
+    monkeypatch.setattr(raymarch, "RAY_CHUNK", 24)
     backward = gc.backward
     graphs = []
 
@@ -634,9 +744,10 @@ def test_graph_nodes_per_march_step(tiny_dataset, monkeypatch):
         batch = _make_batch(tiny_dataset, weights, np.random.default_rng(1))
         graphs.clear()
         total_loss(batch, weights, lam_seg=0.5, lam_kp=1.0, lam_latent=1e-3, lam_depth=0.1)
-        assert len(graphs) == len(batch)
+        chunks = sum(-(-inst.rays.count // 24) for inst in batch)
+        assert chunks == 6 and len(graphs) == chunks + 1
         sizes.append(sum(graphs))
-    assert (sizes[1] - sizes[0]) / (2 * len(batch)) <= 8
+    assert (sizes[1] - sizes[0]) / (2 * chunks) <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ def test_traced_layer_function_exists(label):
 
 def test_tracer_counts_backward_and_vjps_of_a_loss_call():
     """One traced ``total_loss`` call on a one-instance batch of 8 rays
-    counts the backward pass and the vjps it ran, returns the gradients, and
-    uninstalling puts every patched attribute back."""
+    counts its two backward passes, the ray chunk's and the code graph's,
+    and the vjps they ran, returns the gradients, and uninstalling puts
+    every patched attribute back."""
     rng = np.random.default_rng(0)
     weights = ModelWeights.init(TINY, rng)
     dirs = rng.normal(size=(8, 3)) * 0.1 + [0.0, 1.0, 0.0]
@@ -69,7 +70,7 @@ def test_tracer_counts_backward_and_vjps_of_a_loss_call():
                                           lam_latent=1e-3, lam_depth=0.1)
     assert tracer.restored()
     assert tracer.count("autodecoder.total_loss") == 1
-    assert tracer.count("gradcore.backward") == 1
+    assert tracer.count("gradcore.backward") == 2
     assert tracer.graph_nodes > 0
     vjps = {label for label in tracer.labels if label.endswith(".vjp")}
     assert vjps and all(tracer.calls_within(label, "gradcore.backward") == tracer.count(label)

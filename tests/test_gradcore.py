@@ -410,6 +410,16 @@ def test_concat_narrow_roundtrip_gradient():
     np.testing.assert_array_equal(grads[b], np.array([2.0, 2.0, 0.0]))
 
 
+@pytest.mark.parametrize("labels", [[0, -1, 1], [0, 9, 1], [2, 0, 1]],
+                         ids=["negative", "past-the-classes", "equal-to-C"])
+def test_cross_entropy_rejects_labels_outside_the_classes(labels):
+    """A label outside [0, C) is refused: -1 would score the last class and 9
+    would fail inside numpy's indexing."""
+    logits = Tensor(np.zeros((3, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"outside the class indices \[0, 2\)"):
+        cross_entropy_logits(logits, np.array(labels))
+
+
 def test_cross_entropy_uniform_logits_value_and_gradient():
     logits = Tensor(np.zeros((8, 4)), requires_grad=True)
     labels = np.arange(8) % 4

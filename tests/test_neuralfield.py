@@ -120,7 +120,7 @@ def test_hyper_zeroed_final_layer_returns_bias():
     for q in (0.0, 0.4, 1.0):
         code = LatentCode.from_articulation(q, np.random.default_rng(2).normal(size=TINY.k_obj))
         th = hyper_map(w.hyper, code_features([code.phi], code.z_obj))
-        np.testing.assert_array_equal(th.data, bias)
+        np.testing.assert_array_equal(th.data, bias[None])
 
 
 def test_hyper_gradient_wrt_latent_code():
@@ -147,7 +147,7 @@ def test_hyper_gradient_wrt_latent_code():
 def test_field_eval_deterministic_and_batched():
     w = _weights(5)
     feats = code_features([articulation_angle(0.3)], Z_OBJ)
-    theta = hyper_map(w.hyper, feats)
+    theta = hyper_map(w.hyper, feats).data[0]
     pts = np.random.default_rng(6).normal(size=(100, 3))
     layers = slice_field_weights(theta, TINY)
     v_batch = field_eval_layers(layers, pts)
@@ -162,7 +162,7 @@ def test_field_eval_deterministic_and_batched():
 
 def test_field_gradient_wrt_position():
     w = _weights(7)
-    theta = hyper_map(w.hyper, code_features([articulation_angle(0.5)], Z_OBJ))
+    theta = hyper_map(w.hyper, code_features([articulation_angle(0.5)], Z_OBJ)).data[0]
     layers = slice_field_weights(theta, TINY)
     x0 = np.array([0.2, -0.4, 0.1])
 

@@ -154,7 +154,7 @@ def test_march_zero_weights_fixed_bias_step():
 def test_march_deterministic_for_identical_rays():
     w = tiny_weights(1)
     feats = code_features([articulation_angle(0.3)], np.zeros(TINY.k_obj))
-    theta = hyper_map(w.hyper, feats)
+    theta = hyper_map(w.hyper, feats).data[0]
     rays = _ray_batch(2, seed=7)
     rays.dirs[1] = rays.dirs[0]
     result = march(theta, w, rays)
@@ -263,7 +263,7 @@ def test_render_rejects_bad_frame_size(render, height, width):
 @pytest.mark.parametrize("height,width,chunk", [(8, 8, 4096), (8, 8, 7), (17, 13, 4096),
                                                 (17, 13, 7)])
 def test_render_frame_equals_separate_renders(height, width, chunk, monkeypatch):
-    monkeypatch.setattr(raymarch, "RENDER_CHUNK", chunk)
+    monkeypatch.setattr(raymarch, "RAY_CHUNK", chunk)
     w = tiny_weights(18)
     code = LatentCode.from_articulation(0.7, np.random.default_rng(19).normal(size=TINY.k_obj))
     m = wg.sample_scene(1, "closet")
@@ -281,7 +281,7 @@ def test_render_frame_equals_separate_renders(height, width, chunk, monkeypatch)
     grid = pixel_rays(e, k, height, width, scene_radius=TINY.scene_radius)
     ref_rgb, ref_logits = [], []
     wd = w.detached()
-    theta = hyper_map(wd.hyper, code_features([code.phi], code.z_obj))
+    theta = hyper_map(wd.hyper, code_features([code.phi], code.z_obj)).data[0]
     for lo in range(0, height * width, chunk):
         sub = RayBatch(*(a[lo:lo + chunk] for a in
                          (grid.origins, grid.dirs, grid.d_near, grid.d_far)))
@@ -297,7 +297,7 @@ def test_render_rays_graph_chunking_consistency(monkeypatch):
     e = offset_identity_extrinsic()
     k = wg.make_intrinsics(8, 8)
     whole = render_image(w, code, e, k, 8, 8)
-    monkeypatch.setattr(raymarch, "RENDER_CHUNK", 7)
+    monkeypatch.setattr(raymarch, "RAY_CHUNK", 7)
     pieces = render_image(w, code, e, k, 8, 8)
     np.testing.assert_allclose(whole, pieces, rtol=1e-12, atol=1e-14)
 
@@ -315,13 +315,13 @@ def test_full_render_gradient_wrt_latent_code():
     wd = w.detached()
 
     def loss_np(z):
-        theta = hyper_map(wd.hyper, code_features(Tensor(z[:1]), Tensor(z[1:])))
+        theta = hyper_map(wd.hyper, code_features(Tensor(z[:1]), Tensor(z[1:]))).data[0]
         rgb, _, _ = render_rays(wd, theta, rays, want_seg=False)
         return float(((rgb.data - target) ** 2).mean())
 
     phi = Tensor(z0[:1], requires_grad=True)
     zo = Tensor(z0[1:], requires_grad=True)
-    theta = hyper_map(w.hyper, code_features(phi, zo))
+    theta = gc.reshape(hyper_map(w.hyper, code_features(phi, zo)), (-1,))
     rgb, _, _ = render_rays(w, theta, rays, want_seg=False)
     loss = gc.tmean(gc.square(gc.sub(rgb, target)))
     grads = backward(loss)

@@ -2,6 +2,7 @@
 checked against closed-form geometry oracles."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -255,6 +256,36 @@ def test_camera_rejects_degenerate_geometry(make, message):
     e, k = frontal_camera(wg.sample_scene(0, "closet"), height=8, width=8)
     with pytest.raises(ValueError, match=message):
         make(e, k)
+
+
+@pytest.mark.parametrize("seg, message", [
+    (np.full((4, 4), 1, dtype=np.uint8), r"uint8 of shape \(4, 4\), must be integer class ids "
+                                         r"of the image's \(8, 8\)"),
+    (np.zeros((8, 8, 1), dtype=np.uint8), r"shape \(8, 8, 1\)"),
+    (np.zeros((8, 8)), "float64 of shape"),
+    (np.full((8, 8), 7, dtype=np.uint8), r"class ids 7\.\.7, outside \[0, 4\)"),
+    (np.full((8, 8), -1, dtype=np.int64), r"class ids -1\.\.-1, outside \[0, 4\)"),
+], ids=["small", "three-axes", "float", "id-7", "id-negative"])
+def test_posed_view_rejects_a_bad_segmentation(seg, message):
+    """A seg map must be integer class ids in [0, len(SEG_CLASSES)) of the
+    image's (H, W)."""
+    e, k = frontal_camera(wg.sample_scene(0, "closet"), height=8, width=8)
+    wg.PosedView(np.ones((8, 8, 3)), e=e, k=k, seg=np.full((8, 8), 3, dtype=np.uint8))
+    with pytest.raises(ValueError, match=message):
+        wg.PosedView(np.ones((8, 8, 3)), e=e, k=k, seg=seg)
+
+
+@pytest.mark.parametrize("seg, message", [
+    (np.full((4, 4), 1, dtype=np.uint8), r"shape \(4, 4\)"),
+    (np.full((8, 8), 7, dtype=np.uint8), r"class ids 7\.\.7"),
+], ids=["small", "id-7"])
+def test_load_view_names_a_bad_seg_file(tmp_path, seg, message):
+    cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=5)
+    manifest = wg.generate_dataset(cfg, tmp_path)
+    rec = manifest.instances[0]["views"][0]
+    write_pgm(tmp_path / rec["seg"], seg)
+    with pytest.raises(ValueError, match=re.escape(rec["seg"]) + ": seg .*" + message):
+        manifest.load_view(rec)
 
 
 # ---------------------------------------------------------------------------
