@@ -56,7 +56,7 @@ from .neuralfield import (
     keypoint_head,
 )
 from .raymarch import RayBatch, pixel_rays, ray_chunks, render_image, render_rays
-from .worldgen import DatasetManifest, PosedView, _check_counts
+from .worldgen import DatasetManifest, PosedView, _check_counts, keypoints_analytic
 
 CHECKPOINT_FORMAT = "artifield-checkpoint-npz-1"
 
@@ -305,13 +305,14 @@ class LoadedInstance:
 
 
 def load_training_set(manifest: DatasetManifest) -> list[LoadedInstance]:
-    """Pull the whole dataset into memory (desk scale: tens of MB)."""
-    out = []
-    for inst in manifest.instances:
-        views = [manifest.load_view(rec) for rec in inst["views"]]
-        out.append(LoadedInstance(object_index=inst["object"], q=inst["q"],
-                                  keypoints=manifest.keypoints(inst).positions, views=views))
-    return out
+    """Pull the whole dataset into memory (desk scale: tens of MB); each
+    instance's keypoints are ``keypoints_analytic`` of its object's scene."""
+    scenes = [manifest.scene(oi) for oi in range(manifest.n_objects)]
+    return [LoadedInstance(object_index=inst["object"], q=inst["q"],
+                           keypoints=keypoints_analytic(scenes[inst["object"]],
+                                                        inst["q"]).positions,
+                           views=[manifest.load_view(rec) for rec in inst["views"]])
+            for inst in manifest.instances]
 
 
 def _sample_rays(views: list[PosedView], rng: np.random.Generator, rays_per_view: int,

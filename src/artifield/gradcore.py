@@ -446,15 +446,19 @@ def cross_entropy_logits(logits, labels: np.ndarray) -> Tensor:
 
     Fused forward/backward: grad is (softmax - onehot) / R. Raises
     ShapeMismatchError unless there is one label per row, and ValueError
-    unless every label is a class index in [0, C).
+    unless every label is an integer-valued class index in [0, C).
     """
     lg = as_tensor(logits)
     x = lg.data
     if x.ndim != 2:
         raise ShapeMismatchError(f"cross_entropy_logits expects (R, C) logits, got {x.shape}")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if labels.shape[0] != x.shape[0]:
+    raw = np.asarray(labels).ravel()
+    if raw.shape[0] != x.shape[0]:
         raise ShapeMismatchError("label count does not match logit rows")
+    bad = raw[~(np.isfinite(raw) & (np.trunc(raw) == raw))] if raw.dtype.kind == "f" else ()
+    if len(bad):
+        raise ValueError(f"cross_entropy_logits label {bad[0]} is not an integer class index")
+    labels = raw.astype(np.int64)
     if labels.size and not (labels.min() >= 0 and labels.max() < x.shape[1]):
         raise ValueError(f"cross_entropy_logits labels span {labels.min()}..{labels.max()}, "
                          f"outside the class indices [0, {x.shape[1]})")

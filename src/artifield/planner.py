@@ -128,7 +128,7 @@ def build_problem(traj: KeypointTrajectory, task: str, home: np.ndarray,
     free segment whose final step is pinned to the predicted goal point.
     Hinge/rail keypoints are not constrained, they only enter validation.
     Raises ValueError unless ``approach_steps`` and ``place_steps`` are
-    integers of at least 0.
+    integers of at least 0 and ``home`` is a (3,) point.
     """
     _check_number("build_problem", "approach_steps", approach_steps, 0)
     _check_number("build_problem", "place_steps", place_steps, 0)
@@ -137,6 +137,8 @@ def build_problem(traj: KeypointTrajectory, task: str, home: np.ndarray,
     if task not in ("open", "close", "place"):
         raise ValueError(f"unknown task {task!r}")
     home = np.asarray(home, dtype=np.float64)
+    if home.shape != (3,):
+        raise ValueError(f"home is {home.shape}, must be a (3,) point")
     steps = traj.steps if task != "close" else list(reversed(traj.steps))
     handles = [kps["handle"] for _, kps in steps]
     qs = [q for q, _ in steps]
@@ -239,7 +241,8 @@ def validate(trajectory: RobotTrajectory, oracle: SceneModel) -> ValidationRepor
     """Check the plan against the analytic object: the gripper must meet the
     true handle at the first interaction step (grasp) and stay on the true
     handle arc throughout (path deviation), each within
-    ``VALIDATE_DIAGONAL_SHARE`` of the body diagonal."""
+    ``VALIDATE_DIAGONAL_SHARE`` of the body diagonal. Raises ValueError if
+    there is no interaction step or one is not a step of the plan."""
     if not trajectory.interaction:
         raise ValueError("trajectory has no interaction steps to validate")
     threshold = VALIDATE_DIAGONAL_SHARE * oracle.diagonal
@@ -247,6 +250,10 @@ def validate(trajectory: RobotTrajectory, oracle: SceneModel) -> ValidationRepor
     per_step = []
     deviations = []
     for step, q in trajectory.interaction:
+        _check_number("validate", "interaction step", step, 0)
+        if step >= len(trajectory.positions):
+            raise ValueError(f"interaction step {step} lies past the plan's "
+                             f"{len(trajectory.positions)} positions")
         true_handle = keypoints_analytic(oracle, min(1.0, max(0.0, q)))["handle"]
         dev = float(np.linalg.norm(trajectory.positions[step] - true_handle))
         deviations.append(dev)

@@ -12,7 +12,7 @@ Conventions (shared by every consumer):
   * articulation q in [0, 1]. Revolute: door angle alpha(q) = -q * pi/2
     about the vertical (+z) hinge axis, so q=0 is closed (0 deg) and q=1 is
     fully open (90 deg), swinging toward the cameras. Prismatic: the panel
-    translates by q * travel along the outward slide axis (0, -1, 0).
+    translates by q * travel along the outward slide axis SLIDE_AXIS, (0, -1, 0).
   * cameras use the pinhole model with +z forward and +y down;
     E = [R | t] maps world to camera, K is upper triangular.
   * segmentation classes: 0 background, 1 body, 2 door, 3 handle.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,9 @@ CAMERA_AZIM_RANGE_DEG = (-90.0, 90.0)  # 0 looks along +y at the front face
 FOV_DEG = 45.0                      # horizontal field of view
 ALBEDO_RANGE = (0.1, 0.9)
 DOOR_THICKNESS_RANGE = (0.015, 0.03)
-DEFAULT_LIGHT_DIR = (0.35, -0.45, 0.82)  # unit-normalized below, toward the light
+LIGHT_DIR = np.array([0.35, -0.45, 0.82])
+LIGHT_DIR /= np.linalg.norm(LIGHT_DIR)  # unit vector toward the light
+SLIDE_AXIS = np.array([0.0, -1.0, 0.0])  # a prismatic panel's outward slide direction
 AMBIENT = 0.35
 RAY_HIT_EPS = 1e-9  # a ray hits a box only if it enters it farther than this
 
@@ -139,7 +141,6 @@ class SceneModel:
     """Analytic articulated box model; the data-generation and eval oracle."""
 
     category: str                  # closet | drawer
-    joint_kind: str                # revolute | prismatic
     body_half: np.ndarray          # (3,) half extents, body centered at origin
     door_origin: np.ndarray        # (3,) world position of the door frame origin (q=0)
     door_lo: np.ndarray            # (3,) panel AABB in the door frame
@@ -148,23 +149,20 @@ class SceneModel:
     handle_half: np.ndarray        # (3,) handle box half extents
     goal: np.ndarray               # (3,) point strictly inside the body
     albedo: dict[str, np.ndarray]  # part name -> rgb in [0,1]
-    light_dir: np.ndarray          # (3,) unit vector toward the light
     travel: float = 0.0            # prismatic travel, meters
-    slide_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, -1.0, 0.0]))
 
     def __post_init__(self):
         for name in ("body_half", "door_origin", "door_lo", "door_hi",
-                     "handle_local", "handle_half", "goal", "slide_axis"):
+                     "handle_local", "handle_half", "goal"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         _check_keys("albedo", self.albedo, SEG_CLASSES[1:])
         self.albedo = {k: np.asarray(v, dtype=np.float64) for k, v in self.albedo.items()}
-        self.light_dir = np.asarray(self.light_dir, dtype=np.float64)
         self.validate()
 
+    joint_kind = property(lambda self: CATEGORIES[self.category][0])  # revolute | prismatic
+
     def validate(self) -> None:
-        joint = _category(self.category)[0]
-        if self.joint_kind != joint:
-            raise ValueError(f"joint_kind is {self.joint_kind!r}, a {self.category} is {joint}")
+        _category(self.category)
         _check_number("SceneModel", "travel", self.travel, 0.0)
         if self.joint_kind == "prismatic" and self.travel <= 0:
             raise ValueError("prismatic travel must be positive")
@@ -191,7 +189,7 @@ class SceneModel:
             ca, sa = np.cos(alpha), np.sin(alpha)
             r = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
             return r, self.door_origin.copy()
-        return np.eye(3), self.door_origin + q * self.travel * self.slide_axis
+        return np.eye(3), self.door_origin + q * self.travel * SLIDE_AXIS
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -205,8 +203,7 @@ class SceneModel:
     def from_dict(cls, d: dict) -> "SceneModel":
         """The model of a ``to_dict`` record; ValueError naming the keys it
         lacks or does not know."""
-        known = {f.name: f.default is MISSING and f.default_factory is MISSING
-                 for f in fields(cls)}
+        known = {f.name: f.default is MISSING for f in fields(cls)}
         _check_keys("scene record", d, [k for k, required in known.items() if required], known)
         return cls(**d)
 
@@ -218,7 +215,7 @@ def sample_scene(seed: int, category: str = "closet") -> SceneModel:
     uniform in [0.1, 0.9]; the remaining ranges are internal choices sized so
     every sample satisfies the model invariants.
     """
-    joint = _category(category)[0]
+    _check_number("sample_scene", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     ext = rng.uniform(*BODY_EXTENT_RANGE, size=3)
     half = ext / 2.0
@@ -247,12 +244,10 @@ def sample_scene(seed: int, category: str = "closet") -> SceneModel:
     goal = rng.uniform(-0.5, 0.5, size=3) * half
     albedo = {part: rng.uniform(*ALBEDO_RANGE, size=3)
               for part in ("body", "door", "handle")}
-    light = np.asarray(DEFAULT_LIGHT_DIR, dtype=np.float64)
-    return SceneModel(category=category, joint_kind=joint, body_half=half,
+    return SceneModel(category=category, body_half=half,
                       door_origin=door_origin, door_lo=door_lo, door_hi=door_hi,
                       handle_local=handle_local, handle_half=handle_half,
-                      goal=goal, albedo=albedo,
-                      light_dir=light / np.linalg.norm(light), travel=travel)
+                      goal=goal, albedo=albedo, travel=travel)
 
 
 def keypoints_analytic(model: SceneModel, q: float) -> KeypointSet:
@@ -400,9 +395,10 @@ def raycast_scene(model: SceneModel, q: float, origins: np.ndarray, dirs: np.nda
 @dataclass
 class PosedView:
     """One observation: image, optional ground-truth seg/depth, and camera.
-    Raises ValueError unless E is a finite rigid (3, 4) world-to-camera map,
-    K a finite upper triangular (3, 3) with positive focals, and ``seg``,
-    when given, integer ids in [0, len(SEG_CLASSES)) of the image's (H, W)."""
+    Raises ValueError unless the image is a finite (H, W, 3) with H, W >= 1,
+    E a finite rigid (3, 4) world-to-camera map, K a finite upper triangular
+    (3, 3) with positive focals, and ``seg``, when given, integer ids in
+    [0, len(SEG_CLASSES)) of the image's (H, W)."""
 
     image: np.ndarray            # (H, W, 3) in [0, 1]
     e: np.ndarray                # (3, 4) world-to-camera
@@ -411,6 +407,9 @@ class PosedView:
     depth: np.ndarray | None = None  # (H, W) hit distance, +inf background
 
     def __post_init__(self):
+        shape = np.shape(self.image)
+        if len(shape) != 3 or shape[2] != 3 or 0 in shape or not np.all(np.isfinite(self.image)):
+            raise ValueError(f"image is {shape}, must be a finite (H, W, 3) with H, W >= 1")
         if np.shape(self.e) != (3, 4) or np.shape(self.k) != (3, 3):
             raise ValueError(f"camera E is {np.shape(self.e)} and K {np.shape(self.k)}, "
                              "must be (3, 4) and (3, 3)")
@@ -422,7 +421,7 @@ class PosedView:
         if self.k[0, 0] <= 0 or self.k[1, 1] <= 0 or abs(self.k[1, 0]) + abs(self.k[2, 0]) + abs(self.k[2, 1]) > 0:
             raise ValueError("intrinsics must be upper triangular with positive focals")
         if self.seg is not None:
-            seg, size = np.asarray(self.seg), np.shape(self.image)[:2]
+            seg, size = np.asarray(self.seg), shape[:2]
             if seg.shape != size or not np.issubdtype(seg.dtype, np.integer):
                 raise ValueError(f"seg is {seg.dtype} of shape {seg.shape}, must be integer "
                                  f"class ids of the image's {size}")
@@ -472,7 +471,7 @@ def raycast_render(model: SceneModel, q: float, e: np.ndarray, k: np.ndarray,
     origins = np.broadcast_to(origin, dirs.shape)
     t, cls, nrm = raycast_scene(model, q, origins, dirs)
 
-    shade = AMBIENT + (1.0 - AMBIENT) * np.maximum(0.0, nrm @ model.light_dir)
+    shade = AMBIENT + (1.0 - AMBIENT) * np.maximum(0.0, nrm @ LIGHT_DIR)
     rgb = np.ones((dirs.shape[0], 3))
     for name, cid in (("body", 1), ("door", 2), ("handle", 3)):
         mask = cls == cid
@@ -512,9 +511,9 @@ class GenConfig:
     @property
     def instances(self) -> list[dict]:
         """Each instance's record, objects outer and articulations inner:
-        ``{"object", "articulation", "q", "keypoints_file", "views"}`` with
-        each view ``{"image", "seg", "camera"}``, paths relative to the
-        dataset root."""
+        ``{"object", "articulation", "q", "views"}`` with each view
+        ``{"image", "seg", "camera"}``, paths relative to the dataset root.
+        Keypoints are ``keypoints_analytic`` of the object's scene at q."""
         out = []
         for oi in range(self.n_objects):
             for ai, q in enumerate(self.articulation_grid()):
@@ -523,16 +522,13 @@ class GenConfig:
                           "seg": f"{base}/view_{vi:02d}_seg.pgm",
                           "camera": f"{base}/view_{vi:02d}_cam.json"}
                          for vi in range(self.n_views)]
-                out.append({"object": oi, "articulation": ai, "q": float(q),
-                            "keypoints_file": f"{base}/keypoints.json", "views": views})
+                out.append({"object": oi, "articulation": ai, "q": float(q), "views": views})
         return out
 
     def files(self) -> list[str]:
-        """Every file of the layout but manifest.json: each instance's
-        keypoints file and view files, then each object's scene."""
-        names = []
-        for inst in self.instances:
-            names += [inst["keypoints_file"], *(n for rec in inst["views"] for n in rec.values())]
+        """Every file of the layout but manifest.json: each instance's view
+        files, then each object's scene."""
+        names = [n for inst in self.instances for rec in inst["views"] for n in rec.values()]
         return names + [self.scene_file(oi) for oi in range(self.n_objects)]
 
 
@@ -569,13 +565,6 @@ class DatasetManifest(GenConfig):
                              f"manifest's {self.category!r}")
         return model
 
-    def keypoints(self, instance: dict) -> KeypointSet:
-        """The instance's keypoints, in the category's order; ValueError naming
-        the file if it lacks ``points`` or one of the names."""
-        names = keypoint_names(self.category)
-        return self._read(instance["keypoints_file"], lambda d: KeypointSet.from_dict(
-            names, _check_keys("keypoints file", d, ["points"])["points"]))
-
     def load_view(self, view_rec: dict) -> PosedView:
         """ValueError naming the camera file if it lacks ``E`` or ``K`` or
         they do not make a ``PosedView`` camera, or naming the seg file if
@@ -607,12 +596,13 @@ def _derived_seed(*parts: int) -> int:
 def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
     """Write a full posed-image dataset and its manifest under out_dir.
 
-    Layout: obj_###/scene.json, obj_###/art_##/{keypoints.json,
-    view_##.ppm, view_##_seg.pgm, view_##_cam.json}, manifest.json at the
-    root. manifest.json holds only the config's fields, since every path and
-    each instance's q follow from them (``GenConfig.instances``). Every byte
-    is a pure function of the config, so regeneration with the same seed is
-    file-identical.
+    Layout: obj_###/scene.json, obj_###/art_##/{view_##.ppm,
+    view_##_seg.pgm, view_##_cam.json}, manifest.json at the root. Each fact
+    is stored once: manifest.json holds only the config, which fixes every
+    path and q (``GenConfig.instances``), and scene.json only what varies per
+    scene, which fixes each instance's keypoints (``keypoints_analytic``).
+    Every byte is a pure function of the config, so regeneration with the
+    same seed is file-identical.
 
     Regenerating into an existing dataset is safe to interrupt: the new
     manifest is serialized before any file is touched, the old one is removed
@@ -638,10 +628,7 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
         for inst in config.instances:
             oi, ai, q = inst["object"], inst["articulation"], inst["q"]
             model = models[oi]
-            (root / inst["keypoints_file"]).parent.mkdir(exist_ok=True)
-            with open(root / inst["keypoints_file"], "w") as f:
-                json.dump({"points": keypoints_analytic(model, q).as_dict()}, f,
-                          indent=1, sort_keys=True)
+            (root / inst["views"][0]["image"]).parent.mkdir(exist_ok=True)
             for vi, rec in enumerate(inst["views"]):
                 rng = np.random.default_rng(_derived_seed(config.seed, oi, ai, vi))
                 e, k = sample_camera(rng, model, config.height, config.width)
@@ -655,13 +642,13 @@ def generate_dataset(config: GenConfig, out_dir) -> DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a dataset's manifest.json, which holds exactly the ``GenConfig``
-    fields the dataset was generated from; every other record of the dataset
-    is derived from them. Raises ValueError naming the file and the keys if
-    it lacks a field or holds another key, ValueError unless its counts pass
-    ``generate_dataset``'s checks and its category is known,
-    FileNotFoundError if a file of ``GenConfig.files`` is missing, and
-    ValueError naming the scene file unless every scene reads as a scene of
-    the manifest's category."""
+    fields the dataset was generated from; every path and q of the dataset
+    derive from them, and each instance's keypoints from its scene. Raises
+    ValueError naming the file and the keys if it lacks a field or holds
+    another key, ValueError unless its counts pass ``generate_dataset``'s
+    checks and its category is known, FileNotFoundError if a file of
+    ``GenConfig.files`` is missing, and ValueError naming the scene file
+    unless every scene reads as a scene of the manifest's category."""
     path = Path(path)
     with open(path) as f:
         d = _check_keys(path.name, json.load(f), [spec.name for spec in fields(GenConfig)])
@@ -679,7 +666,7 @@ def load_manifest(path) -> DatasetManifest:
 def dataset_digest(manifest: DatasetManifest) -> str:
     """SHA-256 over manifest.json, whose config fixes every path and q of
     the dataset, then over each file of ``manifest.files()`` in that order:
-    each instance's keypoints file and views, then each object's scene."""
+    each instance's views, then each object's scene (and so its keypoints)."""
     h = hashlib.sha256((manifest.root / "manifest.json").read_bytes())
     for name in manifest.files():
         h.update((manifest.root / name).read_bytes())

@@ -91,11 +91,13 @@ CALLS = {
     "interpolate_codes": lambda w, arg, bad, out, _: interpolate_codes(
         w.code, **{"q_target": 1.0, "t_steps": 2, arg: bad}),
     "build_problem": lambda w, arg, bad, out, _: build_problem(
-        w.traj, "place", np.zeros(3), **{arg: bad}),
+        **{"traj": w.traj, "task": "place", "home": np.zeros(3), arg: bad}),
     "articulation_angle": lambda w, arg, bad, out, _: articulation_angle(bad),
     "keypoints_analytic": lambda w, arg, bad, out, _: wg.keypoints_analytic(w.model, bad),
-    "sample_scene": lambda w, arg, bad, out, _: wg.sample_scene(0, bad),
+    "sample_scene": lambda w, arg, bad, out, _: wg.sample_scene(
+        **{"seed": 0, "category": "closet", arg: bad}),
     "SceneModel": lambda w, arg, bad, out, _: replace(w.model, **{arg: bad, "travel": 0.3}),
+    "PosedView": lambda w, arg, bad, out, _: replace(w.view, **{arg: bad}),
     "ArchConfig": lambda w, arg, bad, out, _: ArchConfig(**{arg: bad}),
 }
 
@@ -157,12 +159,16 @@ ROWS = [
     *q_rows("interpolate_codes", "q_target", "interpolate_codes.q_target is"),
     *count_rows("build_problem", "approach_steps", 0, "build_problem.approach_steps is"),
     *count_rows("build_problem", "place_steps", 0, "build_problem.place_steps is"),
+    ("build_problem", "home", "two", np.zeros(2), "home is (2,), must be a (3,) point"),
     *q_rows("articulation_angle", "q", "articulation q is"),
     *q_rows("keypoints_analytic", "q", "articulation q is"),
+    *count_rows("sample_scene", "seed", 0, "sample_scene.seed is"),
     *category_rows("sample_scene", "category"),
     *category_rows("SceneModel", "category"),
-    ("SceneModel", "joint_kind", "sliding-closet", "prismatic", "joint_kind is 'prismatic'"),
-    ("SceneModel", "joint_kind", "unknown", "hinge", "joint_kind is 'hinge'"),
+    *[("PosedView", "image", label, bad, f"image is {bad.shape}, must be a finite (H, W, 3)")
+      for label, bad in {"nan-2d": np.full((8, 8), np.nan), "rgba": np.zeros((8, 8, 4)),
+                         "empty": np.zeros((0, 8, 3)), "nan": np.full((8, 8, 3), np.nan),
+                         "inf": np.full((8, 8, 3), np.inf)}.items()],
     *category_rows("ArchConfig", "category"),
     *count_rows("ArchConfig", "k_obj", 1, "ArchConfig.k_obj is"),
     *count_rows("ArchConfig", "lstm_hidden", 1, "ArchConfig.lstm_hidden is"),

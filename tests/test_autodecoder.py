@@ -579,6 +579,24 @@ def test_config_rates_must_be_numbers(tiny_dataset, tmp_path, entry, field, valu
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("category", ["closet", "drawer"])
+def test_load_training_set_keypoints_are_the_scenes(tmp_path, category):
+    """Each instance's training keypoints are ``keypoints_analytic`` of its
+    object's scene at its q, bit for bit, and scene.json round-trips the
+    sampled scene exactly, so they are also those of the generating scene."""
+    cfg = wg.GenConfig(category=category, n_objects=2, n_articulations=3, n_views=1,
+                       height=8, width=8, seed=2)
+    manifest = wg.generate_dataset(cfg, tmp_path)
+    instances = load_training_set(manifest)
+    assert [(i.object_index, i.q) for i in instances] \
+        == [(i["object"], i["q"]) for i in manifest.instances]
+    for inst in instances:
+        sampled = wg.sample_scene(wg._derived_seed(cfg.seed, inst.object_index), category)
+        for scene in (manifest.scene(inst.object_index), sampled):
+            expected = wg.keypoints_analytic(scene, inst.q).positions
+            assert inst.keypoints.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inference
 

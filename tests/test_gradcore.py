@@ -420,6 +420,23 @@ def test_cross_entropy_rejects_labels_outside_the_classes(labels):
         cross_entropy_logits(logits, np.array(labels))
 
 
+@pytest.mark.parametrize("labels, bad", [([0.5, 1.0, 0.0], "0.5"), ([0.0, 1.9, 1.0], "1.9"),
+                                         ([0.0, float("nan"), 1.0], "nan")],
+                         ids=["half", "near-two", "nan"])
+def test_cross_entropy_rejects_labels_that_are_not_integers(labels, bad):
+    """A fractional or NaN label is refused, not truncated to a class: 0.5
+    would score class 0 and 1.9 class 1."""
+    logits = Tensor(np.zeros((3, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match=f"label {bad} is not an integer class index"):
+        cross_entropy_logits(logits, np.array(labels))
+
+
+def test_cross_entropy_accepts_integer_valued_float_labels():
+    logits = Tensor(np.arange(6.0).reshape(3, 2))
+    assert cross_entropy_logits(logits, np.array([0.0, 1.0, 1.0])).data \
+        == cross_entropy_logits(logits, np.array([0, 1, 1])).data
+
+
 def test_cross_entropy_uniform_logits_value_and_gradient():
     logits = Tensor(np.zeros((8, 4)), requires_grad=True)
     labels = np.arange(8) % 4

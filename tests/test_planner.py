@@ -94,6 +94,14 @@ def test_build_problem_rejects_what_it_cannot_plan(steps, task, message):
         build_problem(traj, task, HOME)
 
 
+@pytest.mark.parametrize("home", [np.zeros(2), np.zeros((1, 3)), np.zeros(4)],
+                         ids=["two", "row", "four"])
+def test_build_problem_rejects_a_home_that_is_not_a_point(home):
+    traj = oracle_trajectory(wg.sample_scene(1, "closet"), t_steps=2)
+    with pytest.raises(ValueError, match=r"home is \(.*\), must be a \(3,\) point"):
+        build_problem(traj, "open", home)
+
+
 def test_build_problem_home_outside_bounds():
     m = wg.sample_scene(3, "closet")
     traj = oracle_trajectory(m)
@@ -318,6 +326,17 @@ def test_validate_needs_interaction_steps():
     result = solve(TrajectoryProblem(horizon=3, start=HOME, constraints=[],
                                      bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0)))
     with pytest.raises(ValueError, match="no interaction steps"):
+        validate(result, m)
+
+
+def test_validate_rejects_an_interaction_step_past_the_plan():
+    """An interaction step that is not a position of the plan is named in a
+    ValueError, not left to numpy's indexing."""
+    m = wg.sample_scene(6, "closet")
+    result = solve(TrajectoryProblem(horizon=2, start=HOME, constraints=[],
+                                     bounds_lo=np.full(3, -3.0), bounds_hi=np.full(3, 3.0),
+                                     interaction=[(1, 0.0), (7, 0.5)]))
+    with pytest.raises(ValueError, match="interaction step 7 lies past the plan's 3 positions"):
         validate(result, m)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from artifield import worldgen as wg
+from artifield.autodecoder import load_training_set
 from artifield.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 
@@ -456,19 +457,40 @@ def test_generate_dataset_different_seed_differs(tmp_path):
     assert wg.dataset_digest(m1) != wg.dataset_digest(m2)
 
 
-def test_dataset_digest_covers_keypoint_files(tmp_path):
-    """Moving the handle 25 cm in one instance's keypoints file, which holds
-    the training keypoints, changes the digest."""
+def test_dataset_digest_covers_the_scene_keypoints(tmp_path):
+    """Moving the handle to the middle of the door in scene.json, which fixes
+    the training keypoints, moves every instance's handle keypoint and
+    changes the digest."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8, seed=4)
     manifest = wg.generate_dataset(cfg, tmp_path)
-    before = wg.dataset_digest(manifest)
-    path = tmp_path / manifest.instances[1]["keypoints_file"]
+    before = wg.dataset_digest(manifest), load_training_set(manifest)
+    path = tmp_path / manifest.scene_file(0)
     record = json.loads(path.read_text())
-    record["points"]["handle"][0] += 0.25
+    record["handle_local"][0] = (record["door_lo"][0] + record["door_hi"][0]) / 2.0
     path.write_text(json.dumps(record))
-    assert manifest.keypoints(manifest.instances[1]).positions[0, 0] \
-        == record["points"]["handle"][0]
-    assert wg.dataset_digest(manifest) != before
+    manifest = wg.load_manifest(tmp_path / "manifest.json")
+    assert wg.dataset_digest(manifest) != before[0]
+    for old, new in zip(before[1], load_training_set(manifest)):
+        assert not np.allclose(new.keypoints[0], old.keypoints[0], atol=0.01)
+        np.testing.assert_array_equal(new.keypoints[1:], old.keypoints[1:])
+        np.testing.assert_array_equal(
+            new.keypoints, wg.keypoints_analytic(manifest.scene(0), new.q).positions)
+
+
+def test_dataset_stores_no_derived_facts(tmp_path):
+    """No instance keypoints file is written or listed, and scene.json holds
+    neither the joint kind, which the category fixes, nor the slide axis or
+    the light, which are conventions of the module."""
+    cfg = wg.GenConfig(category="drawer", n_objects=2, n_articulations=2, n_views=1,
+                       height=8, width=8, seed=4)
+    manifest = wg.generate_dataset(cfg, tmp_path)
+    assert not list(tmp_path.rglob("keypoints.json"))
+    assert not [name for name in manifest.files() if "keypoints" in name]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                  if p.is_file()) == sorted(["manifest.json", *manifest.files()])
+    for oi in range(cfg.n_objects):
+        record = json.loads((tmp_path / manifest.scene_file(oi)).read_text())
+        assert not {"joint_kind", "slide_axis", "light_dir"} & record.keys()
 
 
 @pytest.mark.parametrize("key, value, q", [("n_articulations", 1, 0.5)])
@@ -485,17 +507,13 @@ def test_dataset_digest_covers_the_manifest(tmp_path, key, value, q):
     manifest = wg.load_manifest(path)
     assert manifest.instances[0]["q"] == q
     assert wg.dataset_digest(manifest) != before
-    for inst in manifest.instances:
-        assert "q" not in json.loads((tmp_path / inst["keypoints_file"]).read_text())
+    assert "q" not in json.loads((tmp_path / manifest.scene_file(0)).read_text())
 
 
-@pytest.mark.parametrize("name", [lambda m: m.instances[-1]["keypoints_file"],
-                                  lambda m: m.scene_file(0)],
-                         ids=["instances-keypoints_file", "objects-scene_file"])
-def test_manifest_detects_missing_keypoints_or_scene(tmp_path, name):
+def test_manifest_detects_missing_scene(tmp_path):
     cfg = wg.GenConfig(n_objects=1, n_articulations=2, n_views=1, height=8, width=8)
     manifest = wg.generate_dataset(cfg, tmp_path / "ds")
-    (manifest.root / name(manifest)).unlink()
+    (manifest.root / manifest.scene_file(0)).unlink()
     with pytest.raises(FileNotFoundError, match="dataset file missing"):
         wg.load_manifest(tmp_path / "ds" / "manifest.json")
 
@@ -545,11 +563,13 @@ def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, mes
     ("manifest.json", lambda d: list(d), "manifest.json is a list, not a JSON object"),
     ("camera", lambda d: {"E": d["E"]},
      r"obj_000/art_00/view_00_cam.json: camera: missing keys \['K'\], unknown keys \[\]"),
-    ("keypoints_file", lambda d: {"pts": d["points"]},
-     r"art_00/keypoints.json: keypoints file: missing keys \['points'\], unknown keys \['pts'\]"),
-    ("keypoints_file", lambda d: {"points": {k: v for k, v in d["points"].items() if k != "goal"}},
-     r"art_00/keypoints.json: keypoints: missing keys \['goal'\], unknown keys \[\]"),
     ("scene_file", lambda d: [d], r"obj_000/scene.json: scene record is a list"),
+    ("scene_file", lambda d: {**d, "joint_kind": "revolute"},
+     r"obj_000/scene.json: scene record: missing keys \[\], unknown keys \['joint_kind'\]"),
+    ("scene_file", lambda d: {**d, "slide_axis": [0.0, -1.0, 0.0]},
+     r"obj_000/scene.json: scene record: missing keys \[\], unknown keys \['slide_axis'\]"),
+    ("scene_file", lambda d: {**d, "light_dir": [0.0, 0.0, 1.0]},
+     r"obj_000/scene.json: scene record: missing keys \[\], unknown keys \['light_dir'\]"),
     ("camera", lambda d: {**d, "E": d["E"][:2]},
      r"view_00_cam.json: camera E is \(2, 4\) and K \(3, 3\), must be \(3, 4\) and \(3, 3\)"),
     ("camera", lambda d: {**d, "K": [row[:2] for row in d["K"][:2]]},
@@ -558,26 +578,24 @@ def test_manifest_rejects_what_generate_dataset_never_writes(tmp_path, edit, mes
     ("camera", lambda d: {**d, "K": [[float("nan")] * 3] * 3},
      "view_00_cam.json: camera E and K must be finite"),
     ("camera", lambda d: {**d, "K": {"a": 1}}, r"view_00_cam.json: float\(\) argument must be"),
-], ids=["manifest-list", "camera-no-K", "keypoints-no-points", "keypoints-no-goal",
-        "scene-list", "camera-E-two-rows", "camera-K-2x2", "camera-K-string", "camera-K-nan",
-        "camera-K-object"])
+], ids=["manifest-list", "camera-no-K", "scene-list", "scene-joint_kind", "scene-slide_axis",
+        "scene-light_dir", "camera-E-two-rows", "camera-K-2x2", "camera-K-string",
+        "camera-K-nan", "camera-K-object"])
 def test_dataset_file_record_errors_name_the_file(tmp_path, file, edit, message):
     """A JSON file of the dataset that is not an object, lacks a key or holds
     a camera that is not a (3, 4) E and a (3, 3) K of finite numbers is
-    refused with a ValueError naming the file, when the manifest, the first
-    instance's keypoints or its first view is read."""
+    refused with a ValueError naming the file, when the manifest or the
+    first instance's first view is read. A scene.json that holds a key the
+    category or the module's conventions fix is refused too."""
     cfg = wg.GenConfig(n_objects=1, n_articulations=1, n_views=1, height=8, width=8, seed=5)
     manifest = wg.generate_dataset(cfg, tmp_path)
     inst = manifest.instances[0]
     name = {"manifest.json": "manifest.json", "camera": inst["views"][0]["camera"],
-            "keypoints_file": inst["keypoints_file"],
             "scene_file": manifest.scene_file(0)}[file]
     path = tmp_path / name
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message):
-        loaded = wg.load_manifest(tmp_path / "manifest.json")
-        loaded.keypoints(inst)
-        loaded.load_view(inst["views"][0])
+        wg.load_manifest(tmp_path / "manifest.json").load_view(inst["views"][0])
 
 
 def test_manifest_detects_missing_file(tmp_path):
@@ -587,17 +605,6 @@ def test_manifest_detects_missing_file(tmp_path):
     victim.unlink()
     with pytest.raises(FileNotFoundError):
         wg.load_manifest(tmp_path / "ds" / "manifest.json")
-
-
-def test_manifest_keypoints_and_scene_roundtrip(tmp_path):
-    cfg = wg.GenConfig(category="drawer", n_objects=1, n_articulations=3,
-                       n_views=1, height=8, width=8, seed=2)
-    manifest = wg.generate_dataset(cfg, tmp_path / "ds")
-    model = manifest.scene(0)
-    inst = manifest.instances[1]
-    expected = wg.keypoints_analytic(model, inst["q"])
-    kps = manifest.keypoints(inst)
-    np.testing.assert_allclose(kps.positions, expected.positions, atol=1e-12)
 
 
 def test_loaded_view_matches_render(tmp_path):
